@@ -67,47 +67,9 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # Operator sugar; scalars and arrays are wrapped as constants.
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def sum(self, axis: int | None = None):
-        return tsum(self, axis)
-
-    def mean(self, axis: int | None = None):
-        return tmean(self, axis)
-
-    def reshape(self, shape: tuple[int, ...]):
-        return reshape(self, shape)
-
-    def flatten(self):
-        return reshape(self, (-1,))
-
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 def constant(data, name: str = "") -> Tensor:
@@ -378,18 +340,6 @@ def slice_window(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _register(out, backward, x)
 
 
-def broadcast_rows(v: Tensor, n: int) -> Tensor:
-    """Tile a vector into n identical rows; backward sums over rows."""
-    if v.ndim != 1:
-        raise ShapeError(f"broadcast_rows needs a vector, got shape {v.shape}")
-    out = Tensor(np.broadcast_to(v.data, (n, v.shape[0])).copy())
-
-    def backward(g):
-        v.accumulate(g.sum(axis=0))
-
-    return _register(out, backward, v)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -427,33 +377,6 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
         table.accumulate(acc)
 
     return _register(out, backward, table)
-
-
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """cos(a, b) with norms floored at COSINE_EPS, defined for zero vectors."""
-    if a.ndim != 1 or b.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"cosine_similarity needs equal-length vectors, got {a.shape} and {b.shape}")
-    na = np.linalg.norm(a.data)
-    nb = np.linalg.norm(b.data)
-    ra = max(na, COSINE_EPS)
-    rb = max(nb, COSINE_EPS)
-    s = float(a.data @ b.data) / (ra * rb)
-    out = Tensor(np.asarray(s))
-
-    def backward(g):
-        gs = float(g)
-        if a.requires_grad:
-            da = b.data / (ra * rb)
-            if na > COSINE_EPS:
-                da = da - s * a.data / (ra * ra)
-            a.accumulate(gs * da)
-        if b.requires_grad:
-            db = a.data / (ra * rb)
-            if nb > COSINE_EPS:
-                db = db - s * b.data / (rb * rb)
-            b.accumulate(gs * db)
-
-    return _register(out, backward, a, b)
 
 
 def normalize_rows(x: Tensor, eps: float = COSINE_EPS) -> Tensor:

@@ -83,36 +83,24 @@ def padding_mask(seq_len: np.ndarray, max_len: int) -> np.ndarray:
     return (pos[None, :] >= max_len - seq_len[:, None]).astype(np.float64)
 
 
-def laup_pool(
-    v: Tensor,
-    mask: np.ndarray,
-    cand: Tensor,
-    params: BaseParams,
-    unit_weights: bool = False,
-) -> Tensor:
+def laup_pool(v: Tensor, mask: np.ndarray, cand: Tensor, params: BaseParams) -> Tensor:
     """Score-weighted sum over behavior steps.
 
     v: (B, L, D) step vectors, cand: (B, D), mask: (B, L) with 1 on
-    real events.  unit_weights is an ablation hook that forces every
-    real event's weight to 1 (plain sum pooling) while keeping the
-    masking semantics.
+    real events.
     """
     nb, nl, dim = v.shape
     if mask.shape != (nb, nl):
         raise DataError(f"mask shape {mask.shape} does not match sequence {(nb, nl)}")
     if not mask.any(axis=1).all():
         raise DataError("all-padding behavior sequence (empty history)")
-    mask_c = ad.constant(mask)
-    if unit_weights:
-        weights = mask_c
-    else:
-        cand_l = ad.reshape(cand, (nb, 1, dim))
-        cand_full = ad.add(cand_l, ad.constant(np.zeros((nb, nl, 1))))
-        z = ad.concat([v, cand_full, ad.mul(v, cand_l), ad.sub(v, cand_l)], axis=2)
-        z2 = ad.reshape(z, (nb * nl, 4 * dim))
-        h = ad.relu(ad.add(ad.matmul(z2, params.lau_w1), params.lau_b1))
-        scores = ad.add(ad.matmul(h, params.lau_w2), params.lau_b2)
-        weights = ad.mul(ad.reshape(scores, (nb, nl)), mask_c)
+    cand_l = ad.reshape(cand, (nb, 1, dim))
+    cand_full = ad.add(cand_l, ad.constant(np.zeros((nb, nl, 1))))
+    z = ad.concat([v, cand_full, ad.mul(v, cand_l), ad.sub(v, cand_l)], axis=2)
+    z2 = ad.reshape(z, (nb * nl, 4 * dim))
+    h = ad.relu(ad.add(ad.matmul(z2, params.lau_w1), params.lau_b1))
+    scores = ad.add(ad.matmul(h, params.lau_w2), params.lau_b2)
+    weights = ad.mul(ad.reshape(scores, (nb, nl)), ad.constant(mask))
     return ad.tsum(ad.mul(v, ad.reshape(weights, (nb, nl, 1))), axis=1)
 
 
@@ -135,7 +123,9 @@ def field_concat(tables: dict[str, Tensor], fields: list[str], ids: np.ndarray) 
 
 
 def behavior_matrix(tables: dict[str, Tensor], seq_fields: list[str], seq_ids: np.ndarray) -> Tensor:
-    """ids (B, J, L) -> step vectors (B, L, J*K), fields side by side."""
+    """ids (B, J, L) -> step vectors (B, L, J*K), fields side by side.
+    This is the step's only sequence lookup: the contrastive tower
+    reads its channel stack from the same tensor."""
     from .embeddings import embed
 
     parts = [embed(tables, f, seq_ids[:, j, :]) for j, f in enumerate(seq_fields)]
@@ -148,18 +138,16 @@ def predict_batch(
     seq_fields: list[str],
     base: BaseParams,
     cat_ids: np.ndarray,
-    seq_ids: np.ndarray,
+    v: Tensor,
     seq_len: np.ndarray,
     cand_ids: np.ndarray,
-    unit_weights: bool = False,
 ) -> Tensor:
-    """Full base-model forward for one batch; returns (B,) probabilities."""
-    max_len = seq_ids.shape[2]
-    v = behavior_matrix(tables, seq_fields, seq_ids)
+    """Full base-model forward for one batch over the step vectors v
+    (B, L, J*K) from behavior_matrix; returns (B,) probabilities."""
     cand = field_concat(tables, seq_fields, cand_ids)
     cats = field_concat(tables, cat_fields, cat_ids)
-    mask = padding_mask(seq_len, max_len)
-    pooled = laup_pool(v, mask, cand, base, unit_weights=unit_weights)
+    mask = padding_mask(seq_len, v.shape[1])
+    pooled = laup_pool(v, mask, cand, base)
     x = ad.concat([cats, pooled, cand], axis=1)
     return mlp_predict(x, base)
 

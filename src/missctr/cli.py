@@ -33,6 +33,7 @@ from .harness import (
 from .metrics import evaluate_scores
 from .trainer import (
     ExperimentConfig,
+    MissModel,
     build_model,
     load_checkpoint,
     predict_scores,
@@ -171,9 +172,9 @@ def load_dataset(args, cfg: ExperimentConfig) -> dt.Splits:
         raise ConfigError("--dataset is required for this command")
     if not os.path.isfile(path):
         raise DataError(f"dataset not found: {path}")
-    with open(path) as fh:
-        first = fh.readline().rstrip("\n")
-    if first == SNAPSHOT_MAGIC:
+    with open(path, "rb") as fh:
+        first = fh.readline().rstrip(b"\n")
+    if first == SNAPSHOT_MAGIC.encode():
         return dt.load_splits(path)
     log = dt.ingest_log(path)
     min_count = getattr(args, "min_count", 1) or 1
@@ -193,41 +194,26 @@ def dataset_tag(args) -> str:
 # model summary
 
 
-def model_summary(cfg: ExperimentConfig, cat_fields, seq_fields, vocab_sizes) -> str:
-    """Parameter counts per component, computed from the configuration."""
-    K = cfg.emb_dim
-    n_cat, n_seq = len(cat_fields), len(seq_fields)
-    step = n_seq * K
-    x_dim = n_cat * K + 2 * step
-    emb = sum(vocab_sizes[f] * K for f in list(cat_fields) + list(seq_fields))
-    lau = 4 * step * 16 + 16 + 16 + 1
-    mlp = 0
-    fan = x_dim
-    for width in cfg.mlp:
-        mlp += fan * width + width
-        fan = width
-    M, N = cfg.n_branches, cfg.n_depths
-    conv = M * (M + 1) // 2 + M * (N * (N + 1) // 2)
-    enc_i = 0
-    fan = step
-    for width in cfg.enc_interest:
-        enc_i += fan * width
-        fan = width
-    enc_f = 0
-    fan = K
-    for width in cfg.enc_feature:
-        enc_f += fan * width
-        fan = width
-    rows = [
-        ("embedding tables", emb),
-        ("attention unit", lau),
-        ("prediction mlp", mlp),
-        ("conv bank", conv),
-        ("interest encoder", enc_i),
-        ("feature encoder", enc_f),
+# (label, parameter-name prefix) per component, in print order
+SUMMARY_GROUPS = (
+    ("embedding tables", "emb:"),
+    ("attention unit", "base:lau_"),
+    ("prediction mlp", "base:mlp"),
+    ("conv bank", "ssl:conv_"),
+    ("interest encoder", "ssl:enc_int_"),
+    ("feature encoder", "ssl:enc_feat_"),
+)
+
+
+def model_summary(model: MissModel) -> str:
+    """Parameter counts per component, summed over the built model's
+    parameters by name prefix."""
+    sizes = {name: p.data.size for name, p in model.parameters().items()}
+    lines = [
+        f"{label:<18} {sum(n for k, n in sizes.items() if k.startswith(prefix)):>10d}"
+        for label, prefix in SUMMARY_GROUPS
     ]
-    lines = [f"{name:<18} {count:>10d}" for name, count in rows]
-    lines.append(f"{'total':<18} {sum(c for _, c in rows):>10d}")
+    lines.append(f"{'total':<18} {sum(sizes.values()):>10d}")
     return "\n".join(lines)
 
 
@@ -289,8 +275,8 @@ def cmd_train(args) -> int:
     cfg = resolve_config(args)
     out_dir = resolve_out_dir(args)
     splits = load_dataset(args, cfg)
-    print(model_summary(cfg, splits.cat_fields, splits.seq_fields, splits.vocab_sizes))
     result, test_report = run_experiment(cfg, splits)
+    print(model_summary(result.model))
     write_history(os.path.join(out_dir, "history.tsv"), result)
     write_telemetry(os.path.join(out_dir, "telemetry.tsv"), result)
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), result.model)

@@ -62,29 +62,32 @@ def ingest_log(path: str) -> InteractionLog:
     n_bad = 0
     first_bad = None
     n_lines = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            n_lines += 1
-            parts = line.split("\t")
-            ok = len(parts) >= 3 and all(p != "" for p in parts)
-            if ok and n_cols is None:
-                n_cols = len(parts)
-            ok = ok and len(parts) == n_cols
-            ts = None
-            if ok:
-                try:
-                    ts = int(parts[-1])
-                except ValueError:
-                    ok = False
-            if not ok:
-                n_bad += 1
-                if first_bad is None:
-                    first_bad = lineno
-                continue
-            rows.append((parts[0], parts[1], tuple(parts[2:-1]), ts, lineno))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                n_lines += 1
+                parts = line.split("\t")
+                ok = len(parts) >= 3 and all(p != "" for p in parts)
+                if ok and n_cols is None:
+                    n_cols = len(parts)
+                ok = ok and len(parts) == n_cols
+                ts = None
+                if ok:
+                    try:
+                        ts = int(parts[-1])
+                    except ValueError:
+                        ok = False
+                if not ok:
+                    n_bad += 1
+                    if first_bad is None:
+                        first_bad = lineno
+                    continue
+                rows.append((parts[0], parts[1], tuple(parts[2:-1]), ts, lineno))
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not a UTF-8 text file") from None
     if n_lines == 0 or not rows:
         raise DataError(f"no usable records in {path}")
     if n_bad > 0:
@@ -455,8 +458,11 @@ def save_splits(splits: Splits, path: str) -> None:
 
 
 def load_splits(path: str) -> Splits:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not a UTF-8 text file") from None
     if not lines or lines[0] != SNAPSHOT_MAGIC:
         raise FormatError(f"{path}: not a splits snapshot (bad magic line)")
     try:

@@ -11,7 +11,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .serialize import load_arrays, save_arrays
 
 INIT_SCALE = 0.05
 
@@ -47,10 +46,3 @@ def zero_pad_rows(tables: dict[str, Tensor]) -> None:
     for t in tables.values():
         t.data[0] = 0.0
 
-
-def save_tables(path: str, tables: dict[str, Tensor]) -> None:
-    save_arrays(path, {name: t.data for name, t in tables.items()})
-
-
-def load_tables(path: str) -> dict[str, Tensor]:
-    return {name: ad.parameter(arr, name=f"emb:{name}") for name, arr in load_arrays(path).items()}

@@ -129,12 +129,11 @@ def tiny_instance_check(
 ) -> GradReport:
     """Full-model gradient check on a small fixed problem: two profile
     fields, two sequence channels, short histories, both contrastive
-    branches live.  Augmentation plans are sampled once and replayed so
-    analytic and numerical sides evaluate the same function."""
-    from . import base_model as bm
-    from . import interests as it
+    branches live.  The loss is the trainer's own step objective;
+    augmentation plans are sampled once and replayed so analytic and
+    numerical sides evaluate the same function."""
     from .data import SampleSet, Splits
-    from .trainer import ExperimentConfig, build_model
+    from .trainer import ExperimentConfig, build_model, step_loss
 
     rng = np.random.default_rng(seed)
     L, J, batch, vocab = 6, 2, 4, 7
@@ -162,30 +161,15 @@ def tiny_instance_check(
         n_branches=2, n_depths=2, max_offset=2, max_len=L, seed=seed,
     )
     model = build_model(cfg, splits)
-    mask = bm.padding_mask(seq_len, L)
+    rows = np.arange(batch)
 
     with ad.no_grad():
         ad.fresh_graph()
-        C = it.channel_stack(model.tables, model.seq_fields, seq)
-        bank = it.mie_forward(C, mask, model.conv)
-        fine = it.mimfe_forward(bank, model.conv)
         plan_rng = np.random.default_rng([seed, 9])
-        iplan = it.sample_interest_plan(bank, cfg.pairs_interest, cfg.max_offset, plan_rng)
-        fplan = it.sample_feature_plan(bank, fine, cfg.pairs_feature, plan_rng)
+        _, _, probe = step_loss(model, sample, rows, False, True, plan_rng, None)
+    plans = (probe.interest_plan, probe.feature_plan)
 
     def build_loss() -> Tensor:
-        preds = bm.predict_batch(
-            model.tables, model.cat_fields, model.seq_fields, model.base,
-            sample.cat, seq, seq_len, sample.cand,
-        )
-        ll = bm.logloss(preds, sample.label)
-        C = it.channel_stack(model.tables, model.seq_fields, seq)
-        out = it.ssl_forward(
-            C, mask, model.conv, model.enc_interest, model.enc_feature,
-            cfg.pairs_interest, cfg.pairs_feature, cfg.max_offset, cfg.tau,
-            plans=(iplan, fplan),
-        )
-        total = ad.add(ll, ad.scale(out.loss_interest, cfg.alpha_interest))
-        return ad.add(total, ad.scale(out.loss_feature, cfg.alpha_feature))
+        return step_loss(model, sample, rows, True, True, None, plans)[0]
 
     return check_gradients(build_loss, model.parameters(), delta, rel_tol, abs_tol)

@@ -90,15 +90,12 @@ def init_conv_bank(n_branches: int, n_depths: int, rng: np.random.Generator) -> 
 # extractors
 
 
-def channel_stack(tables, seq_fields: list[str], seq_ids: np.ndarray) -> Tensor:
-    """ids (B, J, L) -> C (B, J, L, K): one embedding channel block per field."""
-    from .embeddings import embed
-
-    parts = [
-        ad.reshape(embed(tables, f, seq_ids[:, j, :]), (seq_ids.shape[0], 1, seq_ids.shape[2], -1))
-        for j, f in enumerate(seq_fields)
-    ]
-    return ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+def channel_stack(v: Tensor, n_fields: int) -> Tensor:
+    """Step vectors v (B, L, J*K) -> C (B, J, L, K): one channel block per
+    field.  A view of the base tower's lookup, not a second gather, so
+    both towers' embedding gradients meet in v before the scatter."""
+    nb, nl, width = v.shape
+    return ad.transpose(ad.reshape(v, (nb, nl, n_fields, width // n_fields)), (0, 2, 1, 3))
 
 
 def _conv_along(x: Tensor, kernel: Tensor, axis: int) -> Tensor:
@@ -121,12 +118,22 @@ class InterestBank:
 
     branches[i]: (B, J, L-m_i+1, K) for kernel width m_i; valid[i]:
     bool (B, L-m_i+1), true where the window covers only real events.
-    With front padding the valid windows form a contiguous tail run.
+    With front padding the valid windows form a contiguous tail run, so
+    counts[b, i] (its length) and starts[b, i] (its first column, 0 when
+    empty) describe it fully; both samplers read them from here.
     """
 
     branches: list[Tensor]
     widths: list[int]
     valid: list[np.ndarray]
+    counts: np.ndarray = field(init=False)
+    starts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.counts = np.stack([v.sum(axis=1) for v in self.valid], axis=1)
+        self.starts = np.stack(
+            [np.where(v.any(axis=1), v.argmax(axis=1), 0) for v in self.valid], axis=1
+        )
 
     @property
     def n_vectors(self) -> int:
@@ -191,14 +198,6 @@ def mimfe_forward(bank: InterestBank, conv: ConvBank) -> FineBank:
     return FineBank(maps, depths)
 
 
-def interest_vector_count(seq_len: int, widths: list[int]) -> int:
-    return sum(seq_len - m + 1 for m in widths)
-
-
-def fine_row_count(n_fields: int, depths: list[int]) -> int:
-    return sum(n_fields - n + 1 for n in depths)
-
-
 # ---------------------------------------------------------------------------
 # augmentation sampling (pure functions of the validity structure + rng)
 
@@ -228,11 +227,8 @@ def sample_interest_plan(
     l+h are valid.  Samples with no such branch are excluded and counted."""
     if max_offset < 1:
         raise ConfigError(f"max_offset must be >= 1, got {max_offset}")
-    n_batch = bank.valid[0].shape[0] if bank.valid else 0
-    counts = np.stack([v.sum(axis=1) for v in bank.valid], axis=1)  # (B, M)
-    starts = np.stack(
-        [np.where(v.any(axis=1), v.argmax(axis=1), 0) for v in bank.valid], axis=1
-    )
+    counts, starts = bank.counts, bank.starts
+    n_batch = counts.shape[0]
     feasible = counts >= 2
     rows = np.flatnonzero(feasible.any(axis=1))
     plan = InterestPlan(
@@ -280,10 +276,7 @@ def sample_feature_plan(
     >= 2 rows and the sample >= 1 valid time column in that branch.
     Both views share the slice and column; rows are drawn distinct."""
     keys = sorted(fine.maps)
-    counts = np.stack([v.sum(axis=1) for v in bank.valid], axis=1)
-    starts = np.stack(
-        [np.where(v.any(axis=1), v.argmax(axis=1), 0) for v in bank.valid], axis=1
-    )
+    counts, starts = bank.counts, bank.starts
     n_batch = counts.shape[0]
     usable = [k for k in keys if fine.maps[k].shape[1] >= 2]
     feas = np.zeros((n_batch, len(usable)), dtype=bool)
@@ -388,9 +381,6 @@ class EncoderParams:
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}_w{i}": w for i, w in enumerate(self.weights)}
-
-    def param_count(self) -> int:
-        return sum(w.data.size for w in self.weights)
 
 
 def init_encoder(d_in: int, sizes: tuple[int, ...], rng: np.random.Generator, name: str) -> EncoderParams:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, fields as dc_fields
+from functools import reduce
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from . import interests as it
 from .autodiff import Tensor
 from .data import Splits, make_batches, SampleSet
 from .embeddings import init_tables, zero_pad_rows
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DegenerateDatasetError, NumericalError
 from .metrics import auc, logloss_value
 from .serialize import load_arrays, save_arrays
 
@@ -317,9 +318,10 @@ def predict_scores(model: MissModel, part: SampleSet, batch_size: int) -> np.nda
     with ad.no_grad():
         for idx in make_batches(part.n, batch_size, shuffle=False):
             cat, seq, seq_len, cand, _ = _batch_arrays(part, idx)
+            v = bm.behavior_matrix(model.tables, model.seq_fields, seq)
             preds = bm.predict_batch(
                 model.tables, model.cat_fields, model.seq_fields, model.base,
-                cat, seq, seq_len, cand,
+                cat, v, seq_len, cand,
             )
             out[idx] = preds.data
     return out
@@ -328,6 +330,56 @@ def predict_scores(model: MissModel, part: SampleSet, batch_size: int) -> np.nda
 def _check_finite(name: str, value: float, step: int) -> None:
     if not np.isfinite(value):
         raise NumericalError(f"non-finite {name} ({value}) at step {step}")
+
+
+def step_loss(
+    model: MissModel,
+    part: SampleSet,
+    idx: np.ndarray,
+    include_ll: bool,
+    include_ssl: bool,
+    ssl_rng: np.random.Generator | None,
+    plans: tuple[it.InterestPlan, it.FeaturePlan] | None,
+) -> tuple[Tensor | None, Tensor | None, it.SslOut | None]:
+    """Tape the step objective L = L_ll + a1 * L_int + a2 * L_feat on one
+    batch; returns (L, L_ll, SSL outputs), None for a part not built.
+
+    The sequence embeddings are looked up once, as the base tower's step
+    vectors v, and the contrastive tower reads its channel stack from v.
+    The SSL part draws fresh plans from ssl_rng, or replays `plans`."""
+    cfg = model.cfg
+    cat, seq, seq_len, cand, label = _batch_arrays(part, idx)
+    v = bm.behavior_matrix(model.tables, model.seq_fields, seq)
+
+    terms: list[Tensor] = []
+    ll = None
+    if include_ll:
+        preds = bm.predict_batch(
+            model.tables, model.cat_fields, model.seq_fields, model.base,
+            cat, v, seq_len, cand,
+        )
+        ll = bm.logloss(preds, label)
+        terms.append(ll)
+
+    ssl = None
+    if include_ssl and cfg.ssl_enabled:
+        ssl = it.ssl_forward(
+            it.channel_stack(v, len(model.seq_fields)),
+            bm.padding_mask(seq_len, seq.shape[2]),
+            model.conv, model.enc_interest, model.enc_feature,
+            cfg.pairs_interest, cfg.pairs_feature, cfg.max_offset, cfg.tau,
+            rng=ssl_rng, plans=plans,
+        )
+        if ssl.loss_interest is not None and cfg.alpha_interest > 0:
+            terms.append(ad.scale(ssl.loss_interest, cfg.alpha_interest))
+        if ssl.loss_feature is not None and cfg.alpha_feature > 0:
+            terms.append(ad.scale(ssl.loss_feature, cfg.alpha_feature))
+
+    return (reduce(ad.add, terms) if terms else None), ll, ssl
+
+
+def _value(t: Tensor | None) -> float:
+    return float(t.data) if t is not None else 0.0
 
 
 def train_step(
@@ -342,60 +394,28 @@ def train_step(
     include_ssl: bool = True,
 ) -> StepRow:
     """One forward/backward/update over a batch; returns the telemetry row."""
-    cfg = model.cfg
-    cat, seq, seq_len, cand, label = _batch_arrays(part, idx)
     graph = ad.fresh_graph()
     ad.zero_grads(params.values())
-
-    terms: list[Tensor] = []
-    ll_val = 0.0
-    if include_ll:
-        preds = bm.predict_batch(
-            model.tables, model.cat_fields, model.seq_fields, model.base,
-            cat, seq, seq_len, cand,
-        )
-        ll = bm.logloss(preds, label)
-        ll_val = float(ll.data)
-        terms.append(ll)
-
-    li_val = lf_val = 0.0
-    sim = (float("nan"),) * 3
-    inf_i = inf_f = 0
-    if include_ssl and cfg.ssl_enabled:
-        C = it.channel_stack(model.tables, model.seq_fields, seq)
-        mask = bm.padding_mask(seq_len, seq.shape[2])
-        ssl = it.ssl_forward(
-            C, mask, model.conv, model.enc_interest, model.enc_feature,
-            cfg.pairs_interest, cfg.pairs_feature, cfg.max_offset, cfg.tau,
-            rng=ssl_rng,
-        )
-        sim = (ssl.sim_mean, ssl.sim_min, ssl.sim_max)
-        inf_i, inf_f = ssl.n_infeasible_interest, ssl.n_infeasible_feature
-        if ssl.loss_interest is not None:
-            li_val = float(ssl.loss_interest.data)
-            if cfg.alpha_interest > 0:
-                terms.append(ad.scale(ssl.loss_interest, cfg.alpha_interest))
-        if ssl.loss_feature is not None:
-            lf_val = float(ssl.loss_feature.data)
-            if cfg.alpha_feature > 0:
-                terms.append(ad.scale(ssl.loss_feature, cfg.alpha_feature))
-
-    if not terms:
+    total, ll, ssl = step_loss(model, part, idx, include_ll, include_ssl, ssl_rng, None)
+    ssl = ssl or it.SslOut(None, None, None, None)  # defaults: NaN similarities, no counts
+    stats = (ssl.sim_mean, ssl.sim_min, ssl.sim_max,
+             ssl.n_infeasible_interest, ssl.n_infeasible_feature)
+    if total is None:
         # nothing to optimize on this batch (e.g. SSL-only phase, all infeasible)
-        return StepRow(step, 0.0, 0.0, 0.0, 0.0, *sim, inf_i, inf_f)
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    total_val = float(total.data)
-    _check_finite("loss_ll", ll_val, step)
-    _check_finite("loss_interest", li_val, step)
-    _check_finite("loss_feature", lf_val, step)
-    _check_finite("total loss", total_val, step)
+        return StepRow(step, 0.0, 0.0, 0.0, 0.0, *stats)
+    losses = {
+        "loss_ll": _value(ll),
+        "loss_interest": _value(ssl.loss_interest),
+        "loss_feature": _value(ssl.loss_feature),
+        "total loss": float(total.data),
+    }
+    for name, value in losses.items():
+        _check_finite(name, value, step)
 
     graph.backward(total)
-    adam_step(params, optimizer, cfg.lr)
+    adam_step(params, optimizer, model.cfg.lr)
     zero_pad_rows(model.tables)
-    return StepRow(step, ll_val, li_val, lf_val, total_val, *sim, inf_i, inf_f)
+    return StepRow(step, *losses.values(), *stats)
 
 
 def _epoch_mean(rows: list[StepRow], attr: str) -> float:
@@ -419,6 +439,11 @@ def _run_epochs(
 ) -> tuple[int, float, int]:
     """Shared epoch loop; returns (best_epoch, best_val_auc, next_step)."""
     cfg = model.cfg
+    if splits.train.n < cfg.batch_size:
+        raise DegenerateDatasetError(
+            f"{splits.train.n} training rows are fewer than batch_size {cfg.batch_size}: "
+            "no full batch to train on"
+        )
     optimizer = AdamState()
     ssl_rng = np.random.default_rng([cfg.seed, 1]) if cfg.ssl_enabled else None
     best_auc = -np.inf

@@ -21,6 +21,7 @@ from missctr.gradcheck import tiny_instance_check
 from missctr.harness import robustness_study, run_experiment
 from missctr.metrics import auc
 from missctr.trainer import ExperimentConfig, train_joint
+from oracles import naive_field_conv, naive_infonce, naive_time_conv
 
 # shared configuration for the synthetic-corpus experiments; every value
 # sits on the published search grids
@@ -56,36 +57,6 @@ def test_01_gradient_check_tiny_instance():
 # ---------------------------------------------------------------------------
 # 2 + 3: extractor outputs bitwise-equal a nested-loop oracle; counts obey
 # the window laws
-
-
-def naive_time_conv(C, g):
-    """C (J, L, K), kernel (m,) -> (J, L-m+1, K); taps left to right, ReLU."""
-    n_j, n_l, n_k = C.shape
-    m = len(g)
-    out = np.zeros((n_j, n_l - m + 1, n_k))
-    for j in range(n_j):
-        for l in range(n_l - m + 1):
-            for k in range(n_k):
-                s = C[j, l, k] * g[0]
-                for i in range(1, m):
-                    s = s + C[j, l + i, k] * g[i]
-                out[j, l, k] = np.maximum(s, 0.0)
-    return out
-
-
-def naive_field_conv(G, g):
-    """G (J, Lw, K), kernel (n,) -> (J-n+1, Lw, K); taps top to bottom, ReLU."""
-    n_j, n_l, n_k = G.shape
-    n = len(g)
-    out = np.zeros((n_j - n + 1, n_l, n_k))
-    for j in range(n_j - n + 1):
-        for l in range(n_l):
-            for k in range(n_k):
-                s = G[j, l, k] * g[0]
-                for i in range(1, n):
-                    s = s + G[j + i, l, k] * g[i]
-                out[j, l, k] = np.maximum(s, 0.0)
-    return out
 
 
 def _fuzz_instances(n_trials):
@@ -139,21 +110,6 @@ def test_03_shape_and_count_laws():
 
 # ---------------------------------------------------------------------------
 # 4: the contrastive loss equals explicit softmax cross-entropy
-
-
-def naive_cosine(a, b):
-    na = max(np.sqrt(np.sum(a * a)), 1e-12)
-    nb = max(np.sqrt(np.sum(b * b)), 1e-12)
-    return float(np.sum(a * b) / (na * nb))
-
-
-def naive_infonce(z1, z2, tau):
-    n = len(z1)
-    total = 0.0
-    for x in range(n):
-        logits = np.array([naive_cosine(z1[x], z2[xp]) / tau for xp in range(n)])
-        total += -np.log(np.exp(logits[x]) / np.exp(logits).sum())
-    return total / n
 
 
 def test_04_infonce_matches_explicit_softmax():

@@ -49,16 +49,6 @@ def test_single_event_pooling_matches_manual():
     np.testing.assert_allclose(out.data, (w * v[0, 3])[None], rtol=1e-12)
 
 
-def test_unit_weights_hook_is_sum_pooling():
-    rng = np.random.default_rng(2)
-    params = make_params()
-    v = rng.normal(size=(2, 5, 6))
-    mask = bm.padding_mask(np.array([3, 5]), 5)
-    out = bm.laup_pool(ad.constant(v), mask, ad.constant(rng.normal(size=(2, 6))),
-                       params, unit_weights=True)
-    np.testing.assert_allclose(out.data, (v * mask[:, :, None]).sum(axis=1), rtol=1e-12)
-
-
 def test_pooling_permutation_invariant_over_real_events():
     # each step's weight depends only on that step and the candidate,
     # so permuting real events permutes the summands
@@ -157,7 +147,8 @@ def test_full_chain_gradients_match_finite_differences():
     labels = np.array([1, 0, 1])
 
     def build():
-        preds = bm.predict_batch(tables, cat_fields, seq_fields, base, cat, seq, seq_len, cand)
+        v = bm.behavior_matrix(tables, seq_fields, seq)
+        preds = bm.predict_batch(tables, cat_fields, seq_fields, base, cat, v, seq_len, cand)
         return bm.logloss(preds, labels)
 
     params = {**{f"emb_{k}": v for k, v in tables.items()}, **base.named()}

@@ -2,6 +2,7 @@
 determinism, exit codes, config precedence, and the summary counts."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from missctr.cli import (
     run,
 )
 from missctr.errors import ConfigError
+from missctr.serialize import load_arrays, save_arrays
 from missctr.trainer import ExperimentConfig, build_model
 
 TINY = [
@@ -159,6 +161,54 @@ def test_eval_requires_checkpoint(tmp_path):
                 *TINY]) == 1
 
 
+def run_within(argv, seconds):
+    """run(argv) in a daemon thread; None when it has not returned in time."""
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(run(argv)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    return codes[0] if codes else None
+
+
+def test_eval_on_diverged_checkpoint_exits_3(tmp_path, capsys):
+    corpus = synth_corpus(tmp_path)
+    out = str(tmp_path / "t")
+    assert run(["train", "--dataset", corpus, "--out-dir", out, *TINY]) == 0
+    ckpt = os.path.join(out, "checkpoint.bin")
+    arrays = load_arrays(ckpt)
+    arrays["base:mlp1_b"][:] = np.nan  # every score becomes NaN
+    save_arrays(ckpt, arrays)
+    capsys.readouterr()
+    code = run_within(["eval", "--dataset", corpus, "--out-dir", str(tmp_path / "e"),
+                       "--checkpoint", ckpt, *TINY], 30.0)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "scores are not finite" in err
+
+
+def test_train_with_fewer_rows_than_a_batch_exits_2(tmp_path, capsys):
+    corpus = synth_corpus(tmp_path)  # 40 users: 80 training rows
+    code = run(["train", "--dataset", corpus, "--out-dir", str(tmp_path / "t"),
+                "--max-len", "8", "--epochs", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "80 training rows" in err and "batch_size 128" in err
+
+
+def test_non_text_dataset_exits_2_naming_path(tmp_path, capsys):
+    container = str(tmp_path / "checkpoint.bin")  # text magic line, binary body
+    save_arrays(container, {"w": np.linspace(-1.0, 1.0, 64)})
+    raw = tmp_path / "raw.bin"  # not even the first line decodes
+    raw.write_bytes(bytes(range(128, 256)) + b"\n")
+    for path in (container, str(raw)):
+        code = run(["eval", "--dataset", path, "--checkpoint", container,
+                    "--out-dir", str(tmp_path / "e"), *TINY])
+        assert code == 2, path
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and path in err
+
+
 def test_sweep_writes_sorted_report(tmp_path):
     corpus = synth_corpus(tmp_path)
     out = str(tmp_path / "sw")
@@ -214,18 +264,7 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
 # summary counts
 
 
-def test_summary_conv_examples():
-    cfg = ExperimentConfig(n_branches=4, n_depths=2)
-    text = model_summary(cfg, ["user"], ["item", "attr_1"], {"user": 5, "item": 5, "attr_1": 5})
-    conv_line = [l for l in text.splitlines() if l.startswith("conv bank")][0]
-    assert conv_line.split()[-1] == "22"
-    cfg = ExperimentConfig(n_branches=1, n_depths=1)
-    text = model_summary(cfg, ["user"], ["item", "attr_1"], {"user": 5, "item": 5, "attr_1": 5})
-    conv_line = [l for l in text.splitlines() if l.startswith("conv bank")][0]
-    assert conv_line.split()[-1] == "2"
-
-
-def test_summary_matches_built_model():
+def summary_splits():
     from missctr.data import SampleSet, Splits
 
     rng = np.random.default_rng(0)
@@ -239,17 +278,33 @@ def test_summary_matches_built_model():
         cand=rng.integers(2, 9, size=(n, J)),
         label=np.tile([1, 0], n // 2).astype(np.int64),
     )
-    splits = Splits(
+    return Splits(
         train=part, valid=part, test=part,
         cat_fields=["user"], seq_fields=["item", "attr_1"],
         vocab_sizes={"user": 9, "item": 9, "attr_1": 9}, max_len=L,
     )
+
+
+def test_summary_conv_examples():
+    for n_branches, n_depths, want in ((4, 2, "22"), (1, 1, "2")):
+        model = build_model(ExperimentConfig(n_branches=n_branches, n_depths=n_depths),
+                            summary_splits())
+        text = model_summary(model)
+        conv_line = [l for l in text.splitlines() if l.startswith("conv bank")][0]
+        assert conv_line.split()[-1] == want
+
+
+def test_summary_matches_built_model():
     cfg = ExperimentConfig(
         emb_dim=4, mlp=(8, 1), enc_interest=(6,), enc_feature=(5,),
-        n_branches=2, n_depths=2, max_len=L,
+        n_branches=2, n_depths=2, max_len=6,
     )
-    model = build_model(cfg, splits)
-    text = model_summary(cfg, splits.cat_fields, splits.seq_fields, splits.vocab_sizes)
+    model = build_model(cfg, summary_splits())
+    text = model_summary(model)
+    assert [l[:18].rstrip() for l in text.splitlines()] == [
+        "embedding tables", "attention unit", "prediction mlp", "conv bank",
+        "interest encoder", "feature encoder", "total",
+    ]
     total_line = [l for l in text.splitlines() if l.startswith("total")][0]
     want = sum(p.data.size for p in model.parameters().values())
     assert int(total_line.split()[-1]) == want
@@ -264,8 +319,8 @@ def test_summary_matches_built_model():
             t.data.size for k, t in model.base.named().items() if k.startswith("mlp")
         ),
         "conv bank": model.conv.param_count(),
-        "interest encoder": model.enc_interest.param_count(),
-        "feature encoder": model.enc_feature.param_count(),
+        "interest encoder": sum(w.data.size for w in model.enc_interest.weights),
+        "feature encoder": sum(w.data.size for w in model.enc_feature.weights),
     }
     for line in text.splitlines():
         for name, want_n in by_component.items():

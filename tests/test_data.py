@@ -74,6 +74,20 @@ def test_ingest_missing_file_raises_io_error(tmp_path):
         D.ingest_log(str(tmp_path / "absent.tsv"))
 
 
+def test_ingest_binary_file_is_format_error(tmp_path):
+    path = tmp_path / "weights.bin"
+    path.write_bytes(b"u\ti1\tx\t1\n" + bytes(range(128, 256)))
+    with pytest.raises(FormatError, match="weights.bin: not a UTF-8 text file"):
+        D.ingest_log(str(path))
+
+
+def test_snapshot_with_binary_body_is_format_error(tmp_path):
+    path = tmp_path / "splits.txt"
+    path.write_bytes((D.SNAPSHOT_MAGIC + "\n").encode() + bytes(range(128, 256)))
+    with pytest.raises(FormatError, match="splits.txt: not a UTF-8 text file"):
+        D.load_splits(str(path))
+
+
 def test_ingest_empty_file(tmp_path):
     with pytest.raises(DataError):
         D.ingest_log(write(tmp_path, "log.tsv", ""))

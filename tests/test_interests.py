@@ -9,44 +9,25 @@ from missctr import autodiff as ad
 from missctr import interests as I
 from missctr.errors import ConfigError, ShapeError
 from missctr.gradcheck import check_gradients
+from oracles import naive_field_conv, naive_infonce, naive_time_conv
 
 
 def make_bank(n_branches, n_depths, seed=0):
     return I.init_conv_bank(n_branches, n_depths, np.random.default_rng(seed))
 
 
-# ---------------------------------------------------------------------------
-# naive per-sample oracles: same tap order, scalar arithmetic
+def test_channel_stack_is_the_field_table_rows():
+    from missctr import base_model as bm
+    from missctr import embeddings as E
 
-
-def naive_time_conv(C, g):
-    """C (J, L, K), kernel g (m,) -> (J, L-m+1, K), ReLU'd, taps left to right."""
-    n_j, n_l, n_k = C.shape
-    m = len(g)
-    out = np.zeros((n_j, n_l - m + 1, n_k))
-    for j in range(n_j):
-        for l in range(n_l - m + 1):
-            for k in range(n_k):
-                s = C[j, l, k] * g[0]
-                for i in range(1, m):
-                    s = s + C[j, l + i, k] * g[i]
-                out[j, l, k] = np.maximum(s, 0.0)
-    return out
-
-
-def naive_field_conv(G, g):
-    """G (J, Lw, K), kernel g (n,) -> (J-n+1, Lw, K)."""
-    n_j, n_l, n_k = G.shape
-    n = len(g)
-    out = np.zeros((n_j - n + 1, n_l, n_k))
-    for j in range(n_j - n + 1):
-        for l in range(n_l):
-            for k in range(n_k):
-                s = G[j, l, k] * g[0]
-                for i in range(1, n):
-                    s = s + G[j + i, l, k] * g[i]
-                out[j, l, k] = np.maximum(s, 0.0)
-    return out
+    rng = np.random.default_rng(40)
+    fields = ["item", "attr_1", "attr_2"]
+    tables = E.init_tables({f: 9 for f in fields}, 4, rng)
+    seq = rng.integers(0, 9, size=(3, len(fields), 5))
+    C = I.channel_stack(bm.behavior_matrix(tables, fields, seq), len(fields))
+    assert C.shape == (3, 3, 5, 4)
+    for j, f in enumerate(fields):
+        assert np.array_equal(C.data[:, j], tables[f].data[seq[:, j]])
 
 
 def test_width_one_kernel_is_scaled_relu():
@@ -100,12 +81,15 @@ def test_vector_count_example():
     C = ad.constant(np.random.default_rng(3).normal(size=(1, 2, 5, 3)))
     out = I.mie_forward(C, np.ones((1, 5)), bank)
     assert out.n_vectors == 9
-    assert I.interest_vector_count(5, [1, 2]) == 9
 
 
 def test_row_count_example():
     # J=3, N=2 -> (3) + (2) = 5 refined rows
-    assert I.fine_row_count(3, [1, 2]) == 5
+    bank = make_bank(1, 2)
+    C = ad.constant(np.random.default_rng(3).normal(size=(1, 3, 4, 2)))
+    fine = I.mimfe_forward(I.mie_forward(C, np.ones((1, 4)), bank), bank)
+    assert fine.depths == [1, 2]
+    assert fine.row_count(3) == 5
 
 
 def test_branch_wider_than_sequence_skipped():
@@ -295,7 +279,6 @@ def test_encoder_shapes_and_relu_placement():
     rng = np.random.default_rng(12)
     enc = I.init_encoder(6, (20, 20), rng, "enc")
     assert [w.shape for w in enc.weights] == [(6, 20), (20, 20)]
-    assert enc.param_count() == 6 * 20 + 20 * 20
     x = ad.constant(rng.normal(size=(4, 6)))
     out = I.encode(x, enc)
     # final layer is affine: outputs may be negative
@@ -318,31 +301,16 @@ def test_encoder_shared_between_views():
     g = ad.fresh_graph()
     za = I.encode(a, enc)
     zb = I.encode(a, enc)  # same params twice
-    g.backward(ad.add(za.sum(), zb.sum()))
+    g.backward(ad.add(ad.tsum(za), ad.tsum(zb)))
     one = enc.weights[0].grad.copy()
     ad.zero_grads([enc.weights[0]])
     g2 = ad.fresh_graph()
-    g2.backward(I.encode(a, enc).sum())
+    g2.backward(ad.tsum(I.encode(a, enc)))
     np.testing.assert_allclose(one, 2.0 * enc.weights[0].grad, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # InfoNCE
-
-
-def naive_cosine(a, b):
-    na = max(np.linalg.norm(a), ad.COSINE_EPS)
-    nb = max(np.linalg.norm(b), ad.COSINE_EPS)
-    return float(a @ b) / (na * nb)
-
-
-def naive_infonce(z1, z2, tau):
-    n = len(z1)
-    total = 0.0
-    for x in range(n):
-        logits = np.array([naive_cosine(z1[x], z2[xp]) / tau for xp in range(n)])
-        total += -np.log(np.exp(logits[x]) / np.exp(logits).sum())
-    return total / n
 
 
 def test_infonce_two_sample_reference_value():

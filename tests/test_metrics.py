@@ -1,11 +1,13 @@
 """Ranking metric against a brute-force pair-counting oracle."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from missctr import autodiff as ad
 from missctr.base_model import logloss
-from missctr.errors import MetricError
+from missctr.errors import MetricError, NumericalError
 from missctr.metrics import auc, evaluate_scores, logloss_value
 
 
@@ -46,6 +48,28 @@ def test_single_class_rejected():
         auc(np.array([0.1, 0.2]), np.array([1, 1]))
     with pytest.raises(MetricError):
         auc(np.array([0.1, 0.2]), np.array([0, 0]))
+
+
+def test_nan_score_rejected_without_hanging():
+    # the call runs in a thread so a hang fails the test instead of the suite
+    outcome = {}
+
+    def call():
+        try:
+            outcome["value"] = auc(np.array([0.1, np.nan, 0.3]), np.array([1, 0, 1]))
+        except NumericalError as exc:
+            outcome["error"] = str(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(5.0)
+    assert not worker.is_alive(), "auc did not return within 5 s on a NaN score"
+    assert outcome == {"error": "AUC undefined: 1 of 3 scores are not finite"}
+
+
+def test_infinite_scores_rejected():
+    with pytest.raises(NumericalError, match="2 of 4 scores"):
+        auc(np.array([np.inf, 0.2, -np.inf, 0.4]), np.array([1, 0, 1, 0]))
 
 
 def test_matches_pair_counting_oracle():

@@ -9,7 +9,7 @@ import pytest
 from missctr import autodiff as ad
 from missctr.autodiff import Tensor
 from missctr.data import SampleSet, Splits
-from missctr.errors import ConfigError, NumericalError
+from missctr.errors import ConfigError, DegenerateDatasetError, NumericalError
 from missctr.trainer import (
     AdamState,
     ExperimentConfig,
@@ -250,6 +250,13 @@ def test_partial_batches_dropped_in_training():
     assert len(result.telemetry) == 2  # 70 // 32
 
 
+@pytest.mark.parametrize("strategy", ["joint", "pretrain"])
+def test_fewer_rows_than_one_batch_rejected(strategy):
+    splits = make_toy_splits(n_train=64)
+    with pytest.raises(DegenerateDatasetError, match="64 training rows .* batch_size 128"):
+        train(tiny_cfg(batch_size=128, strategy=strategy), splits)
+
+
 def test_same_seed_bit_identical():
     splits = make_toy_splits()
     cfg = tiny_cfg(epochs=2)
@@ -321,6 +328,27 @@ def test_gradient_reaches_ssl_tower():
     enc_grads = [params[k].grad for k in params if k.startswith("ssl:enc_")]
     assert any(g is not None and np.any(g != 0) for g in conv_grads)
     assert any(g is not None and np.any(g != 0) for g in enc_grads)
+
+
+def test_one_sequence_lookup_per_step(monkeypatch):
+    # user, the two candidate fields and the two sequence fields: the
+    # contrastive tower reads the base tower's sequence lookup
+    from missctr import embeddings
+
+    calls = []
+    real_embed = embeddings.embed
+
+    def counting_embed(tables, field, ids):
+        calls.append((field, np.ndim(ids)))
+        return real_embed(tables, field, ids)
+
+    monkeypatch.setattr(embeddings, "embed", counting_embed)
+    splits = make_toy_splits()
+    model = build_model(tiny_cfg(), splits)
+    train_step(model, splits.train, np.arange(16), np.random.default_rng(3),
+               AdamState(), model.parameters(), step=0)
+    assert len(calls) == 5
+    assert sorted(calls) == [("attr_1", 1), ("attr_1", 2), ("item", 1), ("item", 2), ("user", 1)]
 
 
 def test_phase_one_leaves_base_mlp_untouched():
