@@ -320,24 +320,40 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _register(out, backward, *parts)
 
 
-def slice_window(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous window along one axis; backward scatters into place."""
+def conv1d(x: Tensor, kernel: Tensor, axis: int) -> Tensor:
+    """Valid cross-correlation of a width-w kernel along one axis, stride
+    1: out[.., l, ..] = sum_i x[.., l+i, ..] * kernel[i].  Taps add left
+    to right, so a per-element replay of the same sum is bitwise equal.
+    The backward reduces one kernel gradient per tap and writes the x
+    gradient of every tap into one buffer."""
+    if kernel.ndim != 1:
+        raise ShapeError(f"conv1d needs a 1-d kernel, got shape {kernel.shape}")
+    w = kernel.shape[0]
     extent = x.shape[axis]
-    if start < 0 or length < 0 or start + length > extent:
-        raise IndexError(
-            f"window [{start}, {start + length}) out of range for axis {axis} with extent {extent}"
-        )
-    idx = [slice(None)] * x.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-    out = Tensor(x.data[idx].copy())
+    if not 1 <= w <= extent:
+        raise ShapeError(f"kernel width {w} does not fit axis {axis} with extent {extent}")
+    out_len = extent - w + 1
+    taps = []
+    for i in range(w):
+        idx = [slice(None)] * x.ndim
+        idx[axis] = slice(i, i + out_len)
+        taps.append(tuple(idx))
+    k = kernel.data
+    acc = x.data[taps[0]] * k[0]
+    for i in range(1, w):
+        acc += x.data[taps[i]] * k[i]
+    out = Tensor(acc)
 
     def backward(g):
-        full = np.zeros_like(x.data)
-        full[idx] = g
-        x.accumulate(full)
+        if kernel.requires_grad:
+            kernel.accumulate(np.array([np.vdot(g, x.data[t]) for t in taps]))
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            for i, t in enumerate(taps):
+                gx[t] += g * k[i]
+            x.accumulate(gx)
 
-    return _register(out, backward, x)
+    return _register(out, backward, x, kernel)
 
 
 # ---------------------------------------------------------------------------

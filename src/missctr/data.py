@@ -167,8 +167,9 @@ def filter_infrequent(
 
 @dataclass
 class SampleSet:
-    """One split as parallel arrays; positives sit at even indices and
-    their negatives (same user, context, and history) right after."""
+    """One split as parallel arrays.  Each positive is followed by its
+    negative (same user, context, and history), except the positive of a
+    user who touched every item, which has none."""
 
     cat: np.ndarray  # (n, I) int64
     seq: np.ndarray  # (n, J, L) int64, front-padded with 0
@@ -219,7 +220,8 @@ def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Split
     predicts b_n from everything before it.  Users with fewer than 4
     behaviors are excluded (counted in n_short_users).  Every positive
     gets one uniformly sampled negative over the items the user never
-    interacted with, sharing user and history.  Histories keep the most
+    interacted with, sharing user and history; a user who touched every
+    item gets no negatives (logged).  Histories keep the most
     recent max_len events and are front-padded with id 0.
     """
     if max_len < 1:
@@ -269,6 +271,7 @@ def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Split
 
     buffers = {name: {"cat": [], "seq": [], "seq_len": [], "cand": [], "label": []}
                for name in ("train", "valid", "test")}
+    n_no_negative = 0
     for u, recs in eligible.items():
         n = len(recs)
         seen = {r.item for r in recs}
@@ -281,12 +284,11 @@ def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Split
         for name, (hist, target) in cases.items():
             pack(hist, target, u, 1, buffers[name])
             if pool:
-                neg = pool[int(rng.integers(len(pool)))]
+                pack(hist, pool[int(rng.integers(len(pool)))], u, 0, buffers[name])
             else:
-                # user touched every item; fall back to any item != target
-                others = [it for it in all_items if it != target]
-                neg = others[int(rng.integers(len(others)))]
-            pack(hist, neg, u, 0, buffers[name])
+                n_no_negative += 1
+    if n_no_negative:
+        log.warning("skipped %d negative rows: their users touched every item", n_no_negative)
 
     def finish(buf) -> SampleSet:
         return SampleSet(
@@ -395,14 +397,14 @@ def downsample_train(splits: Splits, rate: float, seed: int) -> Splits:
         raise ConfigError(f"downsample rate must be in (0, 1], got {rate}")
     if rate == 1.0:
         return splits
-    n_pairs = splits.train.n // 2
+    pair = np.cumsum(splits.train.label == 1) - 1  # a positive and the negative after it
+    n_pairs = int(pair[-1]) + 1 if pair.size else 0
     n_keep = int(round(rate * n_pairs))
     if n_keep < 1:
         raise DegenerateDatasetError(f"downsampling at rate {rate} keeps no training pairs")
     rng = np.random.default_rng(seed)
-    kept = np.sort(rng.choice(n_pairs, size=n_keep, replace=False))
-    idx = np.stack([2 * kept, 2 * kept + 1], axis=1).reshape(-1)
-    return replace(splits, train=splits.train.take(idx))
+    kept = rng.choice(n_pairs, size=n_keep, replace=False)
+    return replace(splits, train=splits.train.take(np.flatnonzero(np.isin(pair, kept))))
 
 
 def flip_labels(splits: Splits, rate: float, seed: int) -> Splits:
@@ -457,6 +459,28 @@ def save_splits(splits: Splits, path: str) -> None:
                 fh.write(" ".join(map(str, nums)) + "\n")
 
 
+def _check_sample_set(
+    path: str, name: str, part: SampleSet,
+    cat_fields: list[str], seq_fields: list[str], vocab_sizes: dict[str, int], max_len: int,
+) -> None:
+    """Raise FormatError at the first row of a loaded split whose ids,
+    label, length or padding a model could not consume."""
+
+    def fail(bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            row = int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
+            raise FormatError(f"{path}: {name} sample {row}: {what}")
+
+    for arr, fields in ((part.cat, cat_fields), (part.cand, seq_fields), (part.seq, seq_fields)):
+        for j, field_name in enumerate(fields):
+            ids, size = arr[:, j], vocab_sizes[field_name]
+            fail((ids < 0) | (ids >= size), f"{field_name} id outside [0, {size})")
+    fail((part.label != 0) & (part.label != 1), "label not 0 or 1")
+    fail((part.seq_len < 0) | (part.seq_len > max_len), f"seq_len outside [0, {max_len}]")
+    padding = np.arange(max_len) < (max_len - part.seq_len)[:, None]
+    fail((part.seq != 0) & padding[:, None, :], "nonzero id in a padding slot")
+
+
 def load_splits(path: str) -> Splits:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -474,7 +498,10 @@ def load_splits(path: str) -> Splits:
         counts = list(map(int, lines[6].split()))
     except (ValueError, IndexError) as exc:
         raise FormatError(f"{path}: malformed snapshot header") from exc
-    if len(cat_fields) != n_cat or len(seq_fields) != n_seq or len(counts) != 3:
+    if (
+        len(cat_fields) != n_cat or len(seq_fields) != n_seq or len(counts) != 3
+        or len(cat_sizes) != n_cat or len(seq_sizes) != n_seq or max_len < 1 or min(counts) < 0
+    ):
         raise FormatError(f"{path}: inconsistent snapshot header")
     body = lines[7:]
     if len(body) != sum(counts):
@@ -491,7 +518,10 @@ def load_splits(path: str) -> Splits:
         label = np.zeros(n, dtype=np.int64)
         want = 2 + n_cat + n_seq + n_seq * max_len
         for i, line in enumerate(chunk):
-            nums = list(map(int, line.split()))
+            try:
+                nums = list(map(int, line.split()))
+            except ValueError:
+                raise FormatError(f"{path}: sample line with a non-integer token") from None
             if len(nums) != want:
                 raise FormatError(f"{path}: sample line with {len(nums)} ints, expected {want}")
             label[i] = nums[0]
@@ -504,6 +534,8 @@ def load_splits(path: str) -> Splits:
     offsets = np.cumsum([0] + counts)
     parts = [parse(body[offsets[i] : offsets[i + 1]]) for i in range(3)]
     vocab_sizes = dict(zip(cat_fields, cat_sizes)) | dict(zip(seq_fields, seq_sizes))
+    for name, part in zip(("train", "valid", "test"), parts):
+        _check_sample_set(path, name, part, cat_fields, seq_fields, vocab_sizes, max_len)
     return Splits(
         train=parts[0],
         valid=parts[1],

@@ -99,17 +99,8 @@ def channel_stack(v: Tensor, n_fields: int) -> Tensor:
 
 
 def _conv_along(x: Tensor, kernel: Tensor, axis: int) -> Tensor:
-    """Valid cross-correlation of width-w kernel along one axis, stride 1,
-    followed by ReLU.  Terms accumulate left to right in tap order, so a
-    per-element replay of the same sum is bitwise identical."""
-    w = kernel.shape[0]
-    out_len = x.shape[axis] - w + 1
-    acc = None
-    for i in range(w):
-        window = ad.slice_window(x, axis, i, out_len)
-        term = ad.mul(window, ad.slice_window(kernel, 0, i, 1))
-        acc = term if acc is None else ad.add(acc, term)
-    return ad.relu(acc)
+    """Valid cross-correlation along one axis, stride 1, then ReLU."""
+    return ad.relu(ad.conv1d(x, kernel, axis))
 
 
 @dataclass
@@ -218,37 +209,39 @@ class InterestPlan:
         return self.branch.shape[0]
 
 
+def _pick_feasible(feasible: np.ndarray, n_pairs: int, rng: np.random.Generator) -> np.ndarray:
+    """(P, n) column indices, each uniform among the true entries of its
+    row of `feasible` (n, S); every row must have one.  One integer draw
+    k per element picks the (k+1)-th true entry: the number of columns
+    whose running count of true entries is <= k."""
+    cum = np.cumsum(feasible, axis=1)
+    k = rng.integers(0, feasible.sum(axis=1), size=(n_pairs, feasible.shape[0]))
+    return (cum <= k[..., None]).sum(axis=-1)
+
+
 def sample_interest_plan(
     bank: InterestBank, n_pairs: int, max_offset: int, rng: np.random.Generator
 ) -> InterestPlan:
     """Per contributor and pair slot: pick a branch uniformly among those
     with >= 2 valid windows, an offset h uniform on [1, min(max_offset,
     windows-1)], and an anchor uniform among columns where both l and
-    l+h are valid.  Samples with no such branch are excluded and counted."""
+    l+h are valid.  Samples with no such branch are excluded and counted.
+
+    Draw order: the branches of all (P, n) slots, then all offsets, then
+    all anchors, each one `rng.integers` call with per-element bounds."""
     if max_offset < 1:
         raise ConfigError(f"max_offset must be >= 1, got {max_offset}")
     counts, starts = bank.counts, bank.starts
-    n_batch = counts.shape[0]
     feasible = counts >= 2
     rows = np.flatnonzero(feasible.any(axis=1))
-    plan = InterestPlan(
-        rows=rows,
-        branch=np.zeros((n_pairs, rows.size), dtype=np.int64),
-        anchor=np.zeros((n_pairs, rows.size), dtype=np.int64),
-        offset=np.zeros((n_pairs, rows.size), dtype=np.int64),
-        n_infeasible=n_batch - rows.size,
+    branch = _pick_feasible(feasible[rows], n_pairs, rng)
+    v = counts[rows, branch]
+    offset = rng.integers(1, np.minimum(max_offset, v - 1) + 1)
+    anchor = starts[rows, branch] + rng.integers(0, v - offset)
+    return InterestPlan(
+        rows=rows, branch=branch, anchor=anchor, offset=offset,
+        n_infeasible=counts.shape[0] - rows.size,
     )
-    for p in range(n_pairs):
-        for ci, b in enumerate(rows):
-            options = np.flatnonzero(feasible[b])
-            m = int(options[rng.integers(options.size)])
-            v = int(counts[b, m])
-            h = int(rng.integers(1, min(max_offset, v - 1) + 1))
-            l = int(starts[b, m]) + int(rng.integers(v - h))
-            plan.branch[p, ci] = m
-            plan.anchor[p, ci] = l
-            plan.offset[p, ci] = h
-    return plan
 
 
 @dataclass
@@ -274,40 +267,29 @@ def sample_feature_plan(
 ) -> FeaturePlan:
     """Uniform over feasible (branch, depth) slices: the slice must keep
     >= 2 rows and the sample >= 1 valid time column in that branch.
-    Both views share the slice and column; rows are drawn distinct."""
-    keys = sorted(fine.maps)
+    Both views share the slice and column; rows are drawn distinct, an
+    ordered pair uniform over the slice's distinct rows.
+
+    Draw order: the slices of all (P, n) slots, then all columns, then
+    all first rows, then all second rows, each one `rng.integers` call
+    with per-element bounds."""
     counts, starts = bank.counts, bank.starts
-    n_batch = counts.shape[0]
-    usable = [k for k in keys if fine.maps[k].shape[1] >= 2]
-    feas = np.zeros((n_batch, len(usable)), dtype=bool)
-    for si, (bi, _) in enumerate(usable):
-        feas[:, si] = counts[:, bi] >= 1
+    usable = [k for k in sorted(fine.maps) if fine.maps[k].shape[1] >= 2]
+    slice_branch = np.array([bi for bi, _ in usable], dtype=np.int64)
+    slice_depth = np.array([di for _, di in usable], dtype=np.int64)
+    slice_rows = np.array([fine.maps[k].shape[1] for k in usable], dtype=np.int64)
+    feas = counts[:, slice_branch] >= 1
     rows = np.flatnonzero(feas.any(axis=1))
-    plan = FeaturePlan(
-        rows=rows,
-        branch=np.zeros((n_pairs, rows.size), dtype=np.int64),
-        depth=np.zeros((n_pairs, rows.size), dtype=np.int64),
-        anchor=np.zeros((n_pairs, rows.size), dtype=np.int64),
-        row_a=np.zeros((n_pairs, rows.size), dtype=np.int64),
-        row_b=np.zeros((n_pairs, rows.size), dtype=np.int64),
-        n_infeasible=n_batch - rows.size,
+    s = _pick_feasible(feas[rows], n_pairs, rng)
+    branch, n_rows = slice_branch[s], slice_rows[s]
+    anchor = starts[rows, branch] + rng.integers(0, counts[rows, branch])
+    row_a = rng.integers(0, n_rows)
+    row_b = rng.integers(0, n_rows - 1)
+    row_b += row_b >= row_a
+    return FeaturePlan(
+        rows=rows, branch=branch, depth=slice_depth[s], anchor=anchor,
+        row_a=row_a, row_b=row_b, n_infeasible=counts.shape[0] - rows.size,
     )
-    for p in range(n_pairs):
-        for ci, b in enumerate(rows):
-            options = np.flatnonzero(feas[b])
-            bi, di = usable[int(options[rng.integers(options.size)])]
-            n_rows = fine.maps[(bi, di)].shape[1]
-            l = int(starts[b, bi]) + int(rng.integers(counts[b, bi]))
-            ja = int(rng.integers(n_rows))
-            jb = int(rng.integers(n_rows - 1))
-            if jb >= ja:
-                jb += 1
-            plan.branch[p, ci] = bi
-            plan.depth[p, ci] = di
-            plan.anchor[p, ci] = l
-            plan.row_a[p, ci] = ja
-            plan.row_b[p, ci] = jb
-    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -330,43 +312,34 @@ def gather_interest_views(bank: InterestBank, plan: InterestPlan) -> list[tuple[
     lens = np.array([b.shape[2] for b in bank.branches])
     offs = np.array(offsets)
 
-    out = []
-    for p in range(plan.n_pairs):
-        m = plan.branch[p]
-        idx1 = offs[m] + plan.rows * lens[m] + plan.anchor[p]
-        idx2 = offs[m] + plan.rows * lens[m] + plan.anchor[p] + plan.offset[p]
-        out.append((ad.gather_rows(table, idx1), ad.gather_rows(table, idx2)))
-    return out
+    idx1 = offs[plan.branch] + plan.rows * lens[plan.branch] + plan.anchor
+    idx2 = idx1 + plan.offset
+    return [(ad.gather_rows(table, idx1[p]), ad.gather_rows(table, idx2[p])) for p in range(plan.n_pairs)]
 
 
 def gather_feature_views(fine: FineBank, plan: FeaturePlan) -> list[tuple[Tensor, Tensor]]:
     """For each pair slot, two (n, K) matrices: same slice and column,
-    distinct rows."""
+    distinct rows.  Every slice is flattened into one row table, and a
+    (branch, depth) -> (offset, rows, columns) lookup turns the whole
+    plan into table rows at once."""
     keys = sorted(fine.maps)
-    flats, meta = [], {}
+    flats = []
+    slot = np.zeros((max(k[0] for k in keys) + 1, max(k[1] for k in keys) + 1), dtype=np.int64)
+    meta = np.zeros((len(keys), 3), dtype=np.int64)
     base = 0
-    for key in keys:
+    for si, key in enumerate(keys):
         t = fine.maps[key]
         nb, nj, nl, nk = t.shape
         flats.append(ad.reshape(t, (nb * nj * nl, nk)))
-        meta[key] = (base, nj, nl)
+        slot[key] = si
+        meta[si] = (base, nj, nl)
         base += nb * nj * nl
     table = ad.concat(flats, axis=0) if len(flats) > 1 else flats[0]
 
-    out = []
-    for p in range(plan.n_pairs):
-        n = plan.rows.size
-        idx1 = np.zeros(n, dtype=np.int64)
-        idx2 = np.zeros(n, dtype=np.int64)
-        for ci in range(n):
-            key = (int(plan.branch[p, ci]), int(plan.depth[p, ci]))
-            off, nj, nl = meta[key]
-            b = plan.rows[ci]
-            l = plan.anchor[p, ci]
-            idx1[ci] = off + (b * nj + plan.row_a[p, ci]) * nl + l
-            idx2[ci] = off + (b * nj + plan.row_b[p, ci]) * nl + l
-        out.append((ad.gather_rows(table, idx1), ad.gather_rows(table, idx2)))
-    return out
+    off, nj, nl = np.moveaxis(meta[slot[plan.branch, plan.depth]], -1, 0)
+    idx1 = off + (plan.rows * nj + plan.row_a) * nl + plan.anchor
+    idx2 = off + (plan.rows * nj + plan.row_b) * nl + plan.anchor
+    return [(ad.gather_rows(table, idx1[p]), ad.gather_rows(table, idx2[p])) for p in range(plan.n_pairs)]
 
 
 # ---------------------------------------------------------------------------

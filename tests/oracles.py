@@ -1,6 +1,7 @@
-"""Naive per-sample reference implementations shared by the extractor
-and contrastive-loss tests: scalar loops in the library's own tap
-order, so the extractor oracles can be compared bitwise."""
+"""Naive per-sample reference implementations shared by the extractor,
+contrastive-loss and ranking-metric tests: scalar loops in the
+library's own tap order, so the extractor oracles can be compared
+bitwise."""
 
 import numpy as np
 
@@ -50,3 +51,14 @@ def naive_infonce(z1, z2, tau):
         logits = np.array([naive_cosine(z1[x], z2[xp]) / tau for xp in range(n)])
         total += -np.log(np.exp(logits[x]) / np.exp(logits).sum())
     return total / n
+
+
+def brute_force_auc(scores, labels):
+    """All-pairs count: wins + half-ties over pos*neg pairs."""
+    pos = [s for s, y in zip(scores, labels) if y == 1]
+    neg = [s for s, y in zip(scores, labels) if y == 0]
+    total = 0.0
+    for p in pos:
+        for n in neg:
+            total += 1.0 if p > n else (0.5 if p == n else 0.0)
+    return total / (len(pos) * len(neg))

@@ -21,7 +21,7 @@ from missctr.gradcheck import tiny_instance_check
 from missctr.harness import robustness_study, run_experiment
 from missctr.metrics import auc
 from missctr.trainer import ExperimentConfig, train_joint
-from oracles import naive_field_conv, naive_infonce, naive_time_conv
+from oracles import brute_force_auc, naive_field_conv, naive_infonce, naive_time_conv
 
 # shared configuration for the synthetic-corpus experiments; every value
 # sits on the published search grids
@@ -132,16 +132,6 @@ def test_04_infonce_matches_explicit_softmax():
 
 # ---------------------------------------------------------------------------
 # 5: rank-based AUC equals brute-force pair counting exactly
-
-
-def brute_force_auc(scores, labels):
-    pos = [s for s, y in zip(scores, labels) if y == 1]
-    neg = [s for s, y in zip(scores, labels) if y == 0]
-    total = 0.0
-    for p in pos:
-        for n in neg:
-            total += 1.0 if p > n else (0.5 if p == n else 0.0)
-    return total / (len(pos) * len(neg))
 
 
 def test_05_auc_equals_pair_counting():

@@ -92,26 +92,55 @@ def test_sigmoid_extreme_inputs_finite():
 
 
 # ---------------------------------------------------------------------------
-# slicing
+# convolution
 
 
-def test_slice_full_window_identity():
-    x = ad.constant(np.arange(12.0).reshape(3, 4))
-    out = ad.slice_window(x, axis=1, start=0, length=4)
-    np.testing.assert_array_equal(out.data, x.data)
+def naive_conv1d(x, k, axis):
+    """Per-element replay of the valid cross-correlation: taps summed
+    left to right, one output element at a time."""
+    xm = np.moveaxis(x, axis, 0)
+    out_len = xm.shape[0] - len(k) + 1
+    out = np.zeros((out_len,) + xm.shape[1:])
+    for l in range(out_len):
+        for pos in np.ndindex(*xm.shape[1:]):
+            s = xm[(l,) + pos] * k[0]
+            for i in range(1, len(k)):
+                s = s + xm[(l + i,) + pos] * k[i]
+            out[(l,) + pos] = s
+    return np.moveaxis(out, 0, axis)
 
 
-def test_slice_window_grad_indicator():
-    x = ad.parameter(np.arange(8.0))
+def test_conv1d_forward_is_left_to_right_tap_sum():
+    rng = np.random.default_rng(4)
+    for axis in (1, 2):
+        for w in (1, 2, 3, 4):
+            x = rng.normal(size=(2, 5, 6, 3))
+            k = rng.normal(size=w)
+            out = ad.conv1d(ad.constant(x), ad.constant(k), axis)
+            assert np.array_equal(out.data, naive_conv1d(x, k, axis)), (axis, w)
+
+
+def test_conv1d_grad_counts_window_coverage():
+    # an all-ones width-3 kernel over 6 positions: each input counts once
+    # per window that covers it
+    x = ad.parameter(np.arange(6.0))
+    k = ad.parameter(np.ones(3))
     g = ad.fresh_graph()
-    g.backward(ad.tsum(ad.slice_window(x, axis=0, start=2, length=3)))
-    np.testing.assert_array_equal(x.grad, [0, 0, 1, 1, 1, 0, 0, 0])
+    g.backward(ad.tsum(ad.conv1d(x, k, 0)))
+    np.testing.assert_array_equal(x.grad, [1, 2, 3, 3, 2, 1])
+    np.testing.assert_array_equal(k.grad, [0 + 1 + 2 + 3, 1 + 2 + 3 + 4, 2 + 3 + 4 + 5])
 
 
-def test_slice_out_of_range():
-    x = ad.constant(np.zeros(5))
-    with pytest.raises(IndexError):
-        ad.slice_window(x, axis=0, start=3, length=4)
+def test_conv1d_is_one_tape_node():
+    g = ad.fresh_graph()
+    ad.conv1d(ad.constant(np.ones((2, 5))), ad.parameter(np.ones(3)), 1)
+    assert len(g.nodes) == 1
+
+
+def test_conv1d_kernel_wider_than_axis():
+    x = ad.constant(np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match="width 4"):
+        ad.conv1d(x, ad.constant(np.ones(4)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +231,9 @@ OP_CASES = {
     "reshape": lambda p: ad.tsum(ad.mul(ad.reshape(p["a23"], (3, 2)), p["a32"])),
     "transpose": lambda p: ad.tsum(ad.mul(ad.transpose(p["a23"], (1, 0)), p["a32"])),
     "concat": lambda p: ad.tmean(ad.concat([p["a23"], p["a23b"]], axis=1)),
-    "slice_window": lambda p: ad.tsum(ad.slice_window(p["a23"], 1, 1, 2)),
+    "conv1d": lambda p: ad.tsum(
+        ad.mul(ad.conv1d(p["a23"], p["b2"], 1), ad.transpose(ad.conv1d(p["a32"], p["b2"], 0), (1, 0)))
+    ),
     "gather_rows": lambda p: ad.tsum(ad.gather_rows(p["a43"], np.array([0, 2, 2, 1]))),
     "clip_interior": lambda p: ad.tsum(ad.clip(p["unit"], 1e-12, 1.0 - 1e-12)),
     "normalize_rows": lambda p: ad.tsum(ad.mul(ad.normalize_rows(p["a23"]), p["a23b"])),

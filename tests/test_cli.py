@@ -209,6 +209,24 @@ def test_non_text_dataset_exits_2_naming_path(tmp_path, capsys):
         assert err.count("\n") == 1 and path in err
 
 
+def test_train_on_snapshot_with_out_of_vocab_id_exits_2(tmp_path, capsys):
+    from missctr.data import load_splits, save_splits
+
+    corpus = synth_corpus(tmp_path)
+    ing = str(tmp_path / "ing")
+    assert run(["ingest", "--dataset", corpus, "--out-dir", ing,
+                "--max-len", "8", "--seed", "1"]) == 0
+    splits_path = os.path.join(ing, "splits.txt")
+    splits = load_splits(splits_path)
+    splits.train.cand[5, 0] = 10**6
+    save_splits(splits, splits_path)
+    capsys.readouterr()
+    code = run(["train", "--dataset", splits_path, "--out-dir", str(tmp_path / "t"), *TINY])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and splits_path in err and "item id outside" in err
+
+
 def test_sweep_writes_sorted_report(tmp_path):
     corpus = synth_corpus(tmp_path)
     out = str(tmp_path / "sw")

@@ -209,10 +209,12 @@ def test_negatives_never_interacted():
 
 
 def test_negative_shares_user_and_history():
+    # u1 touched every item, so only u2's positive (row 1) has a negative
     splits = D.build_splits(five_event_log(), max_len=10, seed=0)
     for part in (splits.train, splits.valid, splits.test):
-        np.testing.assert_array_equal(part.seq[0], part.seq[1])
-        np.testing.assert_array_equal(part.cat[0], part.cat[1])
+        assert part.label.tolist() == [1, 1, 0]
+        np.testing.assert_array_equal(part.seq[1], part.seq[2])
+        np.testing.assert_array_equal(part.cat[1], part.cat[2])
 
 
 def test_split_determinism():
@@ -230,7 +232,8 @@ def test_short_users_excluded():
     )
     splits = D.build_splits(interactions, max_len=5, seed=0)
     assert splits.n_short_users == 1
-    assert splits.train.n == 2  # one user, pos + neg
+    # only the long user's positive: it touched every item, so no negative
+    assert splits.train.cat[:, 0].tolist() == [splits.vocab["user"]["long"]]
 
 
 def test_truncation_keeps_most_recent():
@@ -302,6 +305,35 @@ def test_synth_cluster_matches_item_partition():
 def test_synth_divisibility_check():
     with pytest.raises(ConfigError):
         D.synth_generate(10, 10, 3, (5, 8), seed=0)
+
+
+def full_coverage_log():
+    # u1 touches every item, so no item is left to serve as its negative
+    return toy_log({"u1": [("a", "x"), ("b", "x"), ("c", "y"), ("d", "y")],
+                    "u2": [("a", "x"), ("b", "x"), ("a", "x"), ("b", "x"), ("a", "x")]})
+
+
+def test_user_who_touched_every_item_gets_no_negatives(caplog):
+    interactions = full_coverage_log()
+    with caplog.at_level("WARNING", logger="missctr.data"):
+        splits = D.build_splits(interactions, max_len=5, seed=0)
+    assert "skipped 3 negative rows" in caplog.text
+    item_vocab, user_vocab = splits.vocab["item"], splits.vocab["user"]
+    for part in (splits.train, splits.valid, splits.test):
+        for u, recs in interactions.users.items():
+            history = {item_vocab[r.item] for r in recs}
+            rows = part.cat[:, 0] == user_vocab[u]
+            negatives = part.cand[rows & (part.label == 0), 0]
+            assert not set(negatives.tolist()) & history, (u, negatives)
+        # u1 keeps its positive; u2 keeps its pair
+        assert part.label.tolist() == [1, 1, 0]
+
+
+def test_downsample_keeps_a_positive_without_negative_whole():
+    splits = D.build_splits(full_coverage_log(), max_len=5, seed=0)
+    out = D.downsample_train(splits, 0.5, seed=1)
+    # two pairs (u1's lone positive, u2's pair); one is kept whole
+    assert out.train.label.tolist() in ([1], [1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -379,3 +411,62 @@ def test_snapshot_bad_magic(tmp_path):
     p.write_text("something else\n")
     with pytest.raises(FormatError):
         D.load_splits(str(p))
+
+
+def test_snapshot_round_trip_keeps_a_positive_without_negative(tmp_path):
+    splits = D.build_splits(full_coverage_log(), max_len=5, seed=0)
+    path = str(tmp_path / "splits.txt")
+    D.save_splits(splits, path)
+    np.testing.assert_array_equal(D.load_splits(path).train.label, [1, 1, 0])
+
+
+def _corrupt_train(splits, what):
+    part = splits.train
+    if what == "cat_id_past_vocab":
+        part.cat[3, 0] = splits.vocab_sizes["user"]
+    elif what == "cand_id_huge":
+        part.cand[3, 0] = 10**6
+    elif what == "seq_id_negative":
+        part.seq[3, 1, -1] = -1
+    elif what == "label_two":
+        part.label[3] = 2
+    elif what == "seq_len_past_max":
+        part.seq_len[3] = splits.max_len + 1
+    elif what == "seq_len_negative":
+        part.seq_len[3] = -1
+    elif what == "nonzero_padding":
+        part.seq[3, 0, 0] = 2
+        part.seq_len[3] = splits.max_len - 1
+
+
+SNAPSHOT_DEFECTS = {
+    "cat_id_past_vocab": "user id outside",
+    "cand_id_huge": "item id outside",
+    "seq_id_negative": "attr_1 id outside",
+    "label_two": "label not 0 or 1",
+    "seq_len_past_max": "seq_len outside",
+    "seq_len_negative": "seq_len outside",
+    "nonzero_padding": "nonzero id in a padding slot",
+}
+
+
+@pytest.mark.parametrize("what", sorted(SNAPSHOT_DEFECTS))
+def test_snapshot_body_validated_at_load(tmp_path, what):
+    splits = make_synth_splits()
+    _corrupt_train(splits, what)
+    path = str(tmp_path / "splits.txt")
+    D.save_splits(splits, path)
+    with pytest.raises(FormatError, match="train sample 3: " + SNAPSHOT_DEFECTS[what]) as info:
+        D.load_splits(path)
+    assert path in str(info.value) and "\n" not in str(info.value)
+
+
+def test_snapshot_non_integer_token_is_format_error(tmp_path):
+    splits = make_synth_splits()
+    path = tmp_path / "splits.txt"
+    D.save_splits(splits, str(path))
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].replace(" ", " x", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="non-integer"):
+        D.load_splits(str(path))

@@ -186,6 +186,63 @@ def test_interest_plan_branch_uniform_chi_square():
     assert chi2 < 10.83, counts  # df=1, p=0.001
 
 
+def chi_square(counts):
+    counts = np.asarray(counts, dtype=float)
+    expected = counts.sum() / counts.size
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+# chi-square critical values at p = 0.001, by degrees of freedom
+CHI2_CRIT = {1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 5: 20.52}
+
+
+def test_interest_plan_branch_uniform_over_own_feasible_branches():
+    # widths 1, 2, 3: a 2-event row can pair only width-1 windows, a
+    # 3-event row widths 1-2, a 6-event row all three
+    mid, _ = bank_for_lengths([2, 3, 6], 6, 3)
+    plan = I.sample_interest_plan(mid, 6000, max_offset=1, rng=np.random.default_rng(31))
+    assert plan.rows.tolist() == [0, 1, 2]
+    for ci, n_feasible in enumerate([1, 2, 3]):
+        counts = np.bincount(plan.branch[:, ci], minlength=3)
+        assert counts[n_feasible:].sum() == 0, counts
+        if n_feasible > 1:
+            assert chi_square(counts[:n_feasible]) < CHI2_CRIT[n_feasible - 1], (ci, counts)
+
+
+def test_feature_plan_slice_uniform_over_own_feasible_slices():
+    # widths 1 and 2, one depth each: a 1-event row has a valid column
+    # only in the width-1 branch, a 4-event row in both
+    mid, bank = bank_for_lengths([1, 4], 6, 2, seed=32)
+    fine = I.mimfe_forward(mid, bank)
+    plan = I.sample_feature_plan(mid, fine, 6000, np.random.default_rng(32))
+    assert np.all(plan.branch[:, 0] == 0)
+    counts = np.bincount(plan.branch[:, 1], minlength=2)
+    assert chi_square(counts) < CHI2_CRIT[1], counts
+
+
+def test_interest_plan_anchor_uniform_over_valid_columns():
+    # 6 events in 8 slots, width 1: columns 2..7 are valid, so given the
+    # offset h the anchor is uniform on 2..7-h
+    mid, _ = bank_for_lengths([6], 8, 1)
+    plan = I.sample_interest_plan(mid, 12_000, max_offset=3, rng=np.random.default_rng(33))
+    for h in (1, 2, 3):
+        anchors = plan.anchor[plan.offset == h]
+        assert anchors.min() >= 2 and anchors.max() <= 7 - h
+        counts = np.bincount(anchors - 2, minlength=6 - h)
+        assert chi_square(counts) < CHI2_CRIT[5 - h], (h, counts)
+
+
+def test_feature_plan_row_pair_uniform_over_ordered_distinct_pairs():
+    # 3 fields, depth 1: 3 rows, so 6 ordered pairs of distinct rows
+    mid, bank = bank_for_lengths([5], 6, 1, seed=34)
+    fine = I.mimfe_forward(mid, bank)
+    plan = I.sample_feature_plan(mid, fine, 6000, np.random.default_rng(34))
+    pair = plan.row_a.reshape(-1) * 3 + plan.row_b.reshape(-1)
+    counts = np.bincount(pair, minlength=9)
+    assert counts[[0, 4, 8]].sum() == 0, counts
+    assert chi_square(counts[[1, 2, 3, 5, 6, 7]]) < CHI2_CRIT[5], counts
+
+
 def test_plan_determinism():
     mid, bank = bank_for_lengths([4, 6, 3], 7, 2)
     fine = I.mimfe_forward(mid, bank)

@@ -9,20 +9,7 @@ from missctr import autodiff as ad
 from missctr.base_model import logloss
 from missctr.errors import MetricError, NumericalError
 from missctr.metrics import auc, evaluate_scores, logloss_value
-
-
-def naive_auc(scores, labels):
-    """All-pairs count: wins + half-ties over pos*neg pairs."""
-    pos = [s for s, y in zip(scores, labels) if y == 1]
-    neg = [s for s, y in zip(scores, labels) if y == 0]
-    total = 0.0
-    for p in pos:
-        for n in neg:
-            if p > n:
-                total += 1.0
-            elif p == n:
-                total += 0.5
-    return total / (len(pos) * len(neg))
+from oracles import brute_force_auc
 
 
 def test_perfect_ranking():
@@ -82,7 +69,7 @@ def test_matches_pair_counting_oracle():
         # coarse grid forces plenty of ties
         scores = rng.integers(0, 8, size=n) / 8.0
         got = auc(scores, labels)
-        want = naive_auc(scores.tolist(), labels.tolist())
+        want = brute_force_auc(scores.tolist(), labels.tolist())
         assert abs(got - want) < 1e-12, f"trial {trial}: {got} vs {want}"
 
 

@@ -1,0 +1,33 @@
+"""Smoke run of the benchmark's miss-gate workload at a tiny size: the
+workload and the tracer are imported from perfbench/ as they are, and
+no timing is checked."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import tracer  # noqa: E402
+import workloads  # noqa: E402
+
+
+def test_tiny_miss_gate_traced_equals_untraced(tmp_path):
+    w = workloads.MissGate()
+    w.n_users = 200
+    w.epochs = 1
+    tally = workloads.Tally()
+    tally.probe_every_s = float("inf")  # no host probe: nothing here is timed
+    inp = w.inputs(0, str(tmp_path))
+
+    plain = w.repeat(w.setup(inp, tally), tally)
+    with tracer.Tracer() as tr:
+        traced = w.repeat(w.setup(inp, tally), tally)
+
+    assert tally.failed == 0
+    assert traced.test_auc == plain.test_auc
+    assert traced.state.keys() == plain.state.keys()
+    for k, a in plain.state.items():
+        assert a.shape == traced.state[k].shape and a.tobytes() == traced.state[k].tobytes(), k
+    layer = tr.layer_metrics()
+    # one conv1d node per kernel (6 kernels at 2 branches x 2 depths)
+    assert layer["autodiff.tape_nodes_per_step"] == 212
