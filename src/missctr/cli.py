@@ -18,7 +18,6 @@ import sys
 from dataclasses import replace
 
 from . import data as dt
-from .data import SNAPSHOT_MAGIC
 from .errors import ConfigError, DataError, MetricError, NumericalError
 from .gradcheck import tiny_instance_check
 from .harness import (
@@ -31,6 +30,7 @@ from .harness import (
     write_telemetry,
 )
 from .metrics import evaluate_scores
+from .serialize import MAGIC
 from .trainer import (
     ExperimentConfig,
     MissModel,
@@ -164,22 +164,33 @@ def _run_meta(verb: str, args, **extra) -> dict:
     return meta
 
 
-def load_dataset(args, cfg: ExperimentConfig) -> dt.Splits:
-    """A dataset argument is either a raw interaction TSV or a split
-    snapshot; the snapshot is recognized by its first line."""
+def dataset_path(args) -> str:
     path = getattr(args, "dataset", None)
     if not path:
         raise ConfigError("--dataset is required for this command")
     if not os.path.isfile(path):
         raise DataError(f"dataset not found: {path}")
-    with open(path, "rb") as fh:
-        first = fh.readline().rstrip(b"\n")
-    if first == SNAPSHOT_MAGIC.encode():
-        return dt.load_splits(path)
+    return path
+
+
+def read_log(path: str, min_count: int) -> tuple[dt.InteractionLog, dt.FilterStats | None]:
+    """The raw-TSV path of every dataset verb: ingest the log, then drop
+    infrequent users and items when min_count is above 1 (the stats are
+    None otherwise)."""
     log = dt.ingest_log(path)
-    min_count = getattr(args, "min_count", 1) or 1
     if min_count > 1:
-        log, _ = dt.filter_infrequent(log, min_count)
+        return dt.filter_infrequent(log, min_count)
+    return log, None
+
+
+def load_dataset(args, cfg: ExperimentConfig) -> dt.Splits:
+    """A dataset argument is either a raw interaction TSV or a split
+    snapshot; the snapshot is recognized by the array container's magic."""
+    path = dataset_path(args)
+    with open(path, "rb") as fh:
+        if fh.read(len(MAGIC)) == MAGIC:
+            return dt.load_splits(path)
+    log, _ = read_log(path, args.min_count)
     return dt.build_splits(log, cfg.max_len, cfg.seed)
 
 
@@ -245,14 +256,10 @@ def cmd_synth(args) -> int:
 def cmd_ingest(args) -> int:
     cfg = resolve_config(args)
     out_dir = resolve_out_dir(args)
-    if not args.dataset:
-        raise ConfigError("--dataset is required for ingest")
-    if not os.path.isfile(args.dataset):
-        raise DataError(f"dataset not found: {args.dataset}")
-    log = dt.ingest_log(args.dataset)
+    log, stats = read_log(dataset_path(args), args.min_count)
     n_raw = log.n_records
-    if args.min_count > 1:
-        log, stats = dt.filter_infrequent(log, args.min_count)
+    if stats is not None:
+        n_raw += stats.records_dropped  # every dropped record is counted once
         print(
             f"frequency filter (min_count={args.min_count}): "
             f"{stats.rounds} rounds, dropped {stats.users_dropped} users, "

@@ -1,12 +1,13 @@
-"""Behavior-log ingestion, filtering, leave-last-out splitting, and the
-synthetic multi-interest corpus generator.
+"""Behavior-log ingestion, filtering, leave-last-out splitting, split
+snapshots, and the synthetic multi-interest corpus generator.
 
 File format: tab-separated rows `user  item  attr_1 .. attr_{J-1}  ts`
 with an integer timestamp in the last column.  The number of attribute
 columns is inferred from the first well-formed line.  Everything
 downstream is integer-encoded: id 0 is reserved for padding, id 1 for
 unknown tokens, real tokens are numbered densely from 2 in order of
-first appearance.
+first appearance.  A split snapshot stores those integer splits in the
+`serialize` array container (see `save_splits`).
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateDatasetError, FormatError
+from .serialize import load_arrays, save_arrays
 
 log = logging.getLogger(__name__)
 
 PAD_ID = 0
 UNKNOWN_ID = 1
 MIN_BEHAVIORS = 4  # leave-last-out needs 3 held-out events plus >=1 of history
-
-SNAPSHOT_MAGIC = "missctr-splits 1"
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,6 @@ class Splits:
     vocab_sizes: dict[str, int]
     max_len: int
     n_short_users: int = 0
-    vocab: dict[str, dict[str, int]] | None = None
 
     @property
     def fields(self) -> list[str]:
@@ -311,7 +310,6 @@ def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Split
         vocab_sizes=vocab_sizes,
         max_len=max_len,
         n_short_users=n_short,
-        vocab={"user": user_vocab, **{name: seq_vocab[j] for j, name in enumerate(seq_fields)}},
     )
 
 
@@ -425,38 +423,25 @@ def flip_labels(splits: Splits, rate: float, seed: int) -> Splits:
 
 
 # ---------------------------------------------------------------------------
-# split snapshots (line-oriented integers, byte-reproducible)
+# split snapshots (int64 records in the serialize container)
+
+SPLIT_NAMES = ("train", "valid", "test")
+SAMPLE_ARRAYS = ("cat", "seq", "seq_len", "cand", "label")
 
 
 def save_splits(splits: Splits, path: str) -> None:
-    """Serialize integer-encoded splits.
-
-    Layout: magic line; `I J L`; cat field names; seq field names; cat
-    vocab sizes; seq vocab sizes; `n_train n_valid n_test`; then one
-    line per sample (train, valid, test in order):
-    `label seq_len cat... cand... seq-row-major...`.  Token maps are
-    not stored; snapshots are self-sufficient for training and eval.
-    """
-    n_cat = len(splits.cat_fields)
-    n_seq = len(splits.seq_fields)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(SNAPSHOT_MAGIC + "\n")
-        fh.write(f"{n_cat} {n_seq} {splits.max_len}\n")
-        fh.write("\t".join(splits.cat_fields) + "\n")
-        fh.write("\t".join(splits.seq_fields) + "\n")
-        fh.write(" ".join(str(splits.vocab_sizes[f]) for f in splits.cat_fields) + "\n")
-        fh.write(" ".join(str(splits.vocab_sizes[f]) for f in splits.seq_fields) + "\n")
-        fh.write(f"{splits.train.n} {splits.valid.n} {splits.test.n}\n")
-        for part in (splits.train, splits.valid, splits.test):
-            for i in range(part.n):
-                nums = [
-                    int(part.label[i]),
-                    int(part.seq_len[i]),
-                    *part.cat[i].tolist(),
-                    *part.cand[i].tolist(),
-                    *part.seq[i].reshape(-1).tolist(),
-                ]
-                fh.write(" ".join(map(str, nums)) + "\n")
+    """Serialize integer-encoded splits as int64 records: `max_len`, one
+    vocab-size scalar per field (`cat:<field>`, then `seq:<field>`, in
+    field order), then `<split>:<array>` for each split and sample
+    array.  Token maps are not stored; snapshots are self-sufficient for
+    training and eval."""
+    records = {"max_len": np.int64(splits.max_len)}
+    for kind, fields in (("cat", splits.cat_fields), ("seq", splits.seq_fields)):
+        records |= {f"{kind}:{f}": np.int64(splits.vocab_sizes[f]) for f in fields}
+    for name in SPLIT_NAMES:
+        part = getattr(splits, name)
+        records |= {f"{name}:{a}": getattr(part, a) for a in SAMPLE_ARRAYS}
+    save_arrays(path, records)
 
 
 def _check_sample_set(
@@ -482,66 +467,53 @@ def _check_sample_set(
 
 
 def load_splits(path: str) -> Splits:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: not a UTF-8 text file") from None
-    if not lines or lines[0] != SNAPSHOT_MAGIC:
-        raise FormatError(f"{path}: not a splits snapshot (bad magic line)")
-    try:
-        n_cat, n_seq, max_len = map(int, lines[1].split())
-        cat_fields = lines[2].split("\t")
-        seq_fields = lines[3].split("\t")
-        cat_sizes = list(map(int, lines[4].split()))
-        seq_sizes = list(map(int, lines[5].split()))
-        counts = list(map(int, lines[6].split()))
-    except (ValueError, IndexError) as exc:
-        raise FormatError(f"{path}: malformed snapshot header") from exc
-    if (
-        len(cat_fields) != n_cat or len(seq_fields) != n_seq or len(counts) != 3
-        or len(cat_sizes) != n_cat or len(seq_sizes) != n_seq or max_len < 1 or min(counts) < 0
-    ):
-        raise FormatError(f"{path}: inconsistent snapshot header")
-    body = lines[7:]
-    if len(body) != sum(counts):
-        raise FormatError(
-            f"{path}: expected {sum(counts)} sample lines, found {len(body)}"
+    """Read a snapshot written by save_splits.  Raises a one-line
+    FormatError naming the path on a missing, extra or non-int64 record,
+    an array whose shape disagrees with the fields and max_len, max_len
+    or a vocab size below 1, a split without samples (so max_len is
+    bounded by the file), and any sample a model could not consume."""
+    arrays = load_arrays(path)
+    cat_fields = [k[4:] for k in arrays if k.startswith("cat:")]
+    seq_fields = [k[4:] for k in arrays if k.startswith("seq:")]
+
+    def take(name: str, *shape: int) -> np.ndarray:
+        """The int64 record `name`; -1 in `shape` matches any length."""
+        a = arrays.pop(name, None)
+        if a is None:
+            raise FormatError(f"{path}: missing record {name!r}")
+        if a.dtype != np.int64:
+            raise FormatError(f"{path}: record {name!r} is {a.dtype}, not int64")
+        if a.ndim != len(shape) or any(w not in (-1, n) for w, n in zip(shape, a.shape)):
+            raise FormatError(f"{path}: record {name!r} has shape {a.shape}, expected {shape}")
+        return a
+
+    def at_least_one(name: str) -> int:
+        value = int(take(name))
+        if value < 1:
+            raise FormatError(f"{path}: {name} is {value}, must be >= 1")
+        return value
+
+    max_len = at_least_one("max_len")
+    if not cat_fields or not seq_fields:
+        raise FormatError(f"{path}: needs at least one cat: and one seq: field")
+    vocab_sizes = {f: at_least_one(f"cat:{f}") for f in cat_fields}
+    vocab_sizes |= {f: at_least_one(f"seq:{f}") for f in seq_fields}
+    parts = []
+    for name in SPLIT_NAMES:
+        label = take(f"{name}:label", -1)
+        n = label.shape[0]
+        if n == 0:
+            raise FormatError(f"{path}: {name} split has no samples")
+        part = SampleSet(
+            cat=take(f"{name}:cat", n, len(cat_fields)),
+            seq=take(f"{name}:seq", n, len(seq_fields), max_len),
+            seq_len=take(f"{name}:seq_len", n),
+            cand=take(f"{name}:cand", n, len(seq_fields)),
+            label=label,
         )
-
-    def parse(chunk: list[str]) -> SampleSet:
-        n = len(chunk)
-        cat = np.zeros((n, n_cat), dtype=np.int64)
-        seq = np.zeros((n, n_seq, max_len), dtype=np.int64)
-        seq_len = np.zeros(n, dtype=np.int64)
-        cand = np.zeros((n, n_seq), dtype=np.int64)
-        label = np.zeros(n, dtype=np.int64)
-        want = 2 + n_cat + n_seq + n_seq * max_len
-        for i, line in enumerate(chunk):
-            try:
-                nums = list(map(int, line.split()))
-            except ValueError:
-                raise FormatError(f"{path}: sample line with a non-integer token") from None
-            if len(nums) != want:
-                raise FormatError(f"{path}: sample line with {len(nums)} ints, expected {want}")
-            label[i] = nums[0]
-            seq_len[i] = nums[1]
-            cat[i] = nums[2 : 2 + n_cat]
-            cand[i] = nums[2 + n_cat : 2 + n_cat + n_seq]
-            seq[i] = np.asarray(nums[2 + n_cat + n_seq :]).reshape(n_seq, max_len)
-        return SampleSet(cat, seq, seq_len, cand, label)
-
-    offsets = np.cumsum([0] + counts)
-    parts = [parse(body[offsets[i] : offsets[i + 1]]) for i in range(3)]
-    vocab_sizes = dict(zip(cat_fields, cat_sizes)) | dict(zip(seq_fields, seq_sizes))
-    for name, part in zip(("train", "valid", "test"), parts):
         _check_sample_set(path, name, part, cat_fields, seq_fields, vocab_sizes, max_len)
-    return Splits(
-        train=parts[0],
-        valid=parts[1],
-        test=parts[2],
-        cat_fields=cat_fields,
-        seq_fields=seq_fields,
-        vocab_sizes=vocab_sizes,
-        max_len=max_len,
-    )
+        parts.append(part)
+    if arrays:
+        raise FormatError(f"{path}: unexpected record {next(iter(arrays))!r}")
+    return Splits(*parts, cat_fields=cat_fields, seq_fields=seq_fields,
+                  vocab_sizes=vocab_sizes, max_len=max_len)

@@ -22,7 +22,7 @@ from . import interests as it
 from .autodiff import Tensor
 from .data import Splits, make_batches, SampleSet
 from .embeddings import init_tables, zero_pad_rows
-from .errors import ConfigError, DegenerateDatasetError, NumericalError
+from .errors import ConfigError, DegenerateDatasetError, FormatError, NumericalError
 from .metrics import auc, logloss_value
 from .serialize import load_arrays, save_arrays
 
@@ -231,6 +231,8 @@ def load_checkpoint(path: str, model: MissModel) -> None:
             f"checkpoint/model mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
         )
     for k, p in params.items():
+        if arrays[k].dtype != np.float64:
+            raise FormatError(f"{path}: checkpoint record {k!r} is {arrays[k].dtype}, not float64")
         if arrays[k].shape != p.data.shape:
             raise ConfigError(
                 f"checkpoint shape for {k}: {arrays[k].shape} vs model {p.data.shape}"

@@ -186,6 +186,23 @@ def test_eval_on_diverged_checkpoint_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1 and "scores are not finite" in err
 
 
+def test_eval_on_checkpoint_with_non_utf8_record_name_exits_2(tmp_path, capsys):
+    corpus = synth_corpus(tmp_path)
+    out = str(tmp_path / "t")
+    assert run(["train", "--dataset", corpus, "--out-dir", out, *TINY]) == 0
+    ckpt = os.path.join(out, "checkpoint.bin")
+    with open(ckpt, "rb") as fh:
+        blob = fh.read()
+    with open(ckpt, "wb") as fh:
+        fh.write(blob.replace(b"base:mlp1_b", b"base:mlp1\xff\xfe", 1))
+    capsys.readouterr()
+    code = run(["eval", "--dataset", corpus, "--out-dir", str(tmp_path / "e"),
+                "--checkpoint", ckpt, *TINY])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and ckpt in err and "not UTF-8" in err
+
+
 def test_train_with_fewer_rows_than_a_batch_exits_2(tmp_path, capsys):
     corpus = synth_corpus(tmp_path)  # 40 users: 80 training rows
     code = run(["train", "--dataset", corpus, "--out-dir", str(tmp_path / "t"),
@@ -197,7 +214,7 @@ def test_train_with_fewer_rows_than_a_batch_exits_2(tmp_path, capsys):
 
 
 def test_non_text_dataset_exits_2_naming_path(tmp_path, capsys):
-    container = str(tmp_path / "checkpoint.bin")  # text magic line, binary body
+    container = str(tmp_path / "checkpoint.bin")  # an array container, not a snapshot
     save_arrays(container, {"w": np.linspace(-1.0, 1.0, 64)})
     raw = tmp_path / "raw.bin"  # not even the first line decodes
     raw.write_bytes(bytes(range(128, 256)) + b"\n")

@@ -1,11 +1,14 @@
 """Ingestion, filtering, splitting, batching, synthetic generation, and
 the robustness-study perturbations."""
 
+import re
+
 import numpy as np
 import pytest
 
 from missctr import data as D
 from missctr.errors import ConfigError, DataError, DegenerateDatasetError, FormatError
+from missctr.serialize import load_arrays, save_arrays
 
 
 def write(tmp_path, name, text):
@@ -21,6 +24,25 @@ def toy_log(users):
         for u, events in users.items()
     }
     return D.InteractionLog(users=recs, seq_fields=["item", "attr_1"])
+
+
+def first_appearance_ids(interactions, token):
+    """The ids build_splits gives token(user, record): numbered from 2 in
+    order of first appearance over the users it keeps."""
+    ids = {}
+    for u, recs in interactions.users.items():
+        if len(recs) >= D.MIN_BEHAVIORS:
+            for r in recs:
+                ids.setdefault(token(u, r), 2 + len(ids))
+    return ids
+
+
+def item_ids(interactions):
+    return first_appearance_ids(interactions, lambda u, r: r.item)
+
+
+def user_ids(interactions):
+    return first_appearance_ids(interactions, lambda u, r: u)
 
 
 # ---------------------------------------------------------------------------
@@ -79,13 +101,6 @@ def test_ingest_binary_file_is_format_error(tmp_path):
     path.write_bytes(b"u\ti1\tx\t1\n" + bytes(range(128, 256)))
     with pytest.raises(FormatError, match="weights.bin: not a UTF-8 text file"):
         D.ingest_log(str(path))
-
-
-def test_snapshot_with_binary_body_is_format_error(tmp_path):
-    path = tmp_path / "splits.txt"
-    path.write_bytes((D.SNAPSHOT_MAGIC + "\n").encode() + bytes(range(128, 256)))
-    with pytest.raises(FormatError, match="splits.txt: not a UTF-8 text file"):
-        D.load_splits(str(path))
 
 
 def test_ingest_empty_file(tmp_path):
@@ -187,9 +202,9 @@ def test_held_out_events_differ_across_splits():
     # positives at even rows; per user the three split targets are the
     # last three events in order
     users = list(interactions.users)
+    vocab = item_ids(interactions)
     for k, u in enumerate(users):
         recs = interactions.users[u]
-        vocab = splits.vocab["item"]
         assert splits.train.cand[2 * k, 0] == vocab[recs[-3].item]
         assert splits.valid.cand[2 * k, 0] == vocab[recs[-2].item]
         assert splits.test.cand[2 * k, 0] == vocab[recs[-1].item]
@@ -198,7 +213,7 @@ def test_held_out_events_differ_across_splits():
 def test_negatives_never_interacted():
     interactions = D.synth_generate(30, 20, 4, (6, 10), seed=1)
     splits = D.build_splits(interactions, max_len=8, seed=3)
-    inv = {v: k for k, v in splits.vocab["item"].items()}
+    inv = {v: k for k, v in item_ids(interactions).items()}
     users = list(interactions.users)
     for part in (splits.train, splits.valid, splits.test):
         for k, u in enumerate(users):
@@ -233,14 +248,15 @@ def test_short_users_excluded():
     splits = D.build_splits(interactions, max_len=5, seed=0)
     assert splits.n_short_users == 1
     # only the long user's positive: it touched every item, so no negative
-    assert splits.train.cat[:, 0].tolist() == [splits.vocab["user"]["long"]]
+    assert splits.train.cat[:, 0].tolist() == [user_ids(interactions)["long"]]
 
 
 def test_truncation_keeps_most_recent():
     events = [(f"i{k}", "x") for k in range(9)]
-    splits = D.build_splits(toy_log({"u": events}), max_len=3, seed=0)
+    interactions = toy_log({"u": events})
+    splits = D.build_splits(interactions, max_len=3, seed=0)
     # test history is events 0..7, truncated to the last 3: i5 i6 i7
-    vocab = splits.vocab["item"]
+    vocab = item_ids(interactions)
     assert splits.test.seq[0, 0].tolist() == [vocab["i5"], vocab["i6"], vocab["i7"]]
     assert splits.test.seq_len[0] == 3
 
@@ -318,7 +334,7 @@ def test_user_who_touched_every_item_gets_no_negatives(caplog):
     with caplog.at_level("WARNING", logger="missctr.data"):
         splits = D.build_splits(interactions, max_len=5, seed=0)
     assert "skipped 3 negative rows" in caplog.text
-    item_vocab, user_vocab = splits.vocab["item"], splits.vocab["user"]
+    item_vocab, user_vocab = item_ids(interactions), user_ids(interactions)
     for part in (splits.train, splits.valid, splits.test):
         for u, recs in interactions.users.items():
             history = {item_vocab[r.item] for r in recs}
@@ -461,12 +477,54 @@ def test_snapshot_body_validated_at_load(tmp_path, what):
     assert path in str(info.value) and "\n" not in str(info.value)
 
 
-def test_snapshot_non_integer_token_is_format_error(tmp_path):
+def _restructure(records, what):
+    """Break the container structure of a snapshot's records."""
+    if what == "float_record":
+        records["valid:seq_len"] = records["valid:seq_len"].astype(np.float64)
+    elif what == "shape_mismatch":
+        records["test:cand"] = records["test:cand"][:-1]
+    elif what == "missing_record":
+        del records["train:label"]
+    elif what == "extra_record":
+        records["train:weight"] = np.ones_like(records["train:label"])
+    elif what == "no_seq_fields":
+        for f in ("item", "attr_1"):
+            del records[f"seq:{f}"]
+    elif what == "max_len_zero":
+        records["max_len"] = np.int64(0)
+    elif what == "empty_split":
+        for a in D.SAMPLE_ARRAYS:
+            records[f"test:{a}"] = records[f"test:{a}"][:0]
+
+
+SNAPSHOT_STRUCTURE_DEFECTS = {
+    "float_record": "record 'valid:seq_len' is float64, not int64",
+    "shape_mismatch": "record 'test:cand' has shape",
+    "missing_record": "missing record 'train:label'",
+    "extra_record": "unexpected record 'train:weight'",
+    "no_seq_fields": "needs at least one cat: and one seq: field",
+    "max_len_zero": "max_len is 0, must be >= 1",
+    "empty_split": "test split has no samples",
+}
+
+
+@pytest.mark.parametrize("what", sorted(SNAPSHOT_STRUCTURE_DEFECTS))
+def test_snapshot_structure_validated_at_load(tmp_path, what):
+    path = str(tmp_path / "splits.txt")
+    D.save_splits(make_synth_splits(), path)
+    records = load_arrays(path)
+    _restructure(records, what)
+    save_arrays(path, records)
+    with pytest.raises(FormatError, match=re.escape(SNAPSHOT_STRUCTURE_DEFECTS[what])) as info:
+        D.load_splits(path)
+    assert path in str(info.value) and "\n" not in str(info.value)
+
+
+def test_snapshot_records_are_int64_and_max_len_is_0d(tmp_path):
+    path = str(tmp_path / "splits.txt")
     splits = make_synth_splits()
-    path = tmp_path / "splits.txt"
-    D.save_splits(splits, str(path))
-    lines = path.read_text().splitlines()
-    lines[-1] = lines[-1].replace(" ", " x", 1)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FormatError, match="non-integer"):
-        D.load_splits(str(path))
+    D.save_splits(splits, path)
+    records = load_arrays(path)
+    assert list(records)[:4] == ["max_len", "cat:user", "seq:item", "seq:attr_1"]
+    assert all(a.dtype == np.int64 for a in records.values())
+    assert records["max_len"].shape == () and int(records["max_len"]) == splits.max_len

@@ -1,6 +1,6 @@
-"""Smoke run of the benchmark's miss-gate workload at a tiny size: the
-workload and the tracer are imported from perfbench/ as they are, and
-no timing is checked."""
+"""Smoke runs of the benchmark's miss-gate and ingest-eval workloads at
+a tiny size: the workloads and the tracer are imported from perfbench/
+as they are, and no timing is checked."""
 
 import sys
 from pathlib import Path
@@ -31,3 +31,15 @@ def test_tiny_miss_gate_traced_equals_untraced(tmp_path):
     layer = tr.layer_metrics()
     # one conv1d node per kernel (6 kernels at 2 branches x 2 depths)
     assert layer["autodiff.tape_nodes_per_step"] == 212
+
+
+def test_tiny_ingest_eval_snapshot_round_trip(tmp_path):
+    w = workloads.IngestEval()
+    w.n_users = 200
+    w.ckpt_steps = 2
+    tally = workloads.Tally()
+    tally.probe_every_s = float("inf")
+    # repeat raises CheckFailed unless splits_equal holds, dtypes included,
+    # for the TSV rebuild and for the snapshot round trip
+    out = w.repeat(w.setup(w.inputs(0, str(tmp_path)), tally), tally)
+    assert tally.failed == 0 and 0.0 < out.test_auc < 1.0

@@ -9,7 +9,8 @@ import pytest
 from missctr import autodiff as ad
 from missctr.autodiff import Tensor
 from missctr.data import SampleSet, Splits
-from missctr.errors import ConfigError, DegenerateDatasetError, NumericalError
+from missctr.errors import ConfigError, DegenerateDatasetError, FormatError, NumericalError
+from missctr.serialize import save_arrays
 from missctr.trainer import (
     AdamState,
     ExperimentConfig,
@@ -230,6 +231,16 @@ def test_checkpoint_mismatch_rejected(tmp_path):
     other = build_model(tiny_cfg(emb_dim=5), splits)
     with pytest.raises(ConfigError):
         load_checkpoint(path, other)
+
+
+def test_checkpoint_with_int64_record_rejected(tmp_path):
+    model = build_model(tiny_cfg(), make_toy_splits())
+    path = str(tmp_path / "ckpt.bin")
+    arrays = {k: v.data for k, v in model.parameters().items()}
+    arrays["base:mlp1_b"] = arrays["base:mlp1_b"].astype(np.int64)
+    save_arrays(path, arrays)
+    with pytest.raises(FormatError, match="'base:mlp1_b' is int64, not float64"):
+        load_checkpoint(path, model)
 
 
 # ---------------------------------------------------------------------------
