@@ -11,6 +11,13 @@ Gradients are never zeroed implicitly.  Leaf parameters keep their
 .grad until zero_grad is called on them, which is what lets an
 optimizer step read accumulated gradients and what makes the reset an
 explicit, visible part of the training loop.
+
+The gradient of a gathered table is row-sparse: gather_rows leaves
+(sorted unique rows, one summed gradient row each) on its table, never
+a table-sized array, and a second gather into the same table merges
+rows.  .grad still reads dense (it is built on first read), and every
+sum is the one a dense scatter-add into zeros would make, so sparse and
+dense gradients are bitwise equal.
 """
 
 from __future__ import annotations
@@ -36,16 +43,18 @@ def _as_f64(data) -> np.ndarray:
 class Tensor:
     """Dense float64 array with an optional gradient slot.
 
-    data and grad (when present) always share one shape and are stored
-    row-major.  requires_grad marks the tensor as a gradient sink;
-    tensors produced by ops inherit it from their inputs.
+    data is stored row-major.  The gradient is held dense, in data's
+    shape, or row-sparse, as a sorted unique row index array plus one
+    gradient row per index.  requires_grad marks the tensor as a
+    gradient sink; tensors produced by ops inherit it from their inputs.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "name")
+    __slots__ = ("data", "_grad", "_rows", "requires_grad", "_backward", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = _as_f64(data)
-        self.grad: np.ndarray | None = None
+        self._grad: np.ndarray | None = None
+        self._rows: np.ndarray | None = None  # None: _grad is dense
         self.requires_grad = requires_grad
         self._backward: Callable[[np.ndarray], None] | None = None
         self.name = name
@@ -58,18 +67,76 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The dense gradient; a row-sparse one is densified (and kept
+        dense) on read."""
+        if self._rows is not None:
+            self._grad = _scatter_rows(self._rows, self._grad, self.data.shape)
+            self._rows = None
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
+        self._rows = None
+
+    def grad_rows(self):
+        """The gradient without densifying it: (rows, g) such that the
+        dense gradient is zeros with g written at rows.  rows is an index
+        array for a row-sparse gradient and ... for a dense one; None
+        when there is no gradient."""
+        if self._grad is None:
+            return None
+        return (... if self._rows is None else self._rows), self._grad
+
     def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.copy()
+        if self._grad is None:
+            self._grad = g.copy()
         else:
-            self.grad = self.grad + g
+            self._grad = self.grad + g
+
+    def accumulate_rows(self, rows: np.ndarray, g: np.ndarray) -> None:
+        """Add a row-sparse gradient, rows sorted and unique; g is owned
+        from here on."""
+        if self._grad is None:
+            self._grad, self._rows = g, rows
+        elif self._rows is None:
+            self._grad = self._grad + _scatter_rows(rows, g, self.data.shape)
+        else:
+            self._rows, self._grad = _sum_rows(
+                np.concatenate([self._rows, rows]), np.concatenate([self._grad, g])
+            )
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self._grad = None
+        self._rows = None
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+
+
+def _sum_rows(idx: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the rows of g (n, K) that share an index in idx (n,); returns
+    the sorted unique indices and one summed row each.  Every sum starts
+    at +0.0 and adds its rows in input order, as np.add.at into zeros
+    does, so no sum is -0.0 and scattering the result into zeros is
+    bitwise the dense scatter-add."""
+    rows, inv = np.unique(idx, return_inverse=True)
+    k = g.shape[1]
+    sums = np.bincount(
+        (inv[:, None] * k + np.arange(k)).reshape(-1), weights=g.reshape(-1),
+        minlength=rows.size * k,
+    )
+    # bincount over an empty index returns int64, not float64
+    return rows, sums.astype(np.float64, copy=False).reshape(rows.size, k)
+
+
+def _scatter_rows(rows: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    full = np.zeros(shape)
+    full[rows] = g
+    return full
 
 
 def constant(data, name: str = "") -> Tensor:
@@ -376,7 +443,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup table[indices]; backward scatter-adds, so repeated
-    indices sum their gradients."""
+    indices sum their gradients.  The table's gradient is row-sparse:
+    only the rows looked up are held."""
     idx = np.asarray(indices)
     if table.ndim != 2:
         raise ShapeError(f"gather_rows needs a 2-d table, got shape {table.shape}")
@@ -388,9 +456,7 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     out = Tensor(table.data[idx])
 
     def backward(g):
-        acc = np.zeros_like(table.data)
-        np.add.at(acc, idx.reshape(-1), g.reshape(-1, table.shape[1]))
-        table.accumulate(acc)
+        table.accumulate_rows(*_sum_rows(idx.reshape(-1), g.reshape(-1, table.shape[1])))
 
     return _register(out, backward, table)
 

@@ -176,7 +176,10 @@ def dataset_path(args) -> str:
 def read_log(path: str, min_count: int) -> tuple[dt.InteractionLog, dt.FilterStats | None]:
     """The raw-TSV path of every dataset verb: ingest the log, then drop
     infrequent users and items when min_count is above 1 (the stats are
-    None otherwise)."""
+    None otherwise).  A min_count below 1 is a ConfigError, raised
+    before the file is read."""
+    if min_count < 1:
+        raise ConfigError(f"--min-count must be >= 1, got {min_count}")
     log = dt.ingest_log(path)
     if min_count > 1:
         return dt.filter_infrequent(log, min_count)

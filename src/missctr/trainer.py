@@ -246,31 +246,51 @@ def load_checkpoint(path: str, model: MissModel) -> None:
 
 @dataclass
 class AdamState:
+    """Step count, first and second moments, and per-parameter work
+    buffers (the update and its denominator), all kept across steps."""
+
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    work: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     t: int = 0
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam.  Parameters whose grad is None (not touched
-    by this step's graph) are left alone, moments included."""
+    """Bias-corrected Adam, in place.  Parameters whose grad is None (not
+    touched by this step's graph) are left alone, moments included.
+
+    A row-sparse gradient is read as its rows: every row's moments
+    decay, and only the rows held add their gradient terms.  A dense
+    gradient is the all-rows case.  The update is computed into the
+    parameter's work buffers, so a step allocates nothing table-sized.
+    Each value is the one the textbook dense expressions give, except
+    that an untouched row's moment that decays to -0.0 keeps its sign."""
     state.t += 1
     c1 = 1.0 - BETA1**state.t
     c2 = 1.0 - BETA2**state.t
     for name, p in params.items():
-        if p.grad is None:
+        held = p.grad_rows()
+        if held is None:
             continue
-        g = p.grad
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        p.data = p.data - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        rows, g = held
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+            state.work[name] = (np.empty_like(p.data), np.empty_like(p.data))
+        m, v = state.m[name], state.v[name]
+        update, denom = state.work[name]
+        m *= BETA1
+        m[rows] += (1.0 - BETA1) * g
+        v *= BETA2
+        v[rows] += (1.0 - BETA2) * g * g
+        # update = lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, out=update)
+        update *= lr
+        np.divide(v, c2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update /= denom
+        p.data -= update
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Naive per-sample reference implementations shared by the extractor,
-contrastive-loss and ranking-metric tests: scalar loops in the
-library's own tap order, so the extractor oracles can be compared
-bitwise."""
+"""Naive reference implementations shared by the extractor,
+contrastive-loss, ranking-metric, gather and optimizer tests: scalar
+loops in the library's own tap order, so the extractor oracles can be
+compared bitwise, and the dense textbook forms of the row-sparse
+gather gradient and of the Adam step."""
 
 import numpy as np
 
@@ -62,3 +63,21 @@ def brute_force_auc(scores, labels):
         for n in neg:
             total += 1.0 if p > n else (0.5 if p == n else 0.0)
     return total / (len(pos) * len(neg))
+
+
+def dense_scatter_add(n_rows, idx, g):
+    """Gradient of table[idx] for upstream g, as a dense table: np.add.at
+    of g's rows into zeros, in index order."""
+    k = g.shape[-1]
+    out = np.zeros((n_rows, k))
+    np.add.at(out, np.asarray(idx).reshape(-1), g.reshape(-1, k))
+    return out
+
+
+def textbook_adam(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """One dense bias-corrected Adam step at step count t; returns the
+    new (p, m, v)."""
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    p = p - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    return p, m, v

@@ -1,8 +1,13 @@
 """Unit tests for the reverse-mode tape: op-level examples plus a
 finite-difference sweep over every registered operator."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dense_scatter_add
 
 from missctr import autodiff as ad
 from missctr.errors import ShapeError
@@ -194,6 +199,82 @@ def test_gather_rows_scatter_add():
     expected[1] = 2.0
     expected[3] = 1.0
     np.testing.assert_array_equal(table.grad, expected)
+
+
+def _with_signed_zeros(rng, shape):
+    x = rng.standard_normal(shape)
+    x[rng.random(shape) < 0.2] = -0.0
+    x[rng.random(shape) < 0.1] = 0.0
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_rows=st.integers(1, 6),
+    k=st.integers(1, 3),
+    index_shapes=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=3),
+                          min_size=1, max_size=3),
+    dense=st.sampled_from(["none", "first", "last"]),
+    dense_op=st.sampled_from(["matmul", "mul"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gather_rows_backward_matches_dense_scatter_add(
+    n_rows, k, index_shapes, dense, dense_op, seed
+):
+    # one or more gathers into one table (repeated, multi-dimensional or
+    # empty indices), optionally beside a dense op that reads the whole
+    # table; the gradient must be the dense sum of the same parts, byte
+    # for byte, signed zeros included
+    rng = np.random.default_rng(seed)
+    table = ad.parameter(rng.standard_normal((n_rows, k)))
+    w = ad.constant(rng.standard_normal((k, 2)))
+    graph = ad.fresh_graph()
+    terms, parts, looked_up = [], [], []
+
+    def dense_term():
+        if dense_op == "matmul":
+            up = _with_signed_zeros(rng, (n_rows, 2))
+            terms.append(ad.tsum(ad.mul(ad.matmul(table, w), ad.constant(up))))
+            parts.append(up @ w.data.T)
+        else:  # its gradient keeps the signed zeros of up
+            up = _with_signed_zeros(rng, (n_rows, k))
+            terms.append(ad.tsum(ad.mul(table, ad.constant(up))))
+            parts.append(up)
+
+    if dense == "first":
+        dense_term()
+    for shape in index_shapes:
+        idx = rng.integers(0, n_rows, size=shape)
+        looked_up.append(idx.reshape(-1))
+        up = _with_signed_zeros(rng, (*shape, k))
+        terms.append(ad.tsum(ad.mul(ad.gather_rows(table, idx), ad.constant(up))))
+        parts.append(dense_scatter_add(n_rows, idx, up))
+    if dense == "last":
+        dense_term()
+    graph.backward(reduce(ad.add, terms))
+
+    if dense == "none":  # held as the rows looked up, before .grad densifies
+        rows, held = table.grad_rows()
+        np.testing.assert_array_equal(rows, np.unique(np.concatenate(looked_up)))
+        assert held.shape == (rows.size, k)
+    # the sweep runs the tape backwards: the last part arrives first
+    want = parts[-1].copy()
+    for part in reversed(parts[:-1]):
+        want = want + part
+    assert table.grad.tobytes() == want.tobytes()
+
+
+def test_gather_rows_gradient_holds_only_the_rows_looked_up():
+    table = ad.parameter(np.zeros((1000, 3)))
+    graph = ad.fresh_graph()
+    a = ad.gather_rows(table, np.array([[7, 2], [7, 999]]))
+    b = ad.gather_rows(table, np.array([2, 40]))
+    graph.backward(ad.add(ad.tsum(a), ad.tsum(b)))
+    rows, held = table.grad_rows()
+    np.testing.assert_array_equal(rows, [2, 7, 40, 999])
+    np.testing.assert_array_equal(held, [[2.0] * 3, [2.0] * 3, [1.0] * 3, [1.0] * 3])
+    assert table.grad.shape == (1000, 3)  # read dense, and kept dense
+    assert table.grad_rows()[0] is ...
 
 
 def test_gather_rows_out_of_range():

@@ -213,6 +213,21 @@ def test_train_with_fewer_rows_than_a_batch_exits_2(tmp_path, capsys):
     assert "80 training rows" in err and "batch_size 128" in err
 
 
+@pytest.mark.parametrize("verb", ["ingest", "train", "sweep", "robustness"])
+@pytest.mark.parametrize("min_count", ["0", "-3"])
+def test_min_count_below_one_exits_1(tmp_path, capsys, verb, min_count):
+    corpus = synth_corpus(tmp_path)
+    out = tmp_path / "out"
+    extra = {"sweep": ["--axis", "temperature", "--grid", "0.1"],
+             "robustness": ["--kind", "noise", "--rates", "0.1"]}.get(verb, [])
+    code = run([verb, "--dataset", corpus, "--out-dir", str(out), "--min-count", min_count,
+                *TINY, *extra])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"--min-count must be >= 1, got {min_count}" in err
+    assert not (out / "config.txt").exists()
+
+
 def test_non_text_dataset_exits_2_naming_path(tmp_path, capsys):
     container = str(tmp_path / "checkpoint.bin")  # an array container, not a snapshot
     save_arrays(container, {"w": np.linspace(-1.0, 1.0, 64)})

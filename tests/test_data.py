@@ -5,9 +5,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from missctr import data as D
-from missctr.errors import ConfigError, DataError, DegenerateDatasetError, FormatError
+from missctr.errors import ConfigError, DataError, DegenerateDatasetError, FormatError, MissError
 from missctr.serialize import load_arrays, save_arrays
 
 
@@ -106,6 +108,58 @@ def test_ingest_binary_file_is_format_error(tmp_path):
 def test_ingest_empty_file(tmp_path):
     with pytest.raises(DataError):
         D.ingest_log(write(tmp_path, "log.tsv", ""))
+
+
+# fuzz: any byte input parses or raises a MissError, within a deadline
+
+
+@pytest.fixture(scope="module")
+def real_log(tmp_path_factory):
+    """A directory for fuzz inputs and the bytes of a small real log."""
+    d = tmp_path_factory.mktemp("tsv")
+    D.write_log_tsv(D.synth_generate(8, 8, 2, (4, 6), seed=0), str(d / "log.tsv"))
+    return d, (d / "log.tsv").read_bytes()
+
+
+def _ingest(d, body: bytes) -> None:
+    path = d / "fuzz.tsv"
+    path.write_bytes(body)
+    try:
+        D.ingest_log(str(path))
+    except MissError:
+        pass
+
+
+FUZZ = settings(max_examples=150, deadline=2000)
+# text made of the log's own separators and token characters gets past
+# UTF-8 decoding, where arbitrary bytes mostly stop
+TSV_TEXT = st.text(alphabet="\t\n\r u1i0-9_x é", max_size=400).map(str.encode)
+
+
+@FUZZ
+@given(body=st.one_of(st.binary(max_size=400), TSV_TEXT))
+def test_fuzz_ingest_arbitrary_bytes(real_log, body):
+    _ingest(real_log[0], body)
+
+
+@FUZZ
+@given(cut=st.floats(0.0, 1.0))
+def test_fuzz_ingest_truncated_real_log(real_log, cut):
+    d, blob = real_log
+    _ingest(d, blob[: int(cut * len(blob))])
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzz_ingest_byte_flips_of_real_log(real_log, data):
+    d, blob = real_log
+    blob = bytearray(blob)
+    flips = data.draw(st.lists(
+        st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)), min_size=1, max_size=4
+    ))
+    for pos, value in flips:
+        blob[pos] = value
+    _ingest(d, bytes(blob))
 
 
 # ---------------------------------------------------------------------------

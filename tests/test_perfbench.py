@@ -1,6 +1,6 @@
-"""Smoke runs of the benchmark's miss-gate and ingest-eval workloads at
-a tiny size: the workloads and the tracer are imported from perfbench/
-as they are, and no timing is checked."""
+"""Smoke runs of the benchmark's three workloads at a tiny size: the
+workloads and the tracer are imported from perfbench/ as they are, and
+no timing is checked."""
 
 import sys
 from pathlib import Path
@@ -31,6 +31,27 @@ def test_tiny_miss_gate_traced_equals_untraced(tmp_path):
     layer = tr.layer_metrics()
     # one conv1d node per kernel (6 kernels at 2 branches x 2 depths)
     assert layer["autodiff.tape_nodes_per_step"] == 212
+
+
+def test_tiny_din_vocab_traced_equals_untraced(tmp_path):
+    w = workloads.DinVocab()
+    w.n_users = 300
+    w.n_steps = 5
+    tally = workloads.Tally()
+    tally.probe_every_s = float("inf")
+    ctx = w.setup(w.inputs(0, str(tmp_path)), tally)
+
+    plain = w.repeat(ctx, tally)
+    with tracer.Tracer() as tr:
+        traced = w.repeat(ctx, tally)
+
+    assert tally.failed == 0
+    assert traced.test_auc == plain.test_auc
+    assert traced.state.keys() == plain.state.keys()
+    for k, a in plain.state.items():
+        assert a.shape == traced.state[k].shape and a.tobytes() == traced.state[k].tobytes(), k
+    assert tr.n_steps == w.n_steps
+    assert tr.layer_metrics()["autodiff.tape_nodes_per_step"] == 46
 
 
 def test_tiny_ingest_eval_snapshot_round_trip(tmp_path):

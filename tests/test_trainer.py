@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import dense_scatter_add, textbook_adam
 
 from missctr import autodiff as ad
 from missctr.autodiff import Tensor
@@ -185,6 +186,52 @@ def test_adam_two_step_trace():
         adam_step({"p": p}, state, lr=lr)
     assert np.allclose(p.data, np.array(want), rtol=1e-14, atol=0)
     assert state.t == 2
+
+
+def test_row_sparse_adam_is_the_textbook_dense_step():
+    # a different touched row set each step, an empty one included;
+    # rows 0, 4, 6 and 9-11 are never touched after init
+    rng = np.random.default_rng(0)
+    n, k, lr = 12, 3, 0.05
+    init = rng.uniform(-1.0, 1.0, (n, k))
+    sparse = Tensor(init.copy(), requires_grad=True)
+    dense = Tensor(init.copy(), requires_grad=True)
+    s_sparse, s_dense = AdamState(), AdamState()
+    want, m, v = init.copy(), np.zeros((n, k)), np.zeros((n, k))
+    for t, ids in enumerate([[3, 1, 3], [5], [1, 7, 8, 7], [], [2, 5], [3]], start=1):
+        idx = np.array(ids, dtype=np.int64)
+        up = rng.standard_normal((idx.size, k))
+        sparse.zero_grad()
+        graph = ad.fresh_graph()
+        graph.backward(ad.tsum(ad.mul(ad.gather_rows(sparse, idx), ad.constant(up))))
+        np.testing.assert_array_equal(sparse.grad_rows()[0], np.unique(idx))
+        g = dense_scatter_add(n, idx, up)
+        dense.grad = g.copy()
+        adam_step({"p": sparse}, s_sparse, lr)
+        adam_step({"p": dense}, s_dense, lr)
+        want, m, v = textbook_adam(want, m, v, g, t, lr)
+        assert sparse.data.tobytes() == want.tobytes(), t
+        assert dense.data.tobytes() == want.tobytes(), t
+        for state in (s_sparse, s_dense):
+            np.testing.assert_array_equal(state.m["p"], m)
+            np.testing.assert_array_equal(state.v["p"], v)
+    np.testing.assert_array_equal(sparse.data[[0, 4, 6, 9, 10, 11]], init[[0, 4, 6, 9, 10, 11]])
+
+
+def test_din_step_holds_user_table_gradient_as_batch_rows():
+    splits = make_toy_splits(n_train=256)
+    rng = np.random.default_rng(1)
+    splits.train.cat[:, 0] = rng.integers(2, 5000, size=splits.train.n)
+    splits.vocab_sizes["user"] = 5000
+    cfg = tiny_cfg(model="din", batch_size=32)
+    model = build_model(cfg, splits)
+    idx = np.arange(cfg.batch_size)
+    train_step(model, splits.train, idx, None, AdamState(), model.base_parameters(), step=0)
+    # grad_rows, not .grad: reading .grad densifies
+    rows, held = model.tables["user"].grad_rows()
+    assert isinstance(rows, np.ndarray) and rows.size <= cfg.batch_size
+    np.testing.assert_array_equal(rows, np.unique(splits.train.cat[idx, 0]))
+    assert held.shape == (rows.size, cfg.emb_dim)
 
 
 # ---------------------------------------------------------------------------
