@@ -56,10 +56,15 @@ for p in range(plan.branch.shape[0]):
         print(f"  pair {p}, user {u}: branch width {plan.branch[p, u] + 1}, "
               f"anchor {plan.anchor[p, u]}, offset {plan.offset[p, u]}")
 
+# each view side comes back as one stack, pair-major: with n users
+# contributing, row p*n + u is pair p, user u; reshaped to
+# (pairs, n, width), every pair set gets its own softmax over its users
 views = it.gather_interest_views(bank, plan)
 enc = it.init_encoder(J * K, (8,), rng, "enc")
-loss = it.mean_infonce([(it.encode(a, enc), it.encode(b, enc)) for a, b in views], tau=0.5)
-print(f"\ncontrastive loss over {len(views)} batched pair sets: {float(loss.data):.4f}")
-sim = it.view_similarity_stats(views)
+slots = (plan.n_pairs, -1, 8)
+z1, z2 = (ad.reshape(it.encode(v, enc), slots) for v in views)
+loss = it.infonce(z1, z2, tau=0.5)
+print(f"\ncontrastive loss over {plan.n_pairs} batched pair sets: {float(loss.data):.4f}")
+sim = it.view_similarity_stats([views])
 print(f"raw view cosine before encoding: mean {sim[0]:+.3f} "
       f"(min {sim[1]:+.3f}, max {sim[2]:+.3f})")

@@ -428,15 +428,17 @@ def conv1d(x: Tensor, kernel: Tensor, axis: int) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """a (..., m, k) @ b (..., k, n): equal leading axes are a batch, one
+    matrix product per leading index."""
+    if a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate(g @ b.data.T)
+            a.accumulate(g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            b.accumulate(a.data.T @ g)
+            b.accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
     return _register(out, backward, a, b)
 
@@ -462,20 +464,21 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
 
 
 def normalize_rows(x: Tensor, eps: float = COSINE_EPS) -> Tensor:
-    """Divide each row by max(its L2 norm, eps).  Row products of two
+    """Divide each row (vector along the last axis) by max(its L2 norm,
+    eps); leading axes are a batch of matrices.  Row products of two
     normalized matrices are then exactly the floored cosine values."""
-    if x.ndim != 2:
+    if x.ndim < 2:
         raise ShapeError(f"normalize_rows needs a matrix, got shape {x.shape}")
-    norms = np.linalg.norm(x.data, axis=1)
-    r = np.maximum(norms, eps)
-    y = x.data / r[:, None]
+    norms = np.linalg.norm(x.data, axis=-1)
+    r = np.maximum(norms, eps)[..., None]
+    y = x.data / r
     out = Tensor(y)
-    live = norms > eps
+    live = (norms > eps)[..., None]
 
     def backward(g):
         # d(x/r)/dx with r = ||x||: (g - y (y.g)) / r; below the floor r is constant.
-        proj = (y * g).sum(axis=1, keepdims=True)
-        gx = np.where(live[:, None], (g - y * proj) / r[:, None], g / r[:, None])
+        proj = (y * g).sum(axis=-1, keepdims=True)
+        gx = np.where(live, (g - y * proj) / r, g / r)
         x.accumulate(gx)
 
     return _register(out, backward, x)

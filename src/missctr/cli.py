@@ -325,19 +325,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, cast: type) -> list:
+    """A comma- or space-separated flag value, each item through cast."""
     try:
-        vals = [float(p) for p in text.replace(",", " ").split() if p]
-    except ValueError as exc:
-        raise ConfigError(f"bad {flag} list: {exc}") from exc
-    if not vals:
-        raise ConfigError(f"{flag} list is empty")
-    return vals
-
-
-def _parse_ints(text: str, flag: str) -> list[int]:
-    try:
-        vals = [int(p) for p in text.replace(",", " ").split() if p]
+        vals = [cast(p) for p in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"bad {flag} list: {exc}") from exc
     if not vals:
@@ -349,8 +340,8 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     out_dir = resolve_out_dir(args)
     splits = load_dataset(args, cfg)
-    grid = _parse_floats(args.grid, "--grid")
-    seeds = _parse_ints(args.seeds, "--seeds")
+    grid = _parse_list(args.grid, "--grid", float)
+    seeds = _parse_list(args.seeds, "--seeds", int)
     report = sweep(args.axis, grid, cfg, splits, seeds)
     path = write_sweep_report(report, out_dir, dataset_tag(args))
     write_resolved_config(
@@ -367,8 +358,8 @@ def cmd_robustness(args) -> int:
     cfg = resolve_config(args)
     out_dir = resolve_out_dir(args)
     splits = load_dataset(args, cfg)
-    rates = _parse_floats(args.rates, "--rates")
-    seeds = _parse_ints(args.seeds, "--seeds")
+    rates = _parse_list(args.rates, "--rates", float)
+    seeds = _parse_list(args.seeds, "--seeds", int)
     cfg_miss = replace(cfg, model="din-miss")
     cfg_base = replace(cfg, model="din")
     report = robustness_study(args.kind, rates, cfg_base, cfg_miss, splits, seeds)

@@ -12,12 +12,14 @@ views.
 Two InfoNCE losses sit on top.  The interest loss draws, per pair slot,
 a branch, a time offset h, and an anchor column, and treats columns l
 and l+h as the two views of one sample.  The feature loss draws a
-refined slice, one valid time column, and two distinct rows.  Views are
-passed through small weight-only MLP encoders (shared across the two
-views), and the softmax denominator runs over the whole batch,
-including the positive itself.  Samples whose sequences are too short
-to form a view pair drop out of the loss and are counted, never
-imputed.
+refined slice, one valid time column, and two distinct rows.  The slot
+is an array axis: the P slots of a loss share its n contributing rows,
+so each view side is one slot-major (P*n, D) stack (row p*n + i is slot
+p, contributor i), gathered once and passed once through a small
+weight-only MLP encoder shared by both sides.  One InfoNCE call on the
+(P, n, d) reshape gives every slot its own softmax over its n rows, the
+positive included.  Samples whose sequences are too short to form a
+view pair drop out of the loss and are counted, never imputed.
 """
 
 from __future__ import annotations
@@ -296,10 +298,10 @@ def sample_feature_plan(
 # view gathering
 
 
-def gather_interest_views(bank: InterestBank, plan: InterestPlan) -> list[tuple[Tensor, Tensor]]:
-    """For each pair slot, two (n, J*K) matrices of flattened columns at
-    l and l+h.  All branches are flattened into one row table so a
-    single gather serves mixed-branch plans."""
+def gather_interest_views(bank: InterestBank, plan: InterestPlan) -> tuple[Tensor, Tensor]:
+    """The two (P*n, J*K) view stacks, slot-major: flattened columns at l
+    and l+h.  All branches are flattened into one row table so a single
+    gather per side serves every slot of a mixed-branch plan."""
     flats, offsets = [], []
     base = 0
     for branch in bank.branches:
@@ -314,11 +316,11 @@ def gather_interest_views(bank: InterestBank, plan: InterestPlan) -> list[tuple[
 
     idx1 = offs[plan.branch] + plan.rows * lens[plan.branch] + plan.anchor
     idx2 = idx1 + plan.offset
-    return [(ad.gather_rows(table, idx1[p]), ad.gather_rows(table, idx2[p])) for p in range(plan.n_pairs)]
+    return ad.gather_rows(table, idx1.reshape(-1)), ad.gather_rows(table, idx2.reshape(-1))
 
 
-def gather_feature_views(fine: FineBank, plan: FeaturePlan) -> list[tuple[Tensor, Tensor]]:
-    """For each pair slot, two (n, K) matrices: same slice and column,
+def gather_feature_views(fine: FineBank, plan: FeaturePlan) -> tuple[Tensor, Tensor]:
+    """The two (P*n, K) view stacks, slot-major: same slice and column,
     distinct rows.  Every slice is flattened into one row table, and a
     (branch, depth) -> (offset, rows, columns) lookup turns the whole
     plan into table rows at once."""
@@ -339,7 +341,7 @@ def gather_feature_views(fine: FineBank, plan: FeaturePlan) -> list[tuple[Tensor
     off, nj, nl = np.moveaxis(meta[slot[plan.branch, plan.depth]], -1, 0)
     idx1 = off + (plan.rows * nj + plan.row_a) * nl + plan.anchor
     idx2 = off + (plan.rows * nj + plan.row_b) * nl + plan.anchor
-    return [(ad.gather_rows(table, idx1[p]), ad.gather_rows(table, idx2[p])) for p in range(plan.n_pairs)]
+    return ad.gather_rows(table, idx1.reshape(-1)), ad.gather_rows(table, idx2.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -383,35 +385,26 @@ def encode(x: Tensor, enc: EncoderParams) -> Tensor:
 def infonce(z1: Tensor, z2: Tensor, tau: float) -> Tensor:
     """-mean_x log( exp(cos(z1_x, z2_x)/tau) / sum_x' exp(cos(z1_x, z2_x')/tau) ).
 
-    The denominator runs over every batch row including x itself.  The
-    row-max shift is detached, which leaves gradients exact while
-    keeping exp bounded for any tau > 0.
+    z1 and z2 are (..., n, d): each leading index is one pair slot whose
+    denominator runs over its own n rows, x itself included, and the
+    mean runs over every slot and row.  The row-max shift is detached,
+    which leaves gradients exact while keeping exp bounded for any
+    tau > 0.
     """
     if tau <= 0.0:
         raise ConfigError(f"temperature must be positive, got {tau}")
-    if z1.shape != z2.shape or z1.shape[0] < 2:
+    if z1.shape != z2.shape or z1.ndim < 2 or z1.shape[-2] < 2:
         raise ShapeError(f"need two equal view matrices with >= 2 rows, got {z1.shape} and {z2.shape}")
-    n = z1.shape[0]
-    s = ad.matmul(ad.normalize_rows(z1), ad.transpose(ad.normalize_rows(z2), (1, 0)))
+    flip = (*range(z1.ndim - 2), z1.ndim - 1, z1.ndim - 2)
+    s = ad.matmul(ad.normalize_rows(z1), ad.transpose(ad.normalize_rows(z2), flip))
     logits = ad.scale(s, 1.0 / tau)
-    shift = ad.constant(logits.data.max(axis=1, keepdims=True))
+    shift = ad.constant(logits.data.max(axis=-1, keepdims=True))
     lse = ad.add(
-        ad.tlog(ad.tsum(ad.texp(ad.sub(logits, shift)), axis=1)),
-        ad.constant(shift.data[:, 0]),
+        ad.tlog(ad.tsum(ad.texp(ad.sub(logits, shift)), axis=-1)),
+        ad.constant(shift.data[..., 0]),
     )
-    pos = ad.tsum(ad.mul(logits, ad.constant(np.eye(n))), axis=1)
+    pos = ad.tsum(ad.mul(logits, ad.constant(np.eye(z1.shape[-2]))), axis=-1)
     return ad.tmean(ad.sub(lse, pos))
-
-
-def mean_infonce(pairs: list[tuple[Tensor, Tensor]], tau: float) -> Tensor | None:
-    """Average the loss over pair slots; None when nothing contributed."""
-    terms = [infonce(z1, z2, tau) for z1, z2 in pairs if z1.shape[0] >= 2]
-    if not terms:
-        return None
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(terms))
 
 
 def view_similarity_stats(pairs: list[tuple[Tensor, Tensor]]) -> tuple[float, float, float]:
@@ -430,6 +423,16 @@ def view_similarity_stats(pairs: list[tuple[Tensor, Tensor]]) -> tuple[float, fl
 
 # ---------------------------------------------------------------------------
 # one-call orchestration for the trainer
+
+
+def _contrast(
+    views: tuple[Tensor, Tensor], enc: EncoderParams, n_pairs: int, tau: float
+) -> tuple[Tensor, tuple[Tensor, Tensor]]:
+    """Encode both (P*n, D) view stacks and score all P slots in one
+    InfoNCE; returns the loss and the flat encodings."""
+    z1, z2 = (encode(v, enc) for v in views)
+    slots = (n_pairs, -1, z1.shape[1])
+    return infonce(ad.reshape(z1, slots), ad.reshape(z2, slots), tau), (z1, z2)
 
 
 @dataclass
@@ -468,20 +471,15 @@ def ssl_forward(
         iplan = sample_interest_plan(bank, n_pairs_interest, max_offset, rng)
         fplan = sample_feature_plan(bank, fine, n_pairs_feature, rng)
 
-    all_pairs: list[tuple[Tensor, Tensor]] = []
-    loss_i = None
+    encoded: list[tuple[Tensor, Tensor]] = []
+    loss_i = loss_f = None
     if iplan.rows.size >= 2 and iplan.n_pairs > 0:
-        raw = gather_interest_views(bank, iplan)
-        enc_pairs = [(encode(a, enc_interest), encode(b, enc_interest)) for a, b in raw]
-        loss_i = mean_infonce(enc_pairs, tau)
-        all_pairs += enc_pairs
-    loss_f = None
+        loss_i, z = _contrast(gather_interest_views(bank, iplan), enc_interest, iplan.n_pairs, tau)
+        encoded.append(z)
     if fplan.rows.size >= 2 and fplan.n_pairs > 0 and fine.maps:
-        raw = gather_feature_views(fine, fplan)
-        enc_pairs = [(encode(a, enc_feature), encode(b, enc_feature)) for a, b in raw]
-        loss_f = mean_infonce(enc_pairs, tau)
-        all_pairs += enc_pairs
-    mean_s, min_s, max_s = view_similarity_stats(all_pairs)
+        loss_f, z = _contrast(gather_feature_views(fine, fplan), enc_feature, fplan.n_pairs, tau)
+        encoded.append(z)
+    mean_s, min_s, max_s = view_similarity_stats(encoded)
     return SslOut(
         loss_interest=loss_i,
         loss_feature=loss_f,

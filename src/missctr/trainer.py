@@ -11,6 +11,7 @@ built and no extra randomness is consumed.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 from functools import reduce
 
@@ -95,10 +96,16 @@ class ExperimentConfig:
             raise ConfigError(f"emb_dim must be >= 1, got {self.emb_dim}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if not self.mlp or self.mlp[-1] != 1:
+        for name in ("mlp", "enc_interest", "enc_feature"):
+            sizes = getattr(self, name)
+            if not sizes or min(sizes) < 1:
+                got = ",".join(map(str, sizes)) or "none"
+                raise ConfigError(f"{name} widths must be >= 1, got {got}")
+        if self.mlp[-1] != 1:
             raise ConfigError(f"mlp sizes must end in 1, got {self.mlp}")
-        if not self.enc_interest or not self.enc_feature:
-            raise ConfigError("encoder size lists must be non-empty")
+        for name in ("lr", "tau", "alpha_interest", "alpha_feature"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.alpha_interest < 0 or self.alpha_feature < 0:
@@ -454,12 +461,12 @@ def _run_epochs(
     include_ll: bool,
     include_ssl: bool,
     early_stop: bool,
-    epoch_offset: int,
-    step_offset: int,
     telemetry: list[StepRow],
     history: list[EpochRow],
-) -> tuple[int, float, int]:
-    """Shared epoch loop; returns (best_epoch, best_val_auc, next_step)."""
+) -> tuple[int, float]:
+    """Shared epoch loop, appending to telemetry and history; epochs and
+    steps are numbered on from the rows already there.  Returns
+    (best_epoch, best_val_auc)."""
     cfg = model.cfg
     if splits.train.n < cfg.batch_size:
         raise DegenerateDatasetError(
@@ -472,27 +479,26 @@ def _run_epochs(
     best_epoch = -1
     best_state: dict[str, np.ndarray] | None = None
     wait = 0
-    step = step_offset
-    for epoch in range(n_epochs):
+    first_epoch = len(history)
+    for epoch in range(first_epoch, first_epoch + n_epochs):
         batches = make_batches(
             splits.train.n, cfg.batch_size,
-            shuffle=True, seed=[cfg.seed, 2, epoch_offset + epoch], drop_partial=True,
+            shuffle=True, seed=[cfg.seed, 2, epoch], drop_partial=True,
         )
         rows = []
         for idx in batches:
             row = train_step(
-                model, splits.train, idx, ssl_rng, optimizer, params, step,
+                model, splits.train, idx, ssl_rng, optimizer, params, len(telemetry),
                 include_ll=include_ll, include_ssl=include_ssl,
             )
             rows.append(row)
             telemetry.append(row)
-            step += 1
         scores = predict_scores(model, splits.valid, cfg.batch_size)
         val_auc = auc(scores, splits.valid.label)
         val_ll = logloss_value(scores, splits.valid.label)
         history.append(
             EpochRow(
-                epoch=epoch_offset + epoch,
+                epoch=epoch,
                 loss_ll=_epoch_mean(rows, "loss_ll"),
                 loss_interest=_epoch_mean(rows, "loss_interest"),
                 loss_feature=_epoch_mean(rows, "loss_feature"),
@@ -502,23 +508,23 @@ def _run_epochs(
         )
         log.info(
             "epoch %d: ll=%.5f int=%.5f feat=%.5f val_auc=%.5f",
-            epoch_offset + epoch, history[-1].loss_ll,
+            epoch, history[-1].loss_ll,
             history[-1].loss_interest, history[-1].loss_feature, val_auc,
         )
         if val_auc > best_auc:
             best_auc = val_auc
-            best_epoch = epoch_offset + epoch
+            best_epoch = epoch
             best_state = {k: p.data.copy() for k, p in params.items()}
             wait = 0
         else:
             wait += 1
             if early_stop and wait >= cfg.patience:
-                log.info("early stop after epoch %d", epoch_offset + epoch)
+                log.info("early stop after epoch %d", epoch)
                 break
     if early_stop and best_state is not None:
         for k, p in params.items():
             p.data = best_state[k]
-    return best_epoch, best_auc, step
+    return best_epoch, best_auc
 
 
 def train_joint(cfg: ExperimentConfig, splits: Splits) -> TrainResult:
@@ -527,11 +533,10 @@ def train_joint(cfg: ExperimentConfig, splits: Splits) -> TrainResult:
     telemetry: list[StepRow] = []
     history: list[EpochRow] = []
     params = model.parameters() if cfg.ssl_enabled else model.base_parameters()
-    best_epoch, best_auc, _ = _run_epochs(
+    best_epoch, best_auc = _run_epochs(
         model, splits, params,
         n_epochs=cfg.epochs, include_ll=True, include_ssl=True,
-        early_stop=True, epoch_offset=0, step_offset=0,
-        telemetry=telemetry, history=history,
+        early_stop=True, telemetry=telemetry, history=history,
     )
     return TrainResult(model, history, telemetry, best_epoch, best_auc)
 
@@ -548,14 +553,12 @@ def train_pretrain(cfg: ExperimentConfig, splits: Splits) -> TrainResult:
     _run_epochs(
         model, splits, model.ssl_parameters(),
         n_epochs=cfg.epochs, include_ll=False, include_ssl=True,
-        early_stop=False, epoch_offset=0, step_offset=0,
-        telemetry=telemetry, history=history,
+        early_stop=False, telemetry=telemetry, history=history,
     )
-    best_epoch, best_auc, _ = _run_epochs(
+    best_epoch, best_auc = _run_epochs(
         model, splits, model.base_parameters(),
         n_epochs=cfg.epochs, include_ll=True, include_ssl=False,
-        early_stop=True, epoch_offset=cfg.epochs, step_offset=len(telemetry),
-        telemetry=telemetry, history=history,
+        early_stop=True, telemetry=telemetry, history=history,
     )
     return TrainResult(model, history, telemetry, best_epoch, best_auc)
 

@@ -303,6 +303,9 @@ OP_CASES = {
     "mul_broadcast": lambda p: ad.tmean(ad.mul(p["a23"], p["b3"])),
     "scale": lambda p: ad.tsum(ad.scale(p["a23"], -1.7)),
     "matmul": lambda p: ad.tsum(ad.matmul(p["a23"], p["w34"])),
+    "matmul_batched": lambda p: ad.tsum(
+        ad.mul(ad.matmul(ad.reshape(p["a43"], (2, 2, 3)), ad.reshape(p["w34"], (2, 3, 2))), p["b2"])
+    ),
     "relu": lambda p: ad.tsum(ad.relu(p["offzero"])),
     "sigmoid": lambda p: ad.tsum(ad.sigmoid(p["a23"])),
     "exp": lambda p: ad.tsum(ad.texp(p["a23"])),

@@ -228,6 +228,29 @@ def test_min_count_below_one_exits_1(tmp_path, capsys, verb, min_count):
     assert not (out / "config.txt").exists()
 
 
+BAD_VALUES = [
+    ("--alpha-interest", "nan", "must be finite"),
+    ("--alpha-feature", "inf", "must be finite"),
+    ("--lr", "nan", "must be finite"),
+    ("--lr", "inf", "must be finite"),
+    ("--tau", "nan", "must be finite"),
+    ("--tau", "inf", "must be finite"),
+    ("--mlp", "8,0,1", "widths must be >= 1"),
+    ("--enc-feature", "5,0", "widths must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("flag, value, reason", BAD_VALUES, ids=[f"{f}={v}" for f, v, _ in BAD_VALUES])
+def test_non_finite_rate_or_zero_width_exits_1(tmp_path, capsys, flag, value, reason):
+    corpus = synth_corpus(tmp_path)
+    out = tmp_path / "out"
+    code = run(["train", "--dataset", corpus, "--out-dir", str(out), *TINY, flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{flag[2:].replace('-', '_')} {reason}, got {value}" in err
+    assert not (out / "config.txt").exists()
+
+
 def test_non_text_dataset_exits_2_naming_path(tmp_path, capsys):
     container = str(tmp_path / "checkpoint.bin")  # an array container, not a snapshot
     save_arrays(container, {"w": np.linspace(-1.0, 1.0, 64)})

@@ -303,29 +303,31 @@ def test_max_offset_validation():
 def test_gathered_interest_views_match_direct_indexing():
     mid, _ = bank_for_lengths([6, 4, 5], 6, 2, seed=10)
     plan = I.sample_interest_plan(mid, 3, 3, np.random.default_rng(10))
-    views = I.gather_interest_views(mid, plan)
-    for p, (z1, z2) in enumerate(views):
+    z1, z2 = I.gather_interest_views(mid, plan)
+    n = plan.rows.size
+    for p in range(plan.n_pairs):
         for ci, b in enumerate(plan.rows):
             m = plan.branch[p, ci]
             l = plan.anchor[p, ci]
             h = plan.offset[p, ci]
             expect1 = mid.branches[m].data[b, :, l, :].reshape(-1)
             expect2 = mid.branches[m].data[b, :, l + h, :].reshape(-1)
-            assert np.array_equal(z1.data[ci], expect1)
-            assert np.array_equal(z2.data[ci], expect2)
+            assert np.array_equal(z1.data[p * n + ci], expect1)
+            assert np.array_equal(z2.data[p * n + ci], expect2)
 
 
 def test_gathered_feature_views_match_direct_indexing():
     mid, bank = bank_for_lengths([6, 5], 6, 2, seed=11)
     fine = I.mimfe_forward(mid, bank)
     plan = I.sample_feature_plan(mid, fine, 3, np.random.default_rng(11))
-    views = I.gather_feature_views(fine, plan)
-    for p, (z1, z2) in enumerate(views):
+    z1, z2 = I.gather_feature_views(fine, plan)
+    n = plan.rows.size
+    for p in range(plan.n_pairs):
         for ci, b in enumerate(plan.rows):
             key = (int(plan.branch[p, ci]), int(plan.depth[p, ci]))
             l = plan.anchor[p, ci]
-            assert np.array_equal(z1.data[ci], fine.maps[key].data[b, plan.row_a[p, ci], l, :])
-            assert np.array_equal(z2.data[ci], fine.maps[key].data[b, plan.row_b[p, ci], l, :])
+            assert np.array_equal(z1.data[p * n + ci], fine.maps[key].data[b, plan.row_a[p, ci], l, :])
+            assert np.array_equal(z2.data[p * n + ci], fine.maps[key].data[b, plan.row_b[p, ci], l, :])
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +427,23 @@ def test_infonce_gradient_fd():
     assert report.ok, "\n".join(report.lines())
 
 
+def test_stacked_infonce_is_the_mean_of_its_slots():
+    # (P, n, d) scores each slot with its own softmax over its n rows;
+    # every slot has the same n, so the mean over slots and rows is the
+    # mean of the per-slot 2-d losses
+    rng = np.random.default_rng(18)
+    z1 = ad.parameter(rng.normal(size=(3, 4, 5)))
+    z2 = ad.parameter(rng.normal(size=(3, 4, 5)))
+    stacked = float(I.infonce(z1, z2, 0.1).data)
+    per_slot = [
+        float(I.infonce(ad.constant(z1.data[p]), ad.constant(z2.data[p]), 0.1).data)
+        for p in range(3)
+    ]
+    assert abs(stacked - np.mean(per_slot)) < 1e-12
+    report = check_gradients(lambda: I.infonce(z1, z2, 0.1), {"z1": z1, "z2": z2})
+    assert report.ok, "\n".join(report.lines())
+
+
 def test_similarity_stats_bounds():
     rng = np.random.default_rng(17)
     pairs = [(ad.constant(rng.normal(size=(4, 3))), ad.constant(rng.normal(size=(4, 3))))]
@@ -480,6 +499,24 @@ def test_ssl_forward_replay_is_deterministic():
     out2 = I.ssl_forward(C0, mask, bank, enc_i, enc_f, 2, 2, 2, 0.1, rng=np.random.default_rng(27))
     assert float(out1.loss_interest.data) == float(out2.loss_interest.data)
     assert float(out1.loss_feature.data) == float(out2.loss_feature.data)
+
+
+def test_ssl_tape_does_not_grow_with_pair_slots():
+    # each loss tapes 2 gathers, 2 encoder passes and 1 InfoNCE, however
+    # many pair slots it scores
+    rng = np.random.default_rng(31)
+    bank = make_bank(2, 2, seed=32)
+    enc_i = I.init_encoder(6, (4, 4), np.random.default_rng(33), "enc_i")
+    enc_f = I.init_encoder(3, (4, 4), np.random.default_rng(34), "enc_f")
+    C0 = ad.parameter(rng.normal(size=(4, 2, 6, 3)))
+    sizes = []
+    for n_pairs in (1, 2, 7):
+        g = ad.fresh_graph()
+        out = I.ssl_forward(C0, np.ones((4, 6)), bank, enc_i, enc_f, n_pairs, n_pairs, 2, 0.1,
+                            rng=np.random.default_rng(35))
+        assert out.loss_interest is not None and out.loss_feature is not None
+        sizes.append(len(g.nodes))
+    assert sizes[0] == sizes[1] == sizes[2]
 
 
 def test_ssl_forward_counts_infeasible_and_skips():

@@ -433,6 +433,8 @@ def test_pretrain_runs_two_phases():
     assert all(r.loss_ll == 0.0 for r in result.history[:2])
     assert all(r.loss_ll > 0.0 for r in result.history[2:])
     assert all(r.loss_interest == 0.0 for r in result.history[2:])
+    # step numbers run on across the phase boundary
+    assert [r.step for r in result.telemetry] == list(range(len(result.telemetry)))
 
 
 def test_joint_vs_pretrain_histories_differ():
