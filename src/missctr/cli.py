@@ -106,9 +106,10 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def resolve_config(args) -> ExperimentConfig:
-    """Defaults, then config file, then explicit flags."""
-    values = {}
+def resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
+    """Defaults (ExperimentConfig's, then `defaults`), then config file,
+    then explicit flags."""
+    values = dict(defaults or {})
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
     for key in CONFIG_KEYS:
@@ -186,15 +187,22 @@ def read_log(path: str, min_count: int) -> tuple[dt.InteractionLog, dt.FilterSta
     return log, None
 
 
-def load_dataset(args, cfg: ExperimentConfig) -> dt.Splits:
+def load_dataset(args, cfg: ExperimentConfig) -> tuple[ExperimentConfig, dt.Splits]:
     """A dataset argument is either a raw interaction TSV or a split
-    snapshot; the snapshot is recognized by the array container's magic."""
+    snapshot; the snapshot is recognized by the array container's magic.
+    A snapshot fixes max_len: the run adopts it, re-validated, and a
+    max_len given in the config file or as a flag must agree with it."""
     path = dataset_path(args)
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) == MAGIC:
-            return dt.load_splits(path)
-    log, _ = read_log(path, args.min_count)
-    return dt.build_splits(log, cfg.max_len, cfg.seed)
+        if fh.read(len(MAGIC)) != MAGIC:
+            log, _ = read_log(path, args.min_count)
+            return cfg, dt.build_splits(log, cfg.max_len, cfg.seed)
+    splits = dt.load_splits(path)
+    cfg = resolve_config(args, {"max_len": splits.max_len})
+    if cfg.max_len != splits.max_len:
+        raise ConfigError(f"max_len {cfg.max_len} disagrees with the snapshot's max_len "
+                          f"{splits.max_len} ({path})")
+    return cfg, splits
 
 
 def dataset_tag(args) -> str:
@@ -284,7 +292,7 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     out_dir = resolve_out_dir(args)
-    splits = load_dataset(args, cfg)
+    cfg, splits = load_dataset(args, cfg)
     result, test_report = run_experiment(cfg, splits)
     print(model_summary(result.model))
     write_history(os.path.join(out_dir, "history.tsv"), result)
@@ -300,7 +308,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = resolve_config(args)
     out_dir = resolve_out_dir(args)
-    splits = load_dataset(args, cfg)
+    cfg, splits = load_dataset(args, cfg)
     if not args.checkpoint:
         raise ConfigError("--checkpoint is required for eval")
     if not os.path.isfile(args.checkpoint):
@@ -339,7 +347,7 @@ def _parse_list(text: str, flag: str, cast: type) -> list:
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     out_dir = resolve_out_dir(args)
-    splits = load_dataset(args, cfg)
+    cfg, splits = load_dataset(args, cfg)
     grid = _parse_list(args.grid, "--grid", float)
     seeds = _parse_list(args.seeds, "--seeds", int)
     report = sweep(args.axis, grid, cfg, splits, seeds)
@@ -357,7 +365,7 @@ def cmd_sweep(args) -> int:
 def cmd_robustness(args) -> int:
     cfg = resolve_config(args)
     out_dir = resolve_out_dir(args)
-    splits = load_dataset(args, cfg)
+    cfg, splits = load_dataset(args, cfg)
     rates = _parse_list(args.rates, "--rates", float)
     seeds = _parse_list(args.seeds, "--seeds", int)
     cfg_miss = replace(cfg, model="din-miss")

@@ -4,10 +4,11 @@ snapshots, and the synthetic multi-interest corpus generator.
 File format: tab-separated rows `user  item  attr_1 .. attr_{J-1}  ts`
 with an integer timestamp in the last column.  The number of attribute
 columns is inferred from the first well-formed line.  Everything
-downstream is integer-encoded: id 0 is reserved for padding, id 1 for
-unknown tokens, real tokens are numbered densely from 2 in order of
-first appearance.  A split snapshot stores those integer splits in the
-`serialize` array container (see `save_splits`).
+downstream is integer-encoded: id 0 is padding, id 1 is reserved and
+never emitted (every token of the log being split gets an id), and
+real tokens are numbered densely from 2 in order of first appearance.
+A split snapshot stores those integer splits in the `serialize` array
+container (see `save_splits`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .serialize import load_arrays, save_arrays
 log = logging.getLogger(__name__)
 
 PAD_ID = 0
-UNKNOWN_ID = 1
 MIN_BEHAVIORS = 4  # leave-last-out needs 3 held-out events plus >=1 of history
 
 
@@ -207,10 +207,6 @@ class Splits:
         return self.cat_fields + self.seq_fields
 
 
-def _encode(vocab: dict[str, int], token: str) -> int:
-    return vocab.get(token, UNKNOWN_ID)
-
-
 def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Splits:
     """Leave-last-out protocol over each user's chronological behaviors.
 
@@ -222,95 +218,76 @@ def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Split
     interacted with, sharing user and history; a user who touched every
     item gets no negatives (logged).  Histories keep the most
     recent max_len events and are front-padded with id 0.
+
+    An event is encoded as its item and the item's first-seen
+    attributes: one code-table row per item, gathered into every split.
+    Draw k of a user picks its k-th unseen item in sorted item order.
     """
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     seq_fields = interactions.seq_fields
-    n_seq = len(seq_fields)
-
-    eligible = {u: recs for u, recs in interactions.users.items() if len(recs) >= MIN_BEHAVIORS}
-    n_short = len(interactions.users) - len(eligible)
+    eligible = [recs for recs in interactions.users.values() if len(recs) >= MIN_BEHAVIORS]
+    n_users = len(eligible)
     if not eligible:
         raise DegenerateDatasetError("no user has enough behaviors to split")
 
-    # vocab over the filtered log, first-appearance order, ids from 2
-    user_vocab: dict[str, int] = {}
-    seq_vocab: list[dict[str, int]] = [{} for _ in range(n_seq)]
-    item_attrs: dict[str, tuple[str, ...]] = {}
-    for u, recs in eligible.items():
-        if u not in user_vocab:
-            user_vocab[u] = 2 + len(user_vocab)
-        for r in recs:
-            toks = (r.item, *r.attrs)
-            for j in range(n_seq):
-                if toks[j] not in seq_vocab[j]:
-                    seq_vocab[j][toks[j]] = 2 + len(seq_vocab[j])
-            if r.item not in item_attrs:
-                item_attrs[r.item] = r.attrs
-
-    all_items = sorted(item_attrs)
-    if len(all_items) < 2:
+    # vocab over the filtered log, one field column at a time,
+    # first-appearance order, ids from 2; user k of the log gets id 2 + k
+    records = [r for recs in eligible for r in recs]  # user after user
+    columns = [[r.item for r in records]]
+    columns += [[r.attrs[j] for r in records] for j in range(len(seq_fields) - 1)]
+    seq_vocab = [{t: 2 + i for i, t in enumerate(dict.fromkeys(column))} for column in columns]
+    ids = np.array([list(map(v.__getitem__, c)) for v, c in zip(seq_vocab, columns)], dtype=np.int64)
+    ev = ids[0]
+    n_items = len(seq_vocab[0])
+    if n_items < 2:
         raise DegenerateDatasetError("need at least 2 distinct items to sample negatives")
-    rng = np.random.default_rng(seed)
+    # item ids count up in first-seen order, so an item's first event is
+    # where the running maximum of ev grows
+    codes = np.zeros((2 + n_items, len(seq_fields)), dtype=np.int64)  # row 0 encodes padding
+    codes[2:] = ids[:, np.diff(np.maximum.accumulate(ev), prepend=1) > 0].T
+    n_events = np.array([len(recs) for recs in eligible], dtype=np.int64)
 
-    def encode_event(item: str) -> list[int]:
-        toks = (item, *item_attrs[item])
-        return [_encode(seq_vocab[j], toks[j]) for j in range(n_seq)]
+    # each user's seen items as sorted ranks in sorted item order (sort and
+    # drop repeats: np.unique hashes, which is far slower here); below[i]
+    # counts the unseen ranks under seen rank i, offset per user so that
+    # one searchsorted serves every user
+    by_rank = np.array([seq_vocab[0][it] for it in sorted(seq_vocab[0])], dtype=np.int64)
+    rank = np.empty(2 + n_items, dtype=np.int64)
+    rank[by_rank] = np.arange(n_items)
+    seen = np.sort(np.repeat(np.arange(n_users), n_events) * n_items + rank[ev])
+    seen_user, seen_rank = np.divmod(seen[np.diff(seen, prepend=-1) > 0], n_items)
+    n_seen = np.bincount(seen_user, minlength=n_users)
+    first = np.cumsum(n_seen) - n_seen
+    below = seen_rank - np.arange(seen_rank.size) + first[seen_user] + seen_user * (n_items + 1)
+    drawn = np.flatnonzero(n_seen < n_items)  # users with a negative; k per user, then per split
+    k = np.random.default_rng(seed).integers(np.repeat(n_items - n_seen[drawn], 3)).reshape(-1, 3)
+    k += np.searchsorted(below, drawn[:, None] * (n_items + 1) + k, side="right")
+    k -= first[drawn, None]
+    negative = np.zeros((n_users, 3), dtype=np.int64)
+    negative[drawn] = by_rank[k]
+    if drawn.size < n_users:
+        log.warning("skipped %d negative rows: their users touched every item",
+                    3 * (n_users - drawn.size))
 
-    def pack(history: list[Record], target_item: str, user: str, label: int, out: dict) -> None:
-        s = min(len(history), max_len)
-        row = np.zeros((n_seq, max_len), dtype=np.int64)
-        for pos, r in enumerate(history[-s:]):
-            row[:, max_len - s + pos] = encode_event(r.item)
-        out["cat"].append([user_vocab[user]])
-        out["seq"].append(row)
-        out["seq_len"].append(s)
-        out["cand"].append(encode_event(target_item))
-        out["label"].append(label)
-
-    buffers = {name: {"cat": [], "seq": [], "seq_len": [], "cand": [], "label": []}
-               for name in ("train", "valid", "test")}
-    n_no_negative = 0
-    for u, recs in eligible.items():
-        n = len(recs)
-        seen = {r.item for r in recs}
-        pool = [it for it in all_items if it not in seen]
-        cases = {
-            "train": (recs[: n - 3], recs[n - 3].item),
-            "valid": (recs[: n - 2], recs[n - 2].item),
-            "test": (recs[: n - 1], recs[n - 1].item),
-        }
-        for name, (hist, target) in cases.items():
-            pack(hist, target, u, 1, buffers[name])
-            if pool:
-                pack(hist, pool[int(rng.integers(len(pool)))], u, 0, buffers[name])
-            else:
-                n_no_negative += 1
-    if n_no_negative:
-        log.warning("skipped %d negative rows: their users touched every item", n_no_negative)
-
-    def finish(buf) -> SampleSet:
-        return SampleSet(
-            cat=np.asarray(buf["cat"], dtype=np.int64),
-            seq=np.stack(buf["seq"]).astype(np.int64),
-            seq_len=np.asarray(buf["seq_len"], dtype=np.int64),
-            cand=np.asarray(buf["cand"], dtype=np.int64),
-            label=np.asarray(buf["label"], dtype=np.int64),
-        )
-
-    vocab_sizes = {"user": 2 + len(user_vocab)}
-    for j, name in enumerate(seq_fields):
-        vocab_sizes[name] = 2 + len(seq_vocab[j])
-    return Splits(
-        train=finish(buffers["train"]),
-        valid=finish(buffers["valid"]),
-        test=finish(buffers["test"]),
-        cat_fields=["user"],
-        seq_fields=list(seq_fields),
-        vocab_sizes=vocab_sizes,
-        max_len=max_len,
-        n_short_users=n_short,
-    )
+    # each positive row, then its negative row if the user has one
+    keep = np.column_stack([np.ones(n_users, dtype=bool), n_seen < n_items]).ravel()
+    row_user = np.repeat(np.arange(n_users), 2)[keep]
+    is_pos = np.tile([True, False], n_users)[keep]
+    row_stop = np.cumsum(n_events)[row_user]
+    parts = []
+    for split, back in enumerate((3, 2, 1)):
+        target = row_stop - back  # the held-out event; the history ends before it
+        seq_len = np.minimum(n_events[row_user] - back, max_len)
+        pos = target[:, None] + np.arange(-max_len, 0)
+        hist = np.where(pos >= (target - seq_len)[:, None], ev[np.maximum(pos, 0)], PAD_ID)
+        cand = np.where(is_pos, ev[target], negative[row_user, split])
+        parts.append(SampleSet(
+            cat=(2 + row_user)[:, None], seq=np.ascontiguousarray(codes[hist].transpose(0, 2, 1)),
+            seq_len=seq_len, cand=codes[cand], label=is_pos.astype(np.int64)))
+    vocab_sizes = {"user": 2 + n_users} | {f: 2 + len(v) for f, v in zip(seq_fields, seq_vocab)}
+    return Splits(*parts, cat_fields=["user"], seq_fields=list(seq_fields), vocab_sizes=vocab_sizes,
+                  max_len=max_len, n_short_users=len(interactions.users) - n_users)
 
 
 def make_batches(

@@ -2,7 +2,8 @@
 
 Table rows follow the id protocol from the data module: row 0 is the
 padding vector and is pinned to zero (re-zeroed after every optimizer
-step), row 1 is the unknown token and trains like any real row.
+step), and row 1 is reserved: no split emits id 1, so that row gets
+no gradient and keeps its initial value.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ view pair drop out of the loss and are counted, never imputed.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +31,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-
-log = logging.getLogger(__name__)
 
 KERNEL_INIT = 0.5
 
@@ -144,8 +141,9 @@ def window_validity(mask: np.ndarray, width: int) -> np.ndarray:
 def mie_forward(C: Tensor, mask: np.ndarray, bank: ConvBank) -> InterestBank:
     """Run every horizontal branch over the time axis of C (B, J, L, K).
 
-    A branch wider than the sequence emits zero windows (logged, not an
-    error); downstream sampling simply never picks it.
+    A branch wider than the sequence is skipped, not an error:
+    downstream sampling simply never picks it (`trainer.build_model`
+    reports such a configuration once).
     """
     if C.ndim != 4:
         raise ShapeError(f"channel stack must be (B, J, L, K), got {C.shape}")
@@ -154,7 +152,6 @@ def mie_forward(C: Tensor, mask: np.ndarray, bank: ConvBank) -> InterestBank:
     for g in bank.horizontal:
         w = g.shape[0]
         if w > n_l:
-            log.warning("branch width %d exceeds sequence length %d: no windows", w, n_l)
             continue
         branches.append(_conv_along(C, g, axis=2))
         widths.append(w)
@@ -175,7 +172,8 @@ class FineBank:
 
 
 def mimfe_forward(bank: InterestBank, conv: ConvBank) -> FineBank:
-    """Slide each branch's vertical kernels along the field axis."""
+    """Slide each branch's vertical kernels along the field axis; a
+    kernel wider than the field count is skipped."""
     maps: dict[tuple[int, int], Tensor] = {}
     depths: list[int] = []
     for bi, branch in enumerate(bank.branches):
@@ -183,7 +181,6 @@ def mimfe_forward(bank: InterestBank, conv: ConvBank) -> FineBank:
         for di, g in enumerate(conv.vertical[bi]):
             w = g.shape[0]
             if w > n_j:
-                log.warning("vertical width %d exceeds field count %d: no rows", w, n_j)
                 continue
             maps[(bi, di)] = _conv_along(branch, g, axis=1)
             if bi == 0:
@@ -439,8 +436,6 @@ def _contrast(
 class SslOut:
     loss_interest: Tensor | None
     loss_feature: Tensor | None
-    interest_plan: InterestPlan | None
-    feature_plan: FeaturePlan | None
     sim_mean: float = float("nan")
     sim_min: float = float("nan")
     sim_max: float = float("nan")
@@ -458,18 +453,16 @@ def ssl_forward(
     n_pairs_feature: int,
     max_offset: int,
     tau: float,
-    rng: np.random.Generator | None = None,
-    plans: tuple[InterestPlan, FeaturePlan] | None = None,
+    rng: np.random.Generator,
 ) -> SslOut:
-    """Extract, sample (or replay `plans`), encode, and score both
-    contrastive losses for one batch."""
+    """Extract, sample, encode, and score both contrastive losses for
+    one batch.  The plans are a function of the padding mask, the map
+    shapes and rng alone, never of parameter values, so a generator in
+    the same state draws the same plans."""
     bank = mie_forward(C, mask, conv)
     fine = mimfe_forward(bank, conv)
-    if plans is not None:
-        iplan, fplan = plans
-    else:
-        iplan = sample_interest_plan(bank, n_pairs_interest, max_offset, rng)
-        fplan = sample_feature_plan(bank, fine, n_pairs_feature, rng)
+    iplan = sample_interest_plan(bank, n_pairs_interest, max_offset, rng)
+    fplan = sample_feature_plan(bank, fine, n_pairs_feature, rng)
 
     encoded: list[tuple[Tensor, Tensor]] = []
     loss_i = loss_f = None
@@ -479,15 +472,5 @@ def ssl_forward(
     if fplan.rows.size >= 2 and fplan.n_pairs > 0 and fine.maps:
         loss_f, z = _contrast(gather_feature_views(fine, fplan), enc_feature, fplan.n_pairs, tau)
         encoded.append(z)
-    mean_s, min_s, max_s = view_similarity_stats(encoded)
-    return SslOut(
-        loss_interest=loss_i,
-        loss_feature=loss_f,
-        interest_plan=iplan,
-        feature_plan=fplan,
-        sim_mean=mean_s,
-        sim_min=min_s,
-        sim_max=max_s,
-        n_infeasible_interest=iplan.n_infeasible,
-        n_infeasible_feature=fplan.n_infeasible,
-    )
+    return SslOut(loss_i, loss_f, *view_similarity_stats(encoded),
+                  n_infeasible_interest=iplan.n_infeasible, n_infeasible_feature=fplan.n_infeasible)

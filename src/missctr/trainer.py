@@ -198,7 +198,9 @@ class MissModel:
 def build_model(cfg: ExperimentConfig, splits: Splits) -> MissModel:
     """Deterministic construction: one init stream, fixed draw order
     (tables, attention unit + MLP, kernels, encoders), so the base
-    model's parameters do not depend on whether the SSL tower exists."""
+    model's parameters do not depend on whether the SSL tower exists.
+    Kernels wider than the sequence or the field count are warned about
+    here, once; the extractors skip them at every step."""
     cfg.validate()
     rng = np.random.default_rng([cfg.seed, 0])
     ordered_sizes = {f: splits.vocab_sizes[f] for f in splits.cat_fields + splits.seq_fields}
@@ -211,6 +213,11 @@ def build_model(cfg: ExperimentConfig, splits: Splits) -> MissModel:
     conv = it.init_conv_bank(cfg.n_branches, cfg.n_depths, rng)
     enc_i = it.init_encoder(step_dim, tuple(cfg.enc_interest), rng, "enc_int")
     enc_f = it.init_encoder(cfg.emb_dim, tuple(cfg.enc_feature), rng, "enc_feat")
+    for kind, widest, size, axis in (("branch", cfg.n_branches, splits.max_len, "sequence length"),
+                                     ("vertical", cfg.n_depths, n_seq, "field count")):
+        if cfg.ssl_enabled and widest > size:
+            log.warning("%s width %d exceeds %s %d: the extractor skips the kernels wider than %d",
+                        kind, widest, axis, size, size)
     return MissModel(
         cfg=cfg,
         cat_fields=list(splits.cat_fields),
@@ -368,14 +375,13 @@ def step_loss(
     include_ll: bool,
     include_ssl: bool,
     ssl_rng: np.random.Generator | None,
-    plans: tuple[it.InterestPlan, it.FeaturePlan] | None,
 ) -> tuple[Tensor | None, Tensor | None, it.SslOut | None]:
     """Tape the step objective L = L_ll + a1 * L_int + a2 * L_feat on one
     batch; returns (L, L_ll, SSL outputs), None for a part not built.
 
     The sequence embeddings are looked up once, as the base tower's step
     vectors v, and the contrastive tower reads its channel stack from v.
-    The SSL part draws fresh plans from ssl_rng, or replays `plans`."""
+    The SSL part draws its plans from ssl_rng."""
     cfg = model.cfg
     cat, seq, seq_len, cand, label = _batch_arrays(part, idx)
     v = bm.behavior_matrix(model.tables, model.seq_fields, seq)
@@ -397,7 +403,7 @@ def step_loss(
             bm.padding_mask(seq_len, seq.shape[2]),
             model.conv, model.enc_interest, model.enc_feature,
             cfg.pairs_interest, cfg.pairs_feature, cfg.max_offset, cfg.tau,
-            rng=ssl_rng, plans=plans,
+            ssl_rng,
         )
         if ssl.loss_interest is not None and cfg.alpha_interest > 0:
             terms.append(ad.scale(ssl.loss_interest, cfg.alpha_interest))
@@ -425,8 +431,8 @@ def train_step(
     """One forward/backward/update over a batch; returns the telemetry row."""
     graph = ad.fresh_graph()
     ad.zero_grads(params.values())
-    total, ll, ssl = step_loss(model, part, idx, include_ll, include_ssl, ssl_rng, None)
-    ssl = ssl or it.SslOut(None, None, None, None)  # defaults: NaN similarities, no counts
+    total, ll, ssl = step_loss(model, part, idx, include_ll, include_ssl, ssl_rng)
+    ssl = ssl or it.SslOut(None, None)  # defaults: NaN similarities, no counts
     stats = (ssl.sim_mean, ssl.sim_min, ssl.sim_max,
              ssl.n_infeasible_interest, ssl.n_infeasible_feature)
     if total is None:

@@ -135,6 +135,46 @@ def test_ingest_then_train_from_snapshot(tmp_path):
     assert os.path.isfile(os.path.join(out, "checkpoint.bin"))
 
 
+def ingest_snapshot(tmp_path, max_len):
+    ing = str(tmp_path / "ing")
+    assert run(["ingest", "--dataset", synth_corpus(tmp_path), "--out-dir", ing,
+                "--max-len", str(max_len)]) == 0
+    return os.path.join(ing, "splits.txt")
+
+
+TINY_ANY_LEN = TINY[:-2]  # TINY without its --max-len
+
+
+def test_train_on_snapshot_records_the_snapshot_max_len(tmp_path):
+    snapshot = ingest_snapshot(tmp_path, 4)
+    out = str(tmp_path / "t")
+    assert run(["train", "--dataset", snapshot, "--out-dir", out, *TINY_ANY_LEN]) == 0
+    assert parse_config_file(os.path.join(out, "config.txt"))["max_len"] == 4
+
+
+def test_branches_wider_than_the_snapshot_max_len_exit_1(tmp_path, capsys):
+    snapshot = ingest_snapshot(tmp_path, 2)
+    capsys.readouterr()
+    code = run(["train", "--dataset", snapshot, "--out-dir", str(tmp_path / "t"),
+                *TINY_ANY_LEN, "--n-branches", "3"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "max_len (2) must cover the widest branch (3)" in err
+
+
+def test_max_len_disagreeing_with_the_snapshot_exits_1(tmp_path, capsys):
+    snapshot = ingest_snapshot(tmp_path, 4)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("max_len = 8\n")
+    for extra in (["--max-len", "8"], ["--config", str(cfg_path)]):
+        capsys.readouterr()
+        code = run(["train", "--dataset", snapshot, "--out-dir", str(tmp_path / "t"),
+                    *TINY_ANY_LEN, *extra])
+        assert code == 1, extra
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "max_len 8 disagrees with the snapshot's max_len 4" in err
+
+
 def test_eval_matches_train_test_metrics(tmp_path, capsys):
     corpus = synth_corpus(tmp_path)
     ing = str(tmp_path / "ing")

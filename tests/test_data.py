@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import naive_build_splits
 
 from missctr import data as D
 from missctr.errors import ConfigError, DataError, DegenerateDatasetError, FormatError, MissError
@@ -313,6 +314,71 @@ def test_truncation_keeps_most_recent():
     vocab = item_ids(interactions)
     assert splits.test.seq[0, 0].tolist() == [vocab["i5"], vocab["i6"], vocab["i7"]]
     assert splits.test.seq_len[0] == 3
+
+
+# build_splits against the per-row oracle, compared as snapshot bytes
+
+# item names whose sorted order differs from any first-seen order
+ITEM_NAMES = ["b", "a", "ab", "Z", "é", "a1", "10", "9"]
+
+
+@st.composite
+def small_logs(draw):
+    """Logs with 0-2 attribute columns, items seen again with other
+    attributes, users below MIN_BEHAVIORS, and optionally a first user
+    who touched every item."""
+    n_attrs = draw(st.integers(0, 2))
+    items = draw(st.permutations(ITEM_NAMES))[: draw(st.integers(1, len(ITEM_NAMES)))]
+    attr = st.sampled_from(["x", "y", "z"])
+    usual = {it: tuple(draw(attr) for _ in range(n_attrs)) for it in items}
+    event = st.tuples(st.sampled_from(items), st.booleans())
+    users = {}
+    for u in range(draw(st.integers(1, 5))):
+        events = draw(st.lists(event, min_size=1, max_size=10))
+        if u == 0 and draw(st.booleans()):
+            events = [(it, False) for it in draw(st.permutations(items))] + events
+        users[f"u{u}"] = [
+            D.Record(f"u{u}", it, tuple(draw(attr) for _ in range(n_attrs)) if other else usual[it], t)
+            for t, (it, other) in enumerate(events)
+        ]
+    return D.InteractionLog(users=users, seq_fields=["item"] + [f"attr_{i + 1}" for i in range(n_attrs)])
+
+
+def assert_same_snapshot(got, want, directory):
+    for name in D.SPLIT_NAMES:
+        part = getattr(got, name)
+        for a in D.SAMPLE_ARRAYS:
+            arr = getattr(part, a)
+            assert arr.dtype == np.int64 and arr.flags.c_contiguous, (name, a)
+        for a in ("cat", "seq", "cand"):
+            assert not (getattr(part, a) == 1).any(), (name, a)  # id 1 is reserved
+    D.save_splits(want, str(directory / "want.bin"))
+    D.save_splits(got, str(directory / "got.bin"))
+    assert (directory / "got.bin").read_bytes() == (directory / "want.bin").read_bytes()
+    assert got.n_short_users == want.n_short_users
+
+
+@pytest.fixture(scope="module")
+def snapshot_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle")
+
+
+@settings(max_examples=200, deadline=None)
+@given(interactions=small_logs(), max_len=st.integers(1, 12), seed=st.integers(0, 3))
+def test_build_splits_matches_the_per_row_oracle(snapshot_dir, interactions, max_len, seed):
+    try:
+        want = naive_build_splits(interactions, max_len, seed)
+    except DegenerateDatasetError as exc:
+        with pytest.raises(DegenerateDatasetError, match=re.escape(str(exc))):
+            D.build_splits(interactions, max_len, seed)
+        return
+    assert_same_snapshot(D.build_splits(interactions, max_len, seed), want, snapshot_dir)
+
+
+def test_build_splits_matches_the_oracle_on_a_2k_user_corpus(tmp_path):
+    interactions = D.synth_generate(2000, 500, 5, (8, 16), seed=0)
+    got = D.build_splits(interactions, 16, 0)
+    assert_same_snapshot(got, naive_build_splits(interactions, 16, 0), tmp_path)
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,22 @@ def test_non_finite_loss_aborts_with_diagnostic():
     assert "loss" in str(exc.value)
 
 
+def test_degenerate_extractor_is_reported_once(caplog):
+    # one field (no attribute column): the width-2 vertical kernels never fit
+    from missctr.data import InteractionLog, Record, build_splits, synth_generate
+
+    users = {u: [Record(u, r.item, (), r.ts) for r in recs]
+             for u, recs in synth_generate(40, 20, 4, (6, 10), seed=0).users.items()}
+    splits = build_splits(InteractionLog(users, ["item"]), max_len=6, seed=0)
+    with caplog.at_level("WARNING", logger="missctr"):
+        result = train_joint(tiny_cfg(epochs=1), splits)
+    assert len(result.telemetry) > 1
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [
+        "vertical width 2 exceeds field count 1: the extractor skips the kernels wider than 1"
+    ]
+
+
 def test_pad_row_stays_zero_through_training():
     splits = make_toy_splits()
     result = train_joint(tiny_cfg(epochs=1), splits)
