@@ -7,10 +7,17 @@ softmax-normalized, padded positions get weight exactly 0, and the
 pooled vector is the score-weighted sum of the steps.  The prediction
 MLP then maps [categorical embeddings; pooled; candidate] through ReLU
 hidden layers to a sigmoid click probability.
+
+The unit's first layer is computed folded.  With lau_w1 split into its
+four J*K-row blocks [W_v; W_c; W_vc; W_d],
+[v_t; c; v_t*c; v_t-c] @ lau_w1 = [v_t, v_t*c] @ [W_v + W_d; W_vc] + c @ (W_c - W_d),
+so the candidate's term is one row per sample, added to every step,
+and no 4*J*K-wide input is built.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,25 +90,49 @@ def padding_mask(seq_len: np.ndarray, max_len: int) -> np.ndarray:
     return (pos[None, :] >= max_len - seq_len[:, None]).astype(np.float64)
 
 
+@functools.lru_cache(maxsize=8)
+def _fold_selectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constant 0/+-1 matrices that read the folded blocks off
+    lau_w1 = [W_v; W_c; W_vc; W_d] (four dim-row blocks):
+    step_sel @ lau_w1 = [W_v + W_d; W_vc] and cand_sel @ lau_w1 = W_c - W_d.
+    Built once per width and read-only, since every caller shares them."""
+    eye, zero = np.eye(dim), np.zeros((dim, dim))
+    step_sel = np.block([[eye, zero, zero, eye], [zero, zero, eye, zero]])
+    cand_sel = np.block([[zero, eye, zero, -eye]])
+    for sel in (step_sel, cand_sel):
+        sel.flags.writeable = False
+    return step_sel, cand_sel
+
+
 def laup_pool(v: Tensor, mask: np.ndarray, cand: Tensor, params: BaseParams) -> Tensor:
     """Score-weighted sum over behavior steps.
 
     v: (B, L, D) step vectors, cand: (B, D), mask: (B, L) with 1 on
     real events.
+
+    The unit's first layer [v; c; v*c; v-c] @ lau_w1 + b1 is computed
+    folded, as [v, v*c] @ [W_v + W_d; W_vc] + (c @ (W_c - W_d) + b1):
+    the candidate term is one row per sample, broadcast over L, and no
+    (B, L, 4D) input is built.  Only the summation order differs from
+    the concatenated form.  The weighted sum over steps is one batched
+    (B, 1, L) @ (B, L, D) product.
     """
     nb, nl, dim = v.shape
     if mask.shape != (nb, nl):
         raise DataError(f"mask shape {mask.shape} does not match sequence {(nb, nl)}")
     if not mask.any(axis=1).all():
         raise DataError("all-padding behavior sequence (empty history)")
-    cand_l = ad.reshape(cand, (nb, 1, dim))
-    cand_full = ad.add(cand_l, ad.constant(np.zeros((nb, nl, 1))))
-    z = ad.concat([v, cand_full, ad.mul(v, cand_l), ad.sub(v, cand_l)], axis=2)
-    z2 = ad.reshape(z, (nb * nl, 4 * dim))
-    h = ad.relu(ad.add(ad.matmul(z2, params.lau_w1), params.lau_b1))
-    scores = ad.add(ad.matmul(h, params.lau_w2), params.lau_b2)
-    weights = ad.mul(ad.reshape(scores, (nb, nl)), ad.constant(mask))
-    return ad.tsum(ad.mul(v, ad.reshape(weights, (nb, nl, 1))), axis=1)
+    hidden = params.lau_w1.shape[1]
+    step_sel, cand_sel = _fold_selectors(dim)
+    w_step = ad.matmul(ad.constant(step_sel), params.lau_w1)
+    w_cand = ad.matmul(ad.constant(cand_sel), params.lau_w1)
+    z = ad.concat([v, ad.mul(v, ad.reshape(cand, (nb, 1, dim)))], axis=2)
+    h_step = ad.matmul(ad.reshape(z, (nb * nl, 2 * dim)), w_step)
+    h_cand = ad.add(ad.matmul(cand, w_cand), params.lau_b1)
+    h = ad.relu(ad.add(ad.reshape(h_step, (nb, nl, hidden)), ad.reshape(h_cand, (nb, 1, hidden))))
+    scores = ad.add(ad.matmul(ad.reshape(h, (nb * nl, hidden)), params.lau_w2), params.lau_b2)
+    weights = ad.mul(ad.reshape(scores, (nb, 1, nl)), ad.constant(mask[:, None, :]))
+    return ad.reshape(ad.matmul(weights, v), (nb, dim))
 
 
 def mlp_predict(x: Tensor, params: BaseParams) -> Tensor:

@@ -187,22 +187,30 @@ def read_log(path: str, min_count: int) -> tuple[dt.InteractionLog, dt.FilterSta
     return log, None
 
 
-def load_dataset(args, cfg: ExperimentConfig) -> tuple[ExperimentConfig, dt.Splits]:
-    """A dataset argument is either a raw interaction TSV or a split
-    snapshot; the snapshot is recognized by the array container's magic.
-    A snapshot fixes max_len: the run adopts it, re-validated, and a
-    max_len given in the config file or as a flag must agree with it."""
-    path = dataset_path(args)
-    with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            log, _ = read_log(path, args.min_count)
-            return cfg, dt.build_splits(log, cfg.max_len, cfg.seed)
-    splits = dt.load_splits(path)
-    cfg = resolve_config(args, {"max_len": splits.max_len})
-    if cfg.max_len != splits.max_len:
-        raise ConfigError(f"max_len {cfg.max_len} disagrees with the snapshot's max_len "
-                          f"{splits.max_len} ({path})")
-    return cfg, splits
+def load_dataset(args) -> tuple[ExperimentConfig, dt.Splits]:
+    """Resolve the run's config and read its dataset, either a raw
+    interaction TSV or a split snapshot; the snapshot is recognized by
+    the array container's magic.
+
+    A snapshot fixes max_len, so it is read first and its max_len is the
+    default the config is validated against; a max_len given in the
+    config file or as a flag must agree with it.  Otherwise the config
+    is validated before the dataset is looked at, so a config error
+    (exit 1) comes before a missing or unreadable file (exit 2)."""
+    path = getattr(args, "dataset", None)
+    if path and os.path.isfile(path):
+        with open(path, "rb") as fh:
+            is_snapshot = fh.read(len(MAGIC)) == MAGIC
+        if is_snapshot:
+            splits = dt.load_splits(path)
+            cfg = resolve_config(args, {"max_len": splits.max_len})
+            if cfg.max_len != splits.max_len:
+                raise ConfigError(f"max_len {cfg.max_len} disagrees with the snapshot's max_len "
+                                  f"{splits.max_len} ({path})")
+            return cfg, splits
+    cfg = resolve_config(args)
+    log, _ = read_log(dataset_path(args), args.min_count)
+    return cfg, dt.build_splits(log, cfg.max_len, cfg.seed)
 
 
 def dataset_tag(args) -> str:
@@ -290,9 +298,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
+    cfg, splits = load_dataset(args)
     out_dir = resolve_out_dir(args)
-    cfg, splits = load_dataset(args, cfg)
     result, test_report = run_experiment(cfg, splits)
     print(model_summary(result.model))
     write_history(os.path.join(out_dir, "history.tsv"), result)
@@ -306,9 +313,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = resolve_config(args)
+    cfg, splits = load_dataset(args)
     out_dir = resolve_out_dir(args)
-    cfg, splits = load_dataset(args, cfg)
     if not args.checkpoint:
         raise ConfigError("--checkpoint is required for eval")
     if not os.path.isfile(args.checkpoint):
@@ -345,9 +351,8 @@ def _parse_list(text: str, flag: str, cast: type) -> list:
 
 
 def cmd_sweep(args) -> int:
-    cfg = resolve_config(args)
+    cfg, splits = load_dataset(args)
     out_dir = resolve_out_dir(args)
-    cfg, splits = load_dataset(args, cfg)
     grid = _parse_list(args.grid, "--grid", float)
     seeds = _parse_list(args.seeds, "--seeds", int)
     report = sweep(args.axis, grid, cfg, splits, seeds)
@@ -363,9 +368,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    cfg = resolve_config(args)
+    cfg, splits = load_dataset(args)
     out_dir = resolve_out_dir(args)
-    cfg, splits = load_dataset(args, cfg)
     rates = _parse_list(args.rates, "--rates", float)
     seeds = _parse_list(args.seeds, "--seeds", int)
     cfg_miss = replace(cfg, model="din-miss")

@@ -236,6 +236,9 @@ def save_checkpoint(path: str, model: MissModel) -> None:
 
 
 def load_checkpoint(path: str, model: MissModel) -> None:
+    """Replace the model's parameters with the checkpoint's.  Every
+    record is checked (names, dtype, shape, finiteness) before any
+    parameter is replaced."""
     arrays = load_arrays(path)
     params = model.parameters()
     missing = set(params) - set(arrays)
@@ -251,6 +254,13 @@ def load_checkpoint(path: str, model: MissModel) -> None:
             raise ConfigError(
                 f"checkpoint shape for {k}: {arrays[k].shape} vs model {p.data.shape}"
             )
+        n_bad = arrays[k].size - np.count_nonzero(np.isfinite(arrays[k]))
+        if n_bad:
+            raise NumericalError(
+                f"{path}: checkpoint record {k!r} is not finite "
+                f"({n_bad} of {arrays[k].size} values are NaN or Inf)"
+            )
+    for k, p in params.items():
         p.data = arrays[k]
 
 

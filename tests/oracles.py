@@ -1,13 +1,16 @@
 """Naive reference implementations shared by the extractor,
-contrastive-loss, ranking-metric, gather, optimizer and split tests:
-scalar loops in the library's own tap order, so the extractor oracles
-can be compared bitwise, the dense textbook forms of the row-sparse
-gather gradient and of the Adam step, and the per-row split builder."""
+contrastive-loss, ranking-metric, gather, optimizer, split and
+attention-pooling tests: scalar loops in the library's own tap order,
+so the extractor oracles can be compared bitwise, the dense textbook
+forms of the row-sparse gather gradient and of the Adam step, the
+per-row split builder, and the attention unit with its first layer
+applied to the concatenated [v; c; v*c; v-c] input."""
 
 import logging
 
 import numpy as np
 
+from missctr import autodiff as ad
 from missctr.data import MIN_BEHAVIORS, InteractionLog, Record, SampleSet, Splits
 from missctr.errors import ConfigError, DegenerateDatasetError
 
@@ -198,3 +201,18 @@ def naive_build_splits(interactions: InteractionLog, max_len: int, seed: int) ->
         max_len=max_len,
         n_short_users=n_short,
     )
+
+
+def concat_laup_pool(v, mask, cand, params):
+    """Attention pooling with the unit's first layer applied to the
+    concatenated (B, L, 4D) input [v; c; v*c; v-c], taped with the
+    library's ops; the pooled vector is a mul and a sum over steps."""
+    nb, nl, dim = v.shape
+    cand_l = ad.reshape(cand, (nb, 1, dim))
+    cand_full = ad.add(cand_l, ad.constant(np.zeros((nb, nl, 1))))
+    z = ad.concat([v, cand_full, ad.mul(v, cand_l), ad.sub(v, cand_l)], axis=2)
+    z2 = ad.reshape(z, (nb * nl, 4 * dim))
+    h = ad.relu(ad.add(ad.matmul(z2, params.lau_w1), params.lau_b1))
+    scores = ad.add(ad.matmul(h, params.lau_w2), params.lau_b2)
+    weights = ad.mul(ad.reshape(scores, (nb, nl)), ad.constant(mask))
+    return ad.tsum(ad.mul(v, ad.reshape(weights, (nb, nl, 1))), axis=1)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import concat_laup_pool
 
 from missctr import autodiff as ad
 from missctr import base_model as bm
@@ -74,6 +75,42 @@ def test_padded_positions_cannot_leak():
     junk[mask == 0] = rng.normal(size=6) * 100.0
     out = bm.laup_pool(ad.constant(junk), mask, cand, params).data
     np.testing.assert_array_equal(out, base)
+
+
+def pool_and_grads(pool, v, mask, cand, params, upstream):
+    """The pooled output and the gradients of v, cand and the four
+    attention-unit parameters under the loss sum(pooled * upstream)."""
+    lau = [params.lau_w1, params.lau_b1, params.lau_w2, params.lau_b2]
+    ad.zero_grads([v, cand, *lau])
+    g = ad.fresh_graph()
+    out = pool(v, mask, cand, params)
+    g.backward(ad.tsum(ad.mul(out, ad.constant(upstream))))
+    return [out.data] + [t.grad for t in (v, cand, *lau)]
+
+
+@pytest.mark.parametrize("seq_len, n_l, dim", [
+    ([3, 1, 5, 2], 5, 6),  # front padding, a single-event row
+    ([1], 4, 12),  # B=1, one event
+    ([16, 7, 1], 16, 20),  # the gate's step width and length
+])
+def test_folded_pool_matches_the_concatenated_first_layer(seq_len, n_l, dim):
+    rng = np.random.default_rng(dim)
+    params = make_params(step_dim=dim, seed=dim)
+    # nonzero biases, so each bias gradient is checked on its own path
+    params.lau_b1.data[:] = rng.normal(size=params.lau_b1.shape) * 0.1
+    params.lau_b2.data[:] = 0.3
+    nb = len(seq_len)
+    v = ad.parameter(rng.normal(size=(nb, n_l, dim)))
+    cand = ad.parameter(rng.normal(size=(nb, dim)))
+    mask = bm.padding_mask(np.array(seq_len), n_l)
+    upstream = rng.normal(size=(nb, dim))
+    got = pool_and_grads(bm.laup_pool, v, mask, cand, params, upstream)
+    want = pool_and_grads(concat_laup_pool, v, mask, cand, params, upstream)
+    names = ["pooled", "v", "cand", "lau_w1", "lau_b1", "lau_w2", "lau_b2"]
+    for name, a, b in zip(names, got, want):
+        assert a.shape == b.shape, name
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+        assert np.max(np.abs(b)) > 0.0, name  # nothing compared is trivially zero
 
 
 def test_zero_parameters_predict_half():

@@ -175,6 +175,23 @@ def test_max_len_disagreeing_with_the_snapshot_exits_1(tmp_path, capsys):
         assert err.count("\n") == 1 and "max_len 8 disagrees with the snapshot's max_len 4" in err
 
 
+def test_snapshot_max_len_admits_branches_wider_than_the_default(tmp_path):
+    # 31 branches need max_len >= 31: the snapshot's 40 covers them, and
+    # the default 30 must not be checked first
+    snapshot = ingest_snapshot(tmp_path, 40)
+    out = str(tmp_path / "t")
+    assert run(["train", "--dataset", snapshot, "--out-dir", out,
+                *TINY_ANY_LEN, "--n-branches", "31"]) == 0
+    assert parse_config_file(os.path.join(out, "config.txt"))["max_len"] == 40
+
+
+def test_config_error_comes_before_a_missing_dataset(tmp_path, capsys):
+    code = run(["train", "--dataset", str(tmp_path / "nope.tsv"), "--n-branches", "0"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n_branches must be >= 1" in err
+
+
 def test_eval_matches_train_test_metrics(tmp_path, capsys):
     corpus = synth_corpus(tmp_path)
     ing = str(tmp_path / "ing")
@@ -216,14 +233,34 @@ def test_eval_on_diverged_checkpoint_exits_3(tmp_path, capsys):
     assert run(["train", "--dataset", corpus, "--out-dir", out, *TINY]) == 0
     ckpt = os.path.join(out, "checkpoint.bin")
     arrays = load_arrays(ckpt)
-    arrays["base:mlp1_b"][:] = np.nan  # every score becomes NaN
+    arrays["base:mlp1_b"][:] = np.nan  # every score would be NaN
     save_arrays(ckpt, arrays)
     capsys.readouterr()
     code = run_within(["eval", "--dataset", corpus, "--out-dir", str(tmp_path / "e"),
                        "--checkpoint", ckpt, *TINY], 30.0)
     assert code == 3
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "scores are not finite" in err
+    assert err.count("\n") == 1 and "checkpoint record 'base:mlp1_b' is not finite" in err
+
+
+@pytest.mark.parametrize("record, index, value", [
+    ("ssl:enc_int_w0", (0, 0), np.nan),  # feeds no score, so scoring cannot catch it
+    ("emb:user", (1, 0), np.inf),  # a row no sample looks up
+])
+def test_eval_on_non_finite_checkpoint_record_exits_3(tmp_path, capsys, record, index, value):
+    corpus = synth_corpus(tmp_path)
+    out = str(tmp_path / "t")
+    assert run(["train", "--dataset", corpus, "--out-dir", out, *TINY]) == 0
+    ckpt = os.path.join(out, "checkpoint.bin")
+    arrays = load_arrays(ckpt)
+    arrays[record][index] = value
+    save_arrays(ckpt, arrays)
+    capsys.readouterr()
+    code = run(["eval", "--dataset", corpus, "--out-dir", str(tmp_path / "e"),
+                "--checkpoint", ckpt, *TINY])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"checkpoint record {record!r} is not finite" in err
 
 
 def test_eval_on_checkpoint_with_non_utf8_record_name_exits_2(tmp_path, capsys):

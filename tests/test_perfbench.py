@@ -32,7 +32,7 @@ def test_tiny_miss_gate_traced_equals_untraced(tmp_path):
     # one conv1d node per kernel (6 kernels at 2 branches x 2 depths), and
     # per contrastive loss 2 gathers, 2 encoder passes and 1 InfoNCE
     # whatever its pair-slot count
-    assert layer["autodiff.tape_nodes_per_step"] == 122
+    assert layer["autodiff.tape_nodes_per_step"] == 126
 
 
 def test_tiny_din_vocab_traced_equals_untraced(tmp_path):
@@ -53,7 +53,7 @@ def test_tiny_din_vocab_traced_equals_untraced(tmp_path):
     for k, a in plain.state.items():
         assert a.shape == traced.state[k].shape and a.tobytes() == traced.state[k].tobytes(), k
     assert tr.n_steps == w.n_steps
-    assert tr.layer_metrics()["autodiff.tape_nodes_per_step"] == 46
+    assert tr.layer_metrics()["autodiff.tape_nodes_per_step"] == 50
 
 
 def test_tiny_ingest_eval_snapshot_round_trip(tmp_path):

@@ -234,6 +234,22 @@ def test_din_step_holds_user_table_gradient_as_batch_rows():
     assert held.shape == (rows.size, cfg.emb_dim)
 
 
+def test_din_step_tapes_no_concatenated_attention_input():
+    # the gate config: B=128, L=16, J=2 sequence fields of K=10
+    n_b, n_l, jk = 128, 16, 20
+    splits = make_toy_splits(n_train=n_b, L=n_l)
+    cfg = tiny_cfg(model="din", batch_size=n_b, emb_dim=10, max_len=n_l)
+    model = build_model(cfg, splits)
+    train_step(model, splits.train, np.arange(n_b), None, AdamState(),
+               model.base_parameters(), step=0)
+    nodes = ad.active_graph().nodes
+    assert nodes and all(t.shape[-1:] != (4 * jk,) for t in nodes)
+    # the candidate enters the attention unit once per row: no node
+    # repeats one (J*K)-vector over the L steps
+    per_step = [t.data for t in nodes if t.shape == (n_b, n_l, jk)]
+    assert per_step and not any(np.all(d == d[:, :1]) for d in per_step)
+
+
 # ---------------------------------------------------------------------------
 # model assembly
 
