@@ -15,19 +15,21 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
+from typing import get_type_hints
 
 from . import data as dt
 from .errors import ConfigError, DataError, MetricError, NumericalError
 from .gradcheck import tiny_instance_check
 from .harness import (
+    ROBUSTNESS_KINDS,
+    SWEEP_AXES,
     robustness_study,
     run_experiment,
     sweep,
-    write_history,
     write_robustness_report,
+    write_rows,
     write_sweep_report,
-    write_telemetry,
 )
 from .metrics import evaluate_scores
 from .serialize import MAGIC
@@ -41,68 +43,65 @@ from .trainer import (
 )
 
 OUT_DIR_ENV = "MISS_OUT_DIR"
-
-_TUPLE_KEYS = {"mlp", "enc_interest", "enc_feature"}
-_FLOAT_KEYS = {"lr", "alpha_interest", "alpha_feature", "tau"}
-_INT_KEYS = {
-    "emb_dim", "batch_size", "n_branches", "n_depths", "max_offset",
-    "max_len", "epochs", "patience", "seed",
+# synth's integer flags and their defaults; its config.txt records each
+SYNTH_DEFAULTS = {
+    "n_users": 2000, "n_items": 500, "n_interests": 5,
+    "seq_len_min": 8, "seq_len_max": 16, "seed": 0,
 }
-_OPT_INT_KEYS = {"n_pairs_interest", "n_pairs_feature"}
-_STR_KEYS = {"strategy", "model"}
-_BOOL_KEYS = {"grid_mode"}
-CONFIG_KEYS = sorted(
-    _TUPLE_KEYS | _FLOAT_KEYS | _INT_KEYS | _OPT_INT_KEYS | _STR_KEYS | _BOOL_KEYS
-)
+
+CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _coerce(key: str, raw):
-    """Parse one config value from its text form."""
+    """Parse one config value from its text form, by its field's type."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key: {key}")
     if isinstance(raw, bool):
         return raw
+    kind = _FIELD_TYPES[key]
     text = str(raw).strip()
     try:
-        if key in _TUPLE_KEYS:
-            parts = [p for p in text.replace(",", " ").split() if p]
-            return tuple(int(p) for p in parts)
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _OPT_INT_KEYS:
+        if kind == tuple[int, ...]:
+            return tuple(int(p) for p in text.replace(",", " ").split())
+        if kind == int | None:
             return None if text.lower() == "none" else int(text)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             low = text.lower()
             if low in ("1", "true", "yes", "on"):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {text}")
-        if key in _STR_KEYS:
-            return text
+        return kind(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
-    raise ConfigError(f"unknown config key: {key}")
 
 
 def parse_config_file(path: str) -> dict:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config file is not UTF-8: {path} ({exc.reason} at byte {exc.start})"
+        ) from exc
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            if "=" in s:
-                key, _, val = s.partition("=")
-            else:
-                parts = s.split(None, 1)
-                if len(parts) != 2:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, val = parts
-            key = key.strip().replace("-", "_")
-            out[key] = _coerce(key, val.strip())
+    for lineno, line in enumerate(text.split("\n"), 1):
+        s = line.strip()
+        if not s or s.startswith("#"):
+            continue
+        if "=" in s:
+            key, _, val = s.partition("=")
+        else:
+            parts = s.split(None, 1)
+            if len(parts) != 2:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, val = parts
+        key = key.strip().replace("-", "_")
+        out[key] = _coerce(key, val.strip())
     return out
 
 
@@ -150,7 +149,7 @@ def write_resolved_config(out_dir: str, cfg: ExperimentConfig | None, meta: dict
         for k, v in meta.items():
             fh.write(f"# {k} = {_format_value(v)}\n")
         if cfg is not None:
-            for k, v in cfg.to_dict().items():
+            for k, v in asdict(cfg).items():
                 fh.write(f"{k} = {_format_value(v)}\n")
     return path
 
@@ -252,22 +251,15 @@ def model_summary(model: MissModel) -> str:
 
 
 def cmd_synth(args) -> int:
-    out_dir = resolve_out_dir(args)
     log = dt.synth_generate(
         args.n_users, args.n_items, args.n_interests,
         (args.seq_len_min, args.seq_len_max), args.seed,
     )
+    out_dir = resolve_out_dir(args)
     path = os.path.join(out_dir, "synth.tsv")
     dt.write_log_tsv(log, path)
-    write_resolved_config(out_dir, None, {
-        "verb": "synth",
-        "n_users": args.n_users,
-        "n_items": args.n_items,
-        "n_interests": args.n_interests,
-        "seq_len_min": args.seq_len_min,
-        "seq_len_max": args.seq_len_max,
-        "seed": args.seed,
-    })
+    meta = {k: getattr(args, k) for k in SYNTH_DEFAULTS}
+    write_resolved_config(out_dir, None, {"verb": "synth", **meta})
     print(f"wrote {log.n_records} interactions for {len(log.users)} users to {path}")
     return 0
 
@@ -302,8 +294,8 @@ def cmd_train(args) -> int:
     out_dir = resolve_out_dir(args)
     result, test_report = run_experiment(cfg, splits)
     print(model_summary(result.model))
-    write_history(os.path.join(out_dir, "history.tsv"), result)
-    write_telemetry(os.path.join(out_dir, "telemetry.tsv"), result)
+    write_rows(os.path.join(out_dir, "history.tsv"), result.history)
+    write_rows(os.path.join(out_dir, "telemetry.tsv"), result.telemetry)
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), result.model)
     write_resolved_config(out_dir, cfg, _run_meta("train", args))
     print(f"best epoch {result.best_epoch}: val_auc={result.best_val_auc!r}")
@@ -329,11 +321,8 @@ def cmd_eval(args) -> int:
         _run_meta("eval", args, checkpoint=args.checkpoint, split=args.split),
     )
     with open(os.path.join(out_dir, "metrics.txt"), "w", newline="\n") as fh:
-        fh.write(f"split = {args.split}\n")
-        fh.write(f"auc = {report.auc!r}\n")
-        fh.write(f"logloss = {report.logloss!r}\n")
-        fh.write(f"n_pos = {report.n_pos}\n")
-        fh.write(f"n_neg = {report.n_neg}\n")
+        for k, v in {"split": args.split, **asdict(report)}.items():
+            fh.write(f"{k} = {_format_value(v)}\n")
     print(f"{args.split}: auc={report.auc!r} logloss={report.logloss!r} "
           f"({report.n_pos} pos, {report.n_neg} neg)")
     return 0
@@ -414,7 +403,7 @@ def _add_config_flags(sp) -> None:
     sp.add_argument("--config", help="flat key-value config file")
     sp.add_argument("--out-dir", help=f"artifact directory (default ${OUT_DIR_ENV} or ./runs)")
     for key in CONFIG_KEYS:
-        if key in _BOOL_KEYS:
+        if _FIELD_TYPES[key] is bool:
             sp.add_argument(f"--{key.replace('_', '-')}", dest=key,
                             action="store_true", default=None)
         else:
@@ -432,12 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="verb", required=True)
 
     sp = sub.add_parser("synth", parents=[], help="generate a clustered synthetic corpus")
-    sp.add_argument("--n-users", type=int, default=2000)
-    sp.add_argument("--n-items", type=int, default=500)
-    sp.add_argument("--n-interests", type=int, default=5)
-    sp.add_argument("--seq-len-min", type=int, default=8)
-    sp.add_argument("--seq-len-max", type=int, default=16)
-    sp.add_argument("--seed", type=int, default=0)
+    for key, default in SYNTH_DEFAULTS.items():
+        sp.add_argument(f"--{key.replace('_', '-')}", type=int, default=default)
     sp.add_argument("--out-dir")
     sp.set_defaults(func=cmd_synth)
 
@@ -461,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="hyperparameter sweep over seeds")
     _add_config_flags(sp)
     _add_dataset_flags(sp)
-    sp.add_argument("--axis", choices=("loss_weight", "temperature"), required=True)
+    sp.add_argument("--axis", choices=SWEEP_AXES, required=True)
     sp.add_argument("--grid", required=True, help="comma-separated values")
     sp.add_argument("--seeds", default="0", help="comma-separated seeds")
     sp.set_defaults(func=cmd_sweep)
@@ -469,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("robustness", help="label sparsity/noise study, base vs full model")
     _add_config_flags(sp)
     _add_dataset_flags(sp)
-    sp.add_argument("--kind", choices=("sparsity", "noise"), required=True)
+    sp.add_argument("--kind", choices=ROBUSTNESS_KINDS, required=True)
     sp.add_argument("--rates", required=True, help="comma-separated rates")
     sp.add_argument("--seeds", default="0", help="comma-separated seeds")
     sp.set_defaults(func=cmd_robustness)

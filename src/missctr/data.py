@@ -324,6 +324,10 @@ def synth_generate(
     same-interest items, occasionally interleaving another of their
     interests mid-run.  Held-out positives therefore always come from a
     user's own interest set."""
+    for name, value, least in (("n_users", n_users, 1), ("n_items", n_items, 1),
+                               ("n_interests", n_interests, 1), ("seed", seed, 0)):
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
     if n_items % n_interests != 0:
         raise ConfigError(
             f"n_items ({n_items}) must be divisible by n_interests ({n_interests})"

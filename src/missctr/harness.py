@@ -2,6 +2,10 @@
 label-sparsity and label-noise robustness studies, and plot-ready
 report tables.
 
+Two tables dispatch the studies: SWEEP_AXES maps each sweep axis to the
+config fields its grid value sets, and ROBUSTNESS_KINDS maps each
+robustness kind to the function that degrades the training split.
+
 Every report is a delimiter-separated file with a one-line schema
 header.  File names encode the study axis and a caller-supplied dataset
 tag; content is byte-deterministic for fixed seeds, so a rerun can be
@@ -11,7 +15,7 @@ diffed against its predecessor.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -20,8 +24,8 @@ from .errors import ConfigError, MissError
 from .metrics import EvalReport, evaluate_scores
 from .trainer import ExperimentConfig, TrainResult, predict_scores, train
 
-SWEEP_AXES = ("loss_weight", "temperature")
-ROBUSTNESS_KINDS = ("sparsity", "noise")
+SWEEP_AXES = {"loss_weight": ("alpha_interest", "alpha_feature"), "temperature": ("tau",)}
+ROBUSTNESS_KINDS = {"sparsity": downsample_train, "noise": flip_labels}
 
 
 def run_experiment(cfg: ExperimentConfig, splits: Splits) -> tuple[TrainResult, EvalReport]:
@@ -31,12 +35,12 @@ def run_experiment(cfg: ExperimentConfig, splits: Splits) -> tuple[TrainResult, 
     return result, evaluate_scores(scores, splits.test.label)
 
 
-def _with_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    if axis == "loss_weight":
-        return replace(cfg, alpha_interest=value, alpha_feature=value)
-    if axis == "temperature":
-        return replace(cfg, tau=value)
-    raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+def _check_seeds(cfg: ExperimentConfig, seeds: list[int], study: str) -> None:
+    """Reject an empty or invalid seed list before the first run trains."""
+    if not seeds:
+        raise ConfigError(f"{study} needs at least one seed")
+    for seed in seeds:
+        replace(cfg, seed=seed).validate()
 
 
 @dataclass
@@ -78,16 +82,15 @@ def sweep(
 ) -> SweepReport:
     """Train one model per (grid value, seed); aggregate test metrics."""
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     if not grid:
         raise ConfigError("sweep grid must be non-empty")
-    if not seeds:
-        raise ConfigError("sweep needs at least one seed")
+    _check_seeds(cfg, seeds, "sweep")
     rows = []
     for value in sorted(grid):
         aucs, lls = [], []
         for seed in seeds:
-            run_cfg = replace(_with_axis(cfg, axis, value), seed=seed)
+            run_cfg = replace(cfg, seed=seed, **dict.fromkeys(SWEEP_AXES[axis], value))
             try:
                 _, report = run_experiment(run_cfg, splits)
             except MissError as exc:
@@ -118,12 +121,6 @@ class RobustnessReport:
     rows: list[RobustnessRow]
 
 
-def _perturb(kind: str, splits: Splits, rate: float, seed: int) -> Splits:
-    if kind == "sparsity":
-        return downsample_train(splits, rate, seed)
-    return flip_labels(splits, rate, seed)
-
-
 def robustness_study(
     kind: str,
     rates: list[float],
@@ -135,11 +132,10 @@ def robustness_study(
     """Degrade the training labels, train both models per seed, report
     mean test AUC and the relative improvement at each rate."""
     if kind not in ROBUSTNESS_KINDS:
-        raise ConfigError(f"robustness kind must be one of {ROBUSTNESS_KINDS}, got {kind!r}")
+        raise ConfigError(f"robustness kind must be one of {tuple(ROBUSTNESS_KINDS)}, got {kind!r}")
     if not rates:
         raise ConfigError("robustness study needs at least one rate")
-    if not seeds:
-        raise ConfigError("robustness study needs at least one seed")
+    _check_seeds(cfg_base, seeds, "robustness study")
     for r in rates:
         if kind == "sparsity" and not (0.0 < r <= 1.0):
             raise ConfigError(f"sparsity rate must lie in (0, 1], got {r}")
@@ -149,7 +145,7 @@ def robustness_study(
     for rate in rates:
         base_aucs, miss_aucs = [], []
         for seed in seeds:
-            degraded = _perturb(kind, splits, rate, seed)
+            degraded = ROBUSTNESS_KINDS[kind](splits, rate, seed)
             for cfg, sink in ((cfg_base, base_aucs), (cfg_miss, miss_aucs)):
                 run_cfg = replace(cfg, seed=seed)
                 try:
@@ -172,7 +168,7 @@ def robustness_study(
 # report files
 
 
-def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
+def _write_tsv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
@@ -188,7 +184,7 @@ def write_sweep_report(report: SweepReport, out_dir: str, tag: str) -> str:
         rows.append(
             [r.value, r.auc_mean, r.auc_std, r.logloss_mean, r.logloss_std, *r.auc_per_seed]
         )
-    _write_rows(path, header, rows)
+    _write_tsv(path, header, rows)
     return path
 
 
@@ -196,30 +192,11 @@ def write_robustness_report(report: RobustnessReport, out_dir: str, tag: str) ->
     path = os.path.join(out_dir, f"robustness_{report.kind}_{tag}.tsv")
     header = ["rate", "auc_base", "auc_miss", "relative_improvement"]
     rows = [[r.rate, r.auc_base, r.auc_miss, r.ri] for r in report.rows]
-    _write_rows(path, header, rows)
+    _write_tsv(path, header, rows)
     return path
 
 
-def write_history(path: str, result: TrainResult) -> None:
-    header = ["epoch", "loss_ll", "loss_interest", "loss_feature", "val_auc", "val_logloss"]
-    rows = [
-        [r.epoch, r.loss_ll, r.loss_interest, r.loss_feature, r.val_auc, r.val_logloss]
-        for r in result.history
-    ]
-    _write_rows(path, header, rows)
-
-
-def write_telemetry(path: str, result: TrainResult) -> None:
-    header = [
-        "step", "loss_ll", "loss_interest", "loss_feature", "total",
-        "sim_mean", "sim_min", "sim_max", "n_infeasible_interest", "n_infeasible_feature",
-    ]
-    rows = [
-        [
-            r.step, r.loss_ll, r.loss_interest, r.loss_feature, r.total,
-            r.sim_mean, r.sim_min, r.sim_max,
-            r.n_infeasible_interest, r.n_infeasible_feature,
-        ]
-        for r in result.telemetry
-    ]
-    _write_rows(path, header, rows)
+def write_rows(path: str, rows: list) -> None:
+    """Per-epoch or per-step training rows (EpochRow, StepRow): the
+    header is the row dataclass's field names."""
+    _write_tsv(path, [f.name for f in fields(rows[0])], [astuple(r) for r in rows])

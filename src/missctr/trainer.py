@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -33,13 +33,21 @@ BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+_ALPHA_GRID = {0.05, 0.1, 0.5, 1.0, 5.0}
+# field name -> published search grid, checked in this order in grid mode
 GRID = {
     "lr": {1e-1, 1e-2, 1e-3, 1e-4},
-    "alpha": {0.05, 0.1, 0.5, 1.0, 5.0},
+    "alpha_interest": _ALPHA_GRID,
+    "alpha_feature": _ALPHA_GRID,
     "tau": {0.05, 0.1, 0.5, 1.0, 5.0},
     "n_branches": {1, 2, 3, 4},
     "n_depths": {1, 2},
     "max_offset": {1, 2, 3, 4},
+}
+# field name -> least valid value
+MINIMUMS = {
+    "emb_dim": 1, "batch_size": 2, "n_branches": 1, "n_depths": 0, "max_offset": 1,
+    "max_len": 1, "epochs": 1, "patience": 1, "seed": 0,
 }
 
 STRATEGIES = ("joint", "pretrain")
@@ -92,10 +100,9 @@ class ExperimentConfig:
         return self.model == "din-miss" and (self.alpha_interest > 0 or self.alpha_feature > 0)
 
     def validate(self) -> "ExperimentConfig":
-        if self.emb_dim < 1:
-            raise ConfigError(f"emb_dim must be >= 1, got {self.emb_dim}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
+        for name, least in MINIMUMS.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("mlp", "enc_interest", "enc_feature"):
             sizes = getattr(self, name)
             if not sizes or min(sizes) < 1:
@@ -112,14 +119,6 @@ class ExperimentConfig:
             raise ConfigError("loss weights must be non-negative")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.n_branches < 1:
-            raise ConfigError(f"n_branches must be >= 1, got {self.n_branches}")
-        if self.n_depths < 0:
-            raise ConfigError(f"n_depths must be >= 0, got {self.n_depths}")
-        if self.max_offset < 1:
-            raise ConfigError(f"max_offset must be >= 1, got {self.max_offset}")
-        if self.max_len < 1:
-            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
         if self.max_len < self.n_branches:
             raise ConfigError(
                 f"max_len ({self.max_len}) must cover the widest branch ({self.n_branches})"
@@ -128,40 +127,22 @@ class ExperimentConfig:
                         ("n_pairs_feature", self.n_pairs_feature)):
             if v is not None and v < 1:
                 raise ConfigError(f"{name} must be >= 1 when set, got {v}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.grid_mode:
-            checks = [
-                ("lr", self.lr, GRID["lr"]),
-                ("alpha_interest", self.alpha_interest, GRID["alpha"]),
-                ("alpha_feature", self.alpha_feature, GRID["alpha"]),
-                ("tau", self.tau, GRID["tau"]),
-                ("n_branches", self.n_branches, GRID["n_branches"]),
-                ("n_depths", self.n_depths, GRID["n_depths"]),
-                ("max_offset", self.max_offset, GRID["max_offset"]),
-            ]
-            for name, v, grid in checks:
-                if v not in grid:
-                    raise ConfigError(f"grid mode: {name}={v} not in {sorted(grid)}")
+            for name, grid in GRID.items():
+                if getattr(self, name) not in grid:
+                    raise ConfigError(
+                        f"grid mode: {name}={getattr(self, name)} not in {sorted(grid)}"
+                    )
             if self.alpha_interest != self.alpha_feature:
                 raise ConfigError(
                     "grid mode ties the two loss weights together; "
                     f"got {self.alpha_interest} and {self.alpha_feature}"
                 )
         return self
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in dc_fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
 
 
 # ---------------------------------------------------------------------------

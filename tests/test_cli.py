@@ -3,16 +3,22 @@ determinism, exit codes, config precedence, and the summary counts."""
 
 import os
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_data import FUZZ
 
+import missctr.harness
 from missctr.cli import (
     CONFIG_KEYS,
     model_summary,
     parse_config_file,
     resolve_config,
     run,
+    write_resolved_config,
 )
 from missctr.errors import ConfigError
 from missctr.serialize import load_arrays, save_arrays
@@ -36,10 +42,18 @@ def synth_corpus(tmp_path, seed=3):
     return os.path.join(out, "synth.tsv")
 
 
-def test_config_keys_cover_experiment_config():
-    from dataclasses import fields
-
-    assert set(CONFIG_KEYS) == {f.name for f in fields(ExperimentConfig)}
+def test_resolved_config_file_round_trips_every_field(tmp_path):
+    cfg = ExperimentConfig(
+        emb_dim=6, batch_size=32, mlp=(12, 6, 1), enc_interest=(7, 3), enc_feature=(5,),
+        lr=1e-2, alpha_interest=0.1, alpha_feature=0.1, tau=0.05, n_branches=3, n_depths=1,
+        max_offset=4, max_len=12, n_pairs_interest=5, n_pairs_feature=None, epochs=4,
+        patience=2, seed=9, strategy="pretrain", model="din", grid_mode=True,
+    ).validate()
+    for f in fields(ExperimentConfig):
+        if f.name != "n_pairs_feature":  # left unset: "none" must round-trip too
+            assert getattr(cfg, f.name) != f.default, f.name
+    path = write_resolved_config(str(tmp_path), cfg, {"verb": "train"})
+    assert ExperimentConfig(**parse_config_file(path)) == cfg
 
 
 def test_synth_rerun_byte_identical(tmp_path):
@@ -303,6 +317,77 @@ def test_min_count_below_one_exits_1(tmp_path, capsys, verb, min_count):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"--min-count must be >= 1, got {min_count}" in err
     assert not (out / "config.txt").exists()
+
+
+NEGATIVE_SEEDS = {
+    "train": ["--seed", "-1"],
+    "ingest": ["--seed", "-2"],
+    "sweep": ["--axis", "temperature", "--grid", "0.1", "--seeds", "0,-1"],
+    "robustness": ["--kind", "noise", "--rates", "0.1", "--seeds", "-1"],
+}
+
+
+@pytest.mark.parametrize("verb", NEGATIVE_SEEDS)
+def test_negative_seed_exits_1_before_any_run(tmp_path, capsys, monkeypatch, verb):
+    corpus = synth_corpus(tmp_path)
+    capsys.readouterr()
+
+    def no_run(*args):
+        raise AssertionError("a run trained before the seeds were checked")
+
+    monkeypatch.setattr(missctr.harness, "run_experiment", no_run)
+    code = run([verb, "--dataset", corpus, "--out-dir", str(tmp_path / "out"), *TINY,
+                *NEGATIVE_SEEDS[verb]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: seed must be >= 0, got -")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-3"), ("--n-users", "0"), ("--n-users", "-5"), ("--n-items", "0"),
+    ("--n-interests", "0"),
+])
+def test_synth_out_of_range_count_or_seed_exits_1(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    code = run(["synth", "--out-dir", str(out), flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be >= ")
+    assert not out.exists()
+
+
+def test_non_utf8_config_exits_1_naming_path(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_bytes(b"lr = 0.01\n# caf\xe9\n")
+    code = run(["train", "--config", str(cfg_path), "--dataset", str(tmp_path / "x.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(cfg_path) in err
+
+
+CONFIG_LINE = st.tuples(
+    st.one_of(st.sampled_from(CONFIG_KEYS), st.text(max_size=6)),
+    st.sampled_from(["=", " = ", " ", ""]),
+    st.one_of(st.text(alphabet="0123456789.,- eEnoifatrus", max_size=10), st.text(max_size=10)),
+).map("".join)
+CONFIG_TEXT = st.lists(CONFIG_LINE, max_size=6).map("\n".join).map(str.encode)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config")
+
+
+@FUZZ
+@given(body=st.one_of(st.binary(max_size=400), CONFIG_TEXT))
+def test_fuzz_parse_config_file(fuzz_dir, body):
+    path = fuzz_dir / "fuzz.cfg"
+    path.write_bytes(body)
+    try:
+        assert isinstance(parse_config_file(str(path)), dict)
+    except ConfigError:
+        pass
 
 
 BAD_VALUES = [

@@ -12,10 +12,9 @@ from missctr.harness import (
     robustness_study,
     run_experiment,
     sweep,
-    write_history,
     write_robustness_report,
+    write_rows,
     write_sweep_report,
-    write_telemetry,
 )
 from missctr.trainer import ExperimentConfig
 
@@ -184,8 +183,8 @@ def test_history_and_telemetry_files(tmp_path):
     result, _ = run_experiment(toy_cfg(epochs=2), splits)
     hist = str(tmp_path / "history.tsv")
     tele = str(tmp_path / "telemetry.tsv")
-    write_history(hist, result)
-    write_telemetry(tele, result)
+    write_rows(hist, result.history)
+    write_rows(tele, result.telemetry)
     hlines = open(hist).read().splitlines()
     assert hlines[0].split("\t") == [
         "epoch", "loss_ll", "loss_interest", "loss_feature", "val_auc", "val_logloss",
