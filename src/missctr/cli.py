@@ -336,6 +336,8 @@ def _parse_list(text: str, flag: str, cast: type) -> list:
         raise ConfigError(f"bad {flag} list: {exc}") from exc
     if not vals:
         raise ConfigError(f"{flag} list is empty")
+    if repeats := [v for i, v in enumerate(vals) if v in vals[:i]]:
+        raise ConfigError(f"{flag} repeats {repeats[0]!r}")  # it would train the same runs again
     return vals
 
 

@@ -2,20 +2,22 @@
 snapshots, and the synthetic multi-interest corpus generator.
 
 File format: tab-separated rows `user  item  attr_1 .. attr_{J-1}  ts`
-with an integer timestamp in the last column.  The number of attribute
-columns is inferred from the first well-formed line.  Everything
-downstream is integer-encoded: id 0 is padding, id 1 is reserved and
-never emitted (every token of the log being split gets an id), and
-real tokens are numbered densely from 2 in order of first appearance.
-A split snapshot stores those integer splits in the `serialize` array
-container (see `save_splits`).
+with an int64 timestamp in the last column.  The number of attribute
+columns is inferred from the first well-formed line.  In memory a log
+is integer-coded columns, and splits are integer-encoded: id 0 is
+padding, id 1 is reserved and never emitted (every token of the log
+being split gets an id), and real tokens are numbered densely from 2 in
+order of first appearance.  A split snapshot stores those integer
+splits in the `serialize` array container (see `save_splits`).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from collections import defaultdict
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import chain, compress, count, repeat
 
 import numpy as np
 
@@ -26,91 +28,108 @@ log = logging.getLogger(__name__)
 
 PAD_ID = 0
 MIN_BEHAVIORS = 4  # leave-last-out needs 3 held-out events plus >=1 of history
-
-
-@dataclass(frozen=True)
-class Record:
-    user: str
-    item: str
-    attrs: tuple[str, ...]
-    ts: int
+BLOCK = 1 << 18  # characters of a TSV log parsed at a time (larger blocks were slower)
 
 
 @dataclass
 class InteractionLog:
-    """Per-user chronological behavior lists (stable order on timestamp ties)."""
+    """Events as parallel columns, user after user, chronological within
+    a user (ties keep input order).  Field j of event e is
+    tokens[j][codes[j, e]]; a filter may leave tokens no event uses."""
 
-    users: dict[str, list[Record]]
+    users: list[str]  # distinct users in stored order
+    counts: np.ndarray  # (len(users),) int64, each user's events, all >= 1
     seq_fields: list[str]  # ["item", "attr_1", ...]
+    tokens: list[list[str]]  # per seq field; ingest_log lists them by first appearance
+    codes: np.ndarray  # (len(seq_fields), n_records) int64
+    ts: np.ndarray  # (n_records,) int64
     n_skipped: int = 0
 
     @property
     def n_records(self) -> int:
-        return sum(len(v) for v in self.users.values())
+        return self.ts.size
+
+
+def _is_int64(token: str) -> bool:
+    try:
+        return -(1 << 63) <= int(token) < 1 << 63
+    except ValueError:
+        return False
+
+
+def _well_formed(lines: list[str], width: int) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Which lines have `width` nonempty fields and an int64 timestamp,
+    their fields as one flat list, and their timestamps.  Each check is
+    one pass over the block; only a failed check revisits its lines."""
+    ok = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines)) == width - 1
+    joined = "\t".join(compress(lines, ok))
+    # an empty field (an empty last field fails the timestamp check)
+    if "\t\t" in joined or joined[:1] == "\t":
+        ok[ok] = ["" not in line.split("\t") for line in compress(lines, ok)]
+        joined = "\t".join(compress(lines, ok))
+    fields = joined.split("\t") if joined else []
+    stamps = fields[width - 1 :: width] if fields else []
+    try:
+        return ok, fields, np.fromiter(map(int, stamps), np.int64, len(stamps))
+    except (ValueError, OverflowError):
+        ok[ok] = keep = list(map(_is_int64, stamps))
+        fields = list(compress(fields, np.repeat(keep, width)))
+        return ok, fields, np.array(list(map(int, compress(stamps, keep))), dtype=np.int64)
 
 
 def ingest_log(path: str) -> InteractionLog:
-    """Parse a TSV behavior log.
-
-    Malformed lines (wrong column count, empty field, non-integer
-    timestamp) are skipped and counted; if they exceed 1% of the file a
-    FormatError names the first offending line.  Rows are grouped by
-    user and sorted chronologically, ties keeping input order.
-    """
-    rows: list[tuple[str, str, tuple[str, ...], int, int]] = []
-    n_cols = None
-    n_bad = 0
-    first_bad = None
-    n_lines = 0
+    """Parse a TSV behavior log a block of lines and a column at a time;
+    each column's dict numbers a token on first sight.  Malformed lines
+    (a column count other than the first well-formed line's, an empty
+    field, a timestamp that is not an int64) are skipped and counted; if
+    they exceed 1% of the nonblank lines a FormatError names the first.
+    Rows are grouped by user in order of first appearance and sorted
+    chronologically, ties keeping input order."""
+    vocabs, parts = [], []  # token -> code per column (user, item, ...); (codes, ts) per block
+    width = lineno = n_bad = 0
+    first_bad, tail = None, ""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                n_lines += 1
-                parts = line.split("\t")
-                ok = len(parts) >= 3 and all(p != "" for p in parts)
-                if ok and n_cols is None:
-                    n_cols = len(parts)
-                ok = ok and len(parts) == n_cols
-                ts = None
-                if ok:
-                    try:
-                        ts = int(parts[-1])
-                    except ValueError:
-                        ok = False
-                if not ok:
-                    n_bad += 1
-                    if first_bad is None:
-                        first_bad = lineno
-                    continue
-                rows.append((parts[0], parts[1], tuple(parts[2:-1]), ts, lineno))
+            for chunk in chain(iter(partial(fh.read, BLOCK), ""), ["\n"]):  # "\n" ends the last line
+                lines = (tail + chunk).split("\n")
+                tail = lines.pop()
+                if not width:  # the first line of 3+ columns and no empty field
+                    width = next((line.count("\t") + 1 for line in lines
+                                  if line.count("\t") >= 2 and "" not in line.split("\t")), 0)
+                    vocabs = [defaultdict(count().__next__) for _ in range(width - 1)]
+                ok, fields, ts = _well_formed(lines, width)
+                bad = [lineno + 1 + i for i in np.flatnonzero(~ok).tolist() if lines[i]]  # not blank
+                first_bad = first_bad or next(iter(bad), None)
+                n_bad, lineno = n_bad + len(bad), lineno + len(lines)
+                parts.append(([np.fromiter(map(v.__getitem__, fields[j::width]), np.int64, ts.size)
+                               for j, v in enumerate(vocabs)], ts))
     except UnicodeDecodeError:
         raise FormatError(f"{path}: not a UTF-8 text file") from None
-    if n_lines == 0 or not rows:
+    ts = np.concatenate([t for _, t in parts])
+    if not ts.size:
         raise DataError(f"no usable records in {path}")
-    if n_bad > 0:
-        log.warning("skipped %d malformed lines in %s", n_bad, path)
-        if n_bad / n_lines > 0.01:
+    if n_bad:
+        log.warning("skipped %d malformed lines in %s, first at line %d", n_bad, path, first_bad)
+        if n_bad / (n_bad + ts.size) > 0.01:
             raise FormatError(
-                f"{path}: {n_bad}/{n_lines} malformed lines, first at line {first_bad}"
-            )
-    users: dict[str, list[Record]] = {}
-    for user, item, attrs, ts, _ in rows:
-        users.setdefault(user, []).append(Record(user, item, attrs, ts))
-    for recs in users.values():
-        recs.sort(key=lambda r: r.ts)  # sort is stable: ties keep input order
-    n_attrs = n_cols - 3
-    seq_fields = ["item"] + [f"attr_{i + 1}" for i in range(n_attrs)]
-    return InteractionLog(users=users, seq_fields=seq_fields, n_skipped=n_bad)
+                f"{path}: {n_bad}/{n_bad + ts.size} malformed lines, first at line {first_bad}")
+    codes = np.concatenate([c for c, _ in parts if c], axis=1)
+    # by user, then time, then input order: two stable sorts (np.lexsort is slower)
+    order = np.argsort(ts, kind="stable")
+    order = order[np.argsort(codes[0, order], kind="stable")]
+    return InteractionLog(
+        users=list(vocabs[0]), counts=np.bincount(codes[0], minlength=len(vocabs[0])),
+        seq_fields=["item"] + [f"attr_{i + 1}" for i in range(width - 3)],
+        tokens=[list(v) for v in vocabs[1:]], codes=codes[1:, order], ts=ts[order], n_skipped=n_bad,
+    )
 
 
 def write_log_tsv(interactions: InteractionLog, path: str) -> None:
+    columns = [np.repeat(np.array(interactions.users, dtype=object), interactions.counts)]
+    columns += [np.array(t, dtype=object)[c] for t, c in zip(interactions.tokens, interactions.codes)]
+    stamps = map(str, interactions.ts.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for user in interactions.users:
-            for r in interactions.users[user]:
-                fh.write("\t".join([r.user, r.item, *r.attrs, str(r.ts)]) + "\n")
+        fh.writelines(f"{line}\n" for line in map("\t".join, zip(*columns, stamps)))
 
 
 @dataclass
@@ -128,37 +147,26 @@ def filter_infrequent(
     and vice versa."""
     if min_count < 1:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
-    users = {u: list(v) for u, v in interactions.users.items()}
-    stats = FilterStats()
-    if min_count == 1:
-        return InteractionLog(users, list(interactions.seq_fields), interactions.n_skipped), stats
+    n_users, items = len(interactions.users), interactions.codes[0]
+    user = np.repeat(np.arange(n_users), interactions.counts)
+    kept, live, stats = np.ones(items.size, dtype=bool), np.ones(n_users, dtype=bool), FilterStats()
     while True:
-        item_counts: dict[str, int] = {}
-        for recs in users.values():
-            for r in recs:
-                item_counts[r.item] = item_counts.get(r.item, 0) + 1
-        changed = False
-        next_users: dict[str, list[Record]] = {}
-        for u, recs in users.items():
-            kept = [r for r in recs if item_counts[r.item] >= min_count]
-            stats.records_dropped += len(recs) - len(kept)
-            if len(kept) < len(recs):
-                changed = True
-            if len(kept) >= min_count:
-                next_users[u] = kept
-            else:
-                stats.users_dropped += 1
-                stats.records_dropped += len(kept)
-                changed = True
-        users = next_users
         stats.rounds += 1
-        if not changed:
+        n_before = int(kept.sum())
+        kept &= np.bincount(items[kept], minlength=len(interactions.tokens[0]))[items] >= min_count
+        dropped = live & (np.bincount(user[kept], minlength=n_users) < min_count)
+        stats.users_dropped += int(dropped.sum())
+        live &= ~dropped
+        kept &= live[user]
+        stats.records_dropped += n_before - int(kept.sum())
+        if kept.sum() == n_before:
             break
-    if not users:
-        raise DegenerateDatasetError(
-            f"filtering at min_count={min_count} removed every user"
-        )
-    return InteractionLog(users, list(interactions.seq_fields), interactions.n_skipped), stats
+    if not live.any():
+        raise DegenerateDatasetError(f"filtering at min_count={min_count} removed every user")
+    out = replace(interactions, users=list(compress(interactions.users, live)),
+                  counts=np.bincount(user[kept], minlength=n_users)[live],
+                  codes=interactions.codes[:, kept], ts=interactions.ts[kept])
+    return out, stats
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +190,7 @@ class SampleSet:
         return self.cat.shape[0]
 
     def take(self, idx: np.ndarray) -> "SampleSet":
-        return SampleSet(
-            cat=self.cat[idx],
-            seq=self.seq[idx],
-            seq_len=self.seq_len[idx],
-            cand=self.cand[idx],
-            label=self.label[idx],
-        )
+        return SampleSet(*(getattr(self, a)[idx] for a in SAMPLE_ARRAYS))
 
 
 @dataclass
@@ -226,33 +228,38 @@ def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Split
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     seq_fields = interactions.seq_fields
-    eligible = [recs for recs in interactions.users.values() if len(recs) >= MIN_BEHAVIORS]
-    n_users = len(eligible)
-    if not eligible:
+    eligible = interactions.counts >= MIN_BEHAVIORS
+    n_events = interactions.counts[eligible]
+    n_users = n_events.size
+    if not n_users:
         raise DegenerateDatasetError("no user has enough behaviors to split")
 
-    # vocab over the filtered log, one field column at a time,
-    # first-appearance order, ids from 2; user k of the log gets id 2 + k
-    records = [r for recs in eligible for r in recs]  # user after user
-    columns = [[r.item for r in records]]
-    columns += [[r.attrs[j] for r in records] for j in range(len(seq_fields) - 1)]
-    seq_vocab = [{t: 2 + i for i, t in enumerate(dict.fromkeys(column))} for column in columns]
-    ids = np.array([list(map(v.__getitem__, c)) for v, c in zip(seq_vocab, columns)], dtype=np.int64)
+    # vocab over the eligible users' events (user after user), one field
+    # column at a time, first-appearance order, ids from 2; user k of
+    # them gets id 2 + k.  by_id[j] lists field j's codes in id order.
+    ids = interactions.codes[:, np.repeat(eligible, interactions.counts)]
+    by_id = []
+    for column, tokens in zip(ids, interactions.tokens):
+        first_at = np.full(len(tokens), column.size)
+        np.minimum.at(first_at, column, np.arange(column.size))
+        order = np.argsort(first_at)  # codes by first appearance, unused ones last
+        by_id.append(order[: np.count_nonzero(first_at < column.size)])
+        column[:] = 2 + np.argsort(order)[column]
     ev = ids[0]
-    n_items = len(seq_vocab[0])
+    n_items = by_id[0].size
     if n_items < 2:
         raise DegenerateDatasetError("need at least 2 distinct items to sample negatives")
     # item ids count up in first-seen order, so an item's first event is
     # where the running maximum of ev grows
     codes = np.zeros((2 + n_items, len(seq_fields)), dtype=np.int64)  # row 0 encodes padding
     codes[2:] = ids[:, np.diff(np.maximum.accumulate(ev), prepend=1) > 0].T
-    n_events = np.array([len(recs) for recs in eligible], dtype=np.int64)
 
     # each user's seen items as sorted ranks in sorted item order (sort and
     # drop repeats: np.unique hashes, which is far slower here); below[i]
     # counts the unseen ranks under seen rank i, offset per user so that
     # one searchsorted serves every user
-    by_rank = np.array([seq_vocab[0][it] for it in sorted(seq_vocab[0])], dtype=np.int64)
+    names = [interactions.tokens[0][c] for c in by_id[0].tolist()]
+    by_rank = 2 + np.array(sorted(range(n_items), key=names.__getitem__), dtype=np.int64)
     rank = np.empty(2 + n_items, dtype=np.int64)
     rank[by_rank] = np.arange(n_items)
     seen = np.sort(np.repeat(np.arange(n_users), n_events) * n_items + rank[ev])
@@ -285,7 +292,7 @@ def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Split
         parts.append(SampleSet(
             cat=(2 + row_user)[:, None], seq=np.ascontiguousarray(codes[hist].transpose(0, 2, 1)),
             seq_len=seq_len, cand=codes[cand], label=is_pos.astype(np.int64)))
-    vocab_sizes = {"user": 2 + n_users} | {f: 2 + len(v) for f, v in zip(seq_fields, seq_vocab)}
+    vocab_sizes = {"user": 2 + n_users} | {f: 2 + c.size for f, c in zip(seq_fields, by_id)}
     return Splits(*parts, cat_fields=["user"], seq_fields=list(seq_fields), vocab_sizes=vocab_sizes,
                   max_len=max_len, n_short_users=len(interactions.users) - n_users)
 
@@ -337,16 +344,13 @@ def synth_generate(
         raise ConfigError(f"bad seq_len_range {seq_len_range}; need {MIN_BEHAVIORS} <= lo <= hi")
     rng = np.random.default_rng(seed)
     per = n_items // n_interests
-    width = len(str(n_items - 1))
-    item_name = lambda i: f"i{i:0{width}d}"
-
-    users: dict[str, list[Record]] = {}
-    uw = len(str(n_users - 1))
+    items: list[int] = []
+    counts = np.empty(n_users, dtype=np.int64)
     for u in range(n_users):
         k = min(int(rng.integers(1, 4)), n_interests)
         interests = sorted(rng.choice(n_interests, size=k, replace=False).tolist())
-        target = int(rng.integers(lo, hi + 1))
-        items: list[int] = []
+        counts[u] = target = int(rng.integers(lo, hi + 1))
+        target += len(items)
         while len(items) < target:
             c = interests[int(rng.integers(k))]
             run = int(rng.integers(2, 5))
@@ -358,11 +362,14 @@ def synth_generate(
                     others = [x for x in interests if x != c]
                     cluster = others[int(rng.integers(len(others)))]
                 items.append(cluster * per + int(rng.integers(per)))
-        name = f"u{u:0{uw}d}"
-        users[name] = [
-            Record(name, item_name(it), (f"c{it // per}",), t) for t, it in enumerate(items)
-        ]
-    return InteractionLog(users=users, seq_fields=["item", "attr_1"])
+    item = np.array(items, dtype=np.int64)
+    uw, iw = len(str(n_users - 1)), len(str(n_items - 1))
+    return InteractionLog(
+        users=[f"u{u:0{uw}d}" for u in range(n_users)], counts=counts, seq_fields=["item", "attr_1"],
+        tokens=[[f"i{i:0{iw}d}" for i in range(n_items)], [f"c{c}" for c in range(n_interests)]],
+        codes=np.stack([item, item // per]),
+        ts=np.arange(item.size) - np.repeat(np.cumsum(counts) - counts, counts),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +406,7 @@ def flip_labels(splits: Splits, rate: float, seed: int) -> Splits:
     chosen = rng.choice(n, size=n_flip, replace=False)
     label = splits.train.label.copy()
     label[chosen] = 1 - label[chosen]
-    train = replace(splits.train, label=label)
-    return replace(splits, train=train)
+    return replace(splits, train=replace(splits.train, label=label))
 
 
 # ---------------------------------------------------------------------------

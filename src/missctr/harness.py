@@ -35,12 +35,13 @@ def run_experiment(cfg: ExperimentConfig, splits: Splits) -> tuple[TrainResult, 
     return result, evaluate_scores(scores, splits.test.label)
 
 
-def _check_seeds(cfg: ExperimentConfig, seeds: list[int], study: str) -> None:
+def _check_seeds(seeds: list[int], study: str, *cfgs: ExperimentConfig) -> None:
     """Reject an empty or invalid seed list before the first run trains."""
     if not seeds:
         raise ConfigError(f"{study} needs at least one seed")
-    for seed in seeds:
-        replace(cfg, seed=seed).validate()
+    for cfg in cfgs:
+        for seed in seeds:
+            replace(cfg, seed=seed).validate()
 
 
 @dataclass
@@ -80,25 +81,27 @@ def sweep(
     splits: Splits,
     seeds: list[int],
 ) -> SweepReport:
-    """Train one model per (grid value, seed); aggregate test metrics."""
+    """Train one model per (grid value, seed); aggregate test metrics.
+    Every run's config is validated before the first run trains."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     if not grid:
         raise ConfigError("sweep grid must be non-empty")
-    _check_seeds(cfg, seeds, "sweep")
-    rows = []
-    for value in sorted(grid):
-        aucs, lls = [], []
-        for seed in seeds:
-            run_cfg = replace(cfg, seed=seed, **dict.fromkeys(SWEEP_AXES[axis], value))
-            try:
-                _, report = run_experiment(run_cfg, splits)
-            except MissError as exc:
-                exc.args = (f"{axis}={value} seed={seed}: {exc}",)
-                raise
-            aucs.append(report.auc)
-            lls.append(report.logloss)
-        rows.append(SweepRow(value=value, auc_per_seed=aucs, logloss_per_seed=lls))
+    _check_seeds(seeds, "sweep", cfg)
+    runs = {(value, seed): replace(cfg, seed=seed, **dict.fromkeys(SWEEP_AXES[axis], value))
+            for value in sorted(grid) for seed in seeds}
+    reports = {}
+    try:
+        for value, seed in runs:
+            runs[value, seed].validate()
+        for value, seed in runs:
+            _, reports[value, seed] = run_experiment(runs[value, seed], splits)
+    except MissError as exc:
+        exc.args = (f"{axis}={value} seed={seed}: {exc}",)
+        raise
+    rows = [SweepRow(value=value, auc_per_seed=[reports[value, s].auc for s in seeds],
+                     logloss_per_seed=[reports[value, s].logloss for s in seeds])
+            for value in sorted(grid)]
     return SweepReport(axis=axis, seeds=list(seeds), rows=rows)
 
 
@@ -135,7 +138,7 @@ def robustness_study(
         raise ConfigError(f"robustness kind must be one of {tuple(ROBUSTNESS_KINDS)}, got {kind!r}")
     if not rates:
         raise ConfigError("robustness study needs at least one rate")
-    _check_seeds(cfg_base, seeds, "robustness study")
+    _check_seeds(seeds, "robustness study", cfg_base, cfg_miss)
     for r in rates:
         if kind == "sparsity" and not (0.0 < r <= 1.0):
             raise ConfigError(f"sparsity rate must lie in (0, 1], got {r}")
@@ -143,24 +146,16 @@ def robustness_study(
             raise ConfigError(f"noise rate must lie in [0, 1), got {r}")
     rows = []
     for rate in rates:
-        base_aucs, miss_aucs = [], []
+        aucs = ([], [])  # base, miss
         for seed in seeds:
             degraded = ROBUSTNESS_KINDS[kind](splits, rate, seed)
-            for cfg, sink in ((cfg_base, base_aucs), (cfg_miss, miss_aucs)):
-                run_cfg = replace(cfg, seed=seed)
+            for cfg, sink in zip((cfg_base, cfg_miss), aucs):
                 try:
-                    _, report = run_experiment(run_cfg, degraded)
+                    sink.append(run_experiment(replace(cfg, seed=seed), degraded)[1].auc)
                 except MissError as exc:
                     exc.args = (f"{kind}={rate} seed={seed}: {exc}",)
                     raise
-                sink.append(report.auc)
-        rows.append(
-            RobustnessRow(
-                rate=rate,
-                auc_base=float(np.mean(base_aucs)),
-                auc_miss=float(np.mean(miss_aucs)),
-            )
-        )
+        rows.append(RobustnessRow(rate, *(float(np.mean(a)) for a in aucs)))
     return RobustnessReport(kind=kind, seeds=list(seeds), rows=rows)
 
 
@@ -179,11 +174,8 @@ def write_sweep_report(report: SweepReport, out_dir: str, tag: str) -> str:
     path = os.path.join(out_dir, f"sweep_{report.axis}_{tag}.tsv")
     header = ["value", "auc_mean", "auc_std", "logloss_mean", "logloss_std"]
     header += [f"auc_seed{s}" for s in report.seeds]
-    rows = []
-    for r in report.rows:
-        rows.append(
-            [r.value, r.auc_mean, r.auc_std, r.logloss_mean, r.logloss_std, *r.auc_per_seed]
-        )
+    rows = [[r.value, r.auc_mean, r.auc_std, r.logloss_mean, r.logloss_std, *r.auc_per_seed]
+            for r in report.rows]
     _write_tsv(path, header, rows)
     return path
 

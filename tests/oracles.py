@@ -1,18 +1,21 @@
 """Naive reference implementations shared by the extractor,
-contrastive-loss, ranking-metric, gather, optimizer, split and
+contrastive-loss, ranking-metric, gather, optimizer, ingest, split and
 attention-pooling tests: scalar loops in the library's own tap order,
 so the extractor oracles can be compared bitwise, the dense textbook
 forms of the row-sparse gather gradient and of the Adam step, the
-per-row split builder, and the attention unit with its first layer
-applied to the concatenated [v; c; v*c; v-c] input."""
+line-by-line TSV reader, the per-row split builder, and the attention
+unit with its first layer applied to the concatenated [v; c; v*c; v-c]
+input.  log_events and make_log convert between a columnar
+InteractionLog and per-user event lists."""
 
 import logging
+from typing import NamedTuple
 
 import numpy as np
 
 from missctr import autodiff as ad
-from missctr.data import MIN_BEHAVIORS, InteractionLog, Record, SampleSet, Splits
-from missctr.errors import ConfigError, DegenerateDatasetError
+from missctr.data import MIN_BEHAVIORS, InteractionLog, SampleSet, Splits
+from missctr.errors import ConfigError, DataError, DegenerateDatasetError, FormatError
 
 log = logging.getLogger(__name__)
 UNKNOWN_ID = 1
@@ -94,6 +97,97 @@ def textbook_adam(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     return p, m, v
 
 
+class Event(NamedTuple):
+    item: str
+    attrs: tuple[str, ...]
+    ts: int
+
+
+def log_events(interactions: InteractionLog) -> dict[str, list[Event]]:
+    """user -> the user's events in stored order."""
+    columns = [[tokens[c] for c in codes]
+               for tokens, codes in zip(interactions.tokens, interactions.codes.tolist())]
+    events = [Event(item, tuple(attrs), ts)
+              for item, *attrs, ts in zip(*columns, interactions.ts.tolist())]
+    stops = np.cumsum(interactions.counts).tolist()
+    return {u: events[stop - n : stop]
+            for u, n, stop in zip(interactions.users, interactions.counts.tolist(), stops)}
+
+
+def make_log(users: dict[str, list[tuple]], seq_fields: list[str], n_skipped: int = 0) -> InteractionLog:
+    """The columnar log of user -> [(item, attrs, ts), ...], each list in
+    stored order; tokens are coded in order of first appearance."""
+    vocabs = [{} for _ in seq_fields]
+    events = [(item, *attrs) for evs in users.values() for item, attrs, _ in evs]
+    codes = [[v.setdefault(e[j], len(v)) for e in events] for j, v in enumerate(vocabs)]
+    return InteractionLog(
+        users=list(users), counts=np.array([len(e) for e in users.values()], dtype=np.int64),
+        seq_fields=list(seq_fields), tokens=[list(v) for v in vocabs],
+        codes=np.array(codes, dtype=np.int64),
+        ts=np.array([t for evs in users.values() for *_, t in evs], dtype=np.int64),
+        n_skipped=n_skipped,
+    )
+
+
+def naive_ingest_log(path: str) -> InteractionLog:
+    """The TSV reader line by line.
+
+    Malformed lines (wrong column count, empty field, a timestamp that
+    is not an integer or does not fit int64) are skipped and counted; if
+    they exceed 1% of the file a FormatError names the first offending
+    line.  Rows are grouped by user and sorted chronologically, ties
+    keeping input order.
+    """
+    rows = []
+    n_cols = None
+    n_bad = 0
+    first_bad = None
+    n_lines = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                n_lines += 1
+                parts = line.split("\t")
+                ok = len(parts) >= 3 and all(p != "" for p in parts)
+                if ok and n_cols is None:
+                    n_cols = len(parts)
+                ok = ok and len(parts) == n_cols
+                ts = None
+                if ok:
+                    try:
+                        ts = int(parts[-1])
+                    except ValueError:
+                        ok = False
+                    else:
+                        ok = -(2**63) <= ts < 2**63
+                if not ok:
+                    n_bad += 1
+                    if first_bad is None:
+                        first_bad = lineno
+                    continue
+                rows.append((parts[0], parts[1], tuple(parts[2:-1]), ts))
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not a UTF-8 text file") from None
+    if n_lines == 0 or not rows:
+        raise DataError(f"no usable records in {path}")
+    if n_bad > 0:
+        log.warning("skipped %d malformed lines in %s, first at line %d", n_bad, path, first_bad)
+        if n_bad / n_lines > 0.01:
+            raise FormatError(
+                f"{path}: {n_bad}/{n_lines} malformed lines, first at line {first_bad}"
+            )
+    users = {}
+    for user, item, attrs, ts in rows:
+        users.setdefault(user, []).append((item, attrs, ts))
+    for events in users.values():
+        events.sort(key=lambda e: e[2])  # sort is stable: ties keep input order
+    seq_fields = ["item"] + [f"attr_{i + 1}" for i in range(n_cols - 3)]
+    return make_log(users, seq_fields, n_bad)
+
+
 def _encode(vocab: dict[str, int], token: str) -> int:
     return vocab.get(token, UNKNOWN_ID)
 
@@ -118,8 +212,9 @@ def naive_build_splits(interactions: InteractionLog, max_len: int, seed: int) ->
     seq_fields = interactions.seq_fields
     n_seq = len(seq_fields)
 
-    eligible = {u: recs for u, recs in interactions.users.items() if len(recs) >= MIN_BEHAVIORS}
-    n_short = len(interactions.users) - len(eligible)
+    users = log_events(interactions)
+    eligible = {u: recs for u, recs in users.items() if len(recs) >= MIN_BEHAVIORS}
+    n_short = len(users) - len(eligible)
     if not eligible:
         raise DegenerateDatasetError("no user has enough behaviors to split")
 
@@ -147,7 +242,7 @@ def naive_build_splits(interactions: InteractionLog, max_len: int, seed: int) ->
         toks = (item, *item_attrs[item])
         return [_encode(seq_vocab[j], toks[j]) for j in range(n_seq)]
 
-    def pack(history: list[Record], target_item: str, user: str, label: int, out: dict) -> None:
+    def pack(history: list[Event], target_item: str, user: str, label: int, out: dict) -> None:
         s = min(len(history), max_len)
         row = np.zeros((n_seq, max_len), dtype=np.int64)
         for pos, r in enumerate(history[-s:]):

@@ -343,6 +343,49 @@ def test_negative_seed_exits_1_before_any_run(tmp_path, capsys, monkeypatch, ver
     assert err.count("\n") == 1 and err.startswith("error: seed must be >= 0, got -")
 
 
+def _count_runs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(missctr.harness, "run_experiment", lambda *args: calls.append(args))
+    return calls
+
+
+def test_sweep_validates_every_grid_value_before_any_run(tmp_path, capsys, monkeypatch):
+    corpus = synth_corpus(tmp_path)
+    capsys.readouterr()
+    calls = _count_runs(monkeypatch)
+    code = run(["sweep", "--dataset", corpus, "--out-dir", str(tmp_path / "out"), *TINY,
+                "--grid-mode", "--lr", "0.01", "--axis", "temperature", "--grid", "0.1,0.5,7",
+                "--seeds", "0,1"])
+    assert code == 1 and calls == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: temperature=7.0 seed=0: grid mode: tau=7.0 not in ")
+
+
+REPEATS = {
+    "sweep --seeds": (["sweep", "--axis", "temperature", "--grid", "0.1", "--seeds", "0,3,3"],
+                      "--seeds repeats 3"),
+    "sweep --grid": (["sweep", "--axis", "loss_weight", "--grid", "0.5,0.1,0.50"],
+                     "--grid repeats 0.5"),
+    "robustness --rates": (["robustness", "--kind", "noise", "--rates", "0.2 0.2"],
+                           "--rates repeats 0.2"),
+    "robustness --seeds": (["robustness", "--kind", "noise", "--rates", "0.2", "--seeds", "1,1"],
+                           "--seeds repeats 1"),
+}
+
+
+@pytest.mark.parametrize("case", REPEATS)
+def test_repeated_list_entry_exits_1_before_any_run(tmp_path, capsys, monkeypatch, case):
+    corpus = synth_corpus(tmp_path)
+    capsys.readouterr()
+    calls = _count_runs(monkeypatch)
+    argv, message = REPEATS[case]
+    code = run([argv[0], "--dataset", corpus, "--out-dir", str(tmp_path / "out"), *TINY,
+                *argv[1:]])
+    assert code == 1 and calls == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--seed", "-3"), ("--n-users", "0"), ("--n-users", "-5"), ("--n-items", "0"),
     ("--n-interests", "0"),

@@ -1,13 +1,16 @@
 """Ingestion, filtering, splitting, batching, synthetic generation, and
 the robustness-study perturbations."""
 
+import logging
 import re
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import naive_build_splits
+from oracles import log_events, make_log, naive_build_splits, naive_ingest_log
 
 from missctr import data as D
 from missctr.errors import ConfigError, DataError, DegenerateDatasetError, FormatError, MissError
@@ -23,17 +26,17 @@ def write(tmp_path, name, text):
 def toy_log(users):
     """users: dict name -> list of (item, attr) in chronological order."""
     recs = {
-        u: [D.Record(u, it, (at,), t) for t, (it, at) in enumerate(events)]
+        u: [(it, (at,), t) for t, (it, at) in enumerate(events)]
         for u, events in users.items()
     }
-    return D.InteractionLog(users=recs, seq_fields=["item", "attr_1"])
+    return make_log(recs, ["item", "attr_1"])
 
 
 def first_appearance_ids(interactions, token):
     """The ids build_splits gives token(user, record): numbered from 2 in
     order of first appearance over the users it keeps."""
     ids = {}
-    for u, recs in interactions.users.items():
+    for u, recs in log_events(interactions).items():
         if len(recs) >= D.MIN_BEHAVIORS:
             for r in recs:
                 ids.setdefault(token(u, r), 2 + len(ids))
@@ -62,7 +65,7 @@ def test_ingest_groups_and_sorts(tmp_path):
     )
     out = D.ingest_log(path)
     assert list(out.users) == ["u1", "u2"]
-    assert [r.item for r in out.users["u1"]] == ["c", "a"]
+    assert [r.item for r in log_events(out)["u1"]] == ["c", "a"]
     assert out.seq_fields == ["item", "attr_1"]
     assert out.n_skipped == 0
 
@@ -70,7 +73,7 @@ def test_ingest_groups_and_sorts(tmp_path):
 def test_ingest_tie_keeps_input_order(tmp_path):
     path = write(tmp_path, "log.tsv", "u\ta\tx\t5\nu\tb\tx\t5\n")
     out = D.ingest_log(path)
-    assert [r.item for r in out.users["u"]] == ["a", "b"]
+    assert [r.item for r in log_events(out)["u"]] == ["a", "b"]
 
 
 def test_ingest_skips_malformed_under_threshold(tmp_path):
@@ -78,7 +81,7 @@ def test_ingest_skips_malformed_under_threshold(tmp_path):
     path = write(tmp_path, "log.tsv", good + "broken-line-no-tabs\n")
     out = D.ingest_log(path)
     assert out.n_skipped == 1
-    assert len(out.users["u"]) == 200
+    assert len(log_events(out)["u"]) == 200
 
 
 def test_ingest_error_names_first_bad_line(tmp_path):
@@ -111,6 +114,24 @@ def test_ingest_empty_file(tmp_path):
         D.ingest_log(write(tmp_path, "log.tsv", ""))
 
 
+def test_ingest_timestamp_beyond_int64_is_malformed(tmp_path):
+    good = "".join(f"u\ti{k}\tx\t{k}\n" for k in range(199))
+    path = write(tmp_path, "log.tsv", good + f"u\tz\tx\t{2**63}\n")
+    out = D.ingest_log(path)
+    assert out.n_skipped == 1 and out.n_records == 199
+    # one such line in fewer than 100 is over the 1% rule
+    path = write(tmp_path, "short.tsv", "u\ta\tx\t1\n" f"u\tb\tx\t{-(2**63) - 1}\n")
+    with pytest.raises(FormatError, match="1/2 malformed lines, first at line 2"):
+        D.ingest_log(path)
+
+
+def test_ingest_keeps_the_int64_extremes(tmp_path):
+    path = write(tmp_path, "log.tsv", f"u\ta\tx\t{2**63 - 1}\nu\tb\tx\t{-(2**63)}\n")
+    out = D.ingest_log(path)
+    assert [r.item for r in log_events(out)["u"]] == ["b", "a"]
+    assert out.ts.tolist() == [-(2**63), 2**63 - 1]
+
+
 # fuzz: any byte input parses or raises a MissError, within a deadline
 
 
@@ -137,8 +158,23 @@ FUZZ = settings(max_examples=150, deadline=2000)
 TSV_TEXT = st.text(alphabet="\t\n\r u1i0-9_x é", max_size=400).map(str.encode)
 
 
+# timestamps of 18-25 digits (around the int64 limits) or signed, and
+# \n, \r\n or \r line endings
+TIMESTAMP = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.integers(10**17, 10**25).map(str),
+    st.integers(-(10**25), 10**25).map(str),
+    st.sampled_from([str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), "+3", "-0"]),
+)
+STAMPED_TSV = st.lists(
+    st.tuples(st.sampled_from(["u1", "u2"]), st.sampled_from(["i1", "é"]), TIMESTAMP,
+              st.sampled_from(["\n", "\r\n", "\r"])),
+    max_size=30,
+).map(lambda rows: "".join(f"{u}\t{i}\tx\t{t}{end}" for u, i, t, end in rows).encode())
+
+
 @FUZZ
-@given(body=st.one_of(st.binary(max_size=400), TSV_TEXT))
+@given(body=st.one_of(st.binary(max_size=400), TSV_TEXT, STAMPED_TSV))
 def test_fuzz_ingest_arbitrary_bytes(real_log, body):
     _ingest(real_log[0], body)
 
@@ -161,6 +197,79 @@ def test_fuzz_ingest_byte_flips_of_real_log(real_log, data):
     for pos, value in flips:
         blob[pos] = value
     _ingest(d, bytes(blob))
+
+
+# ingest_log against the line-by-line oracle
+
+TOKEN = st.sampled_from(["u1", "u2", "é", "日本", "a b", "x", "0", "ü9"])
+FIELD = st.one_of(TOKEN, st.just(""))
+STAMP = st.one_of(st.integers(-2, 2).map(str), TIMESTAMP, st.sampled_from(["", "1.5", " 7", "1_0", "٣"]))
+
+
+@st.composite
+def tsv_texts(draw):
+    """TSV text with 0-2 attribute columns: well-formed rows with tied
+    timestamps, rows of other widths or with empty fields, blank and
+    tab-only lines, mixed line endings, and optionally 150 well-formed
+    rows first so that a few malformed lines are skipped rather than
+    fatal."""
+    width = 3 + draw(st.integers(0, 2))
+    good = st.builds(lambda f, t: "\t".join(f + [t]), st.lists(TOKEN, min_size=width - 1,
+                     max_size=width - 1), st.integers(-2, 2).map(str))
+    n_fields = st.one_of(st.just(width - 1), st.integers(0, 5))
+    other = st.builds(lambda f, t: "\t".join(f + [t]),
+                      n_fields.flatmap(lambda n: st.lists(FIELD, min_size=n, max_size=n)), STAMP)
+    line = st.one_of(good, good, other, other, st.sampled_from(["", "\t", "\t\t\t"]))
+    lines = draw(st.lists(line, max_size=30))
+    if draw(st.booleans()):
+        lines = [f"p{k % 7}\t" + "\t".join(["i", "x", "y"][: width - 2]) + f"\t{k % 3}"
+                 for k in range(150)] + lines
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(l + e for l, e in zip(lines, ends))
+    return text[: len(text) - draw(st.integers(0, 1))]  # maybe no final line ending
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@contextmanager
+def _warnings(name):
+    handler, logger = _Messages(), logging.getLogger(name)
+    logger.addHandler(handler)
+    try:
+        yield handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def _outcome(reader, path, logger_name):
+    """What a reader makes of a file: the users, their events in order,
+    the fields and skip count, or the error, plus its warnings."""
+    with _warnings(logger_name) as messages:
+        try:
+            out = reader(path)
+        except MissError as exc:
+            return (type(exc), str(exc)), messages
+    assert out.codes.dtype == out.ts.dtype == out.counts.dtype == np.int64
+    return (out.users, log_events(out), out.seq_fields, out.n_skipped), messages
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=tsv_texts(), block=st.sampled_from([1, 7, 64, D.BLOCK]))
+def test_ingest_matches_the_line_by_line_oracle(snapshot_dir, text, block):
+    path = snapshot_dir / "oracle.tsv"
+    path.write_bytes(text.encode())
+    want = _outcome(naive_ingest_log, str(path), "oracles")
+    with mock.patch.object(D, "BLOCK", block):  # lines that span reads
+        got = _outcome(D.ingest_log, str(path), "missctr.data")
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +295,7 @@ def test_filter_cascades_to_fixpoint():
     )
     out, stats = D.filter_infrequent(interactions, 2)
     assert list(out.users) == ["u1"]
-    assert [r.item for r in out.users["u1"]] == ["a", "a"]
+    assert [r.item for r in log_events(out)["u1"]] == ["a", "a"]
     assert stats.rounds >= 3
     assert stats.users_dropped == 2
     with pytest.raises(DegenerateDatasetError):
@@ -202,7 +311,7 @@ def test_filter_brute_force_fixpoint_agreement():
     interactions = toy_log(users)
     min_count = 2
     # brute-force reference: iterate the defining rule until stable
-    recs = {u: [(r.item) for r in v] for u, v in interactions.users.items()}
+    recs = {u: [(r.item) for r in v] for u, v in log_events(interactions).items()}
     while True:
         item_counts = {}
         for v in recs.values():
@@ -218,7 +327,7 @@ def test_filter_brute_force_fixpoint_agreement():
         recs = nxt
     try:
         out, _ = D.filter_infrequent(interactions, min_count)
-        got = {u: [r.item for r in v] for u, v in out.users.items()}
+        got = {u: [r.item for r in v] for u, v in log_events(out).items()}
     except DegenerateDatasetError:
         got = {}
     assert got == recs
@@ -251,7 +360,7 @@ def test_leave_last_out_positions():
 def test_held_out_events_differ_across_splits():
     interactions = D.synth_generate(40, 20, 4, (6, 12), seed=5)
     splits = D.build_splits(interactions, max_len=8, seed=0)
-    for u, recs in interactions.users.items():
+    for u, recs in log_events(interactions).items():
         n = len(recs)
         assert n >= 4
     # positives at even rows; per user the three split targets are the
@@ -259,7 +368,7 @@ def test_held_out_events_differ_across_splits():
     users = list(interactions.users)
     vocab = item_ids(interactions)
     for k, u in enumerate(users):
-        recs = interactions.users[u]
+        recs = log_events(interactions)[u]
         assert splits.train.cand[2 * k, 0] == vocab[recs[-3].item]
         assert splits.valid.cand[2 * k, 0] == vocab[recs[-2].item]
         assert splits.test.cand[2 * k, 0] == vocab[recs[-1].item]
@@ -273,7 +382,7 @@ def test_negatives_never_interacted():
     for part in (splits.train, splits.valid, splits.test):
         for k, u in enumerate(users):
             neg_id = int(part.cand[2 * k + 1, 0])
-            seen = {r.item for r in interactions.users[u]}
+            seen = {r.item for r in log_events(interactions)[u]}
             assert inv[neg_id] not in seen
             assert part.label[2 * k] == 1 and part.label[2 * k + 1] == 0
 
@@ -338,10 +447,10 @@ def small_logs(draw):
         if u == 0 and draw(st.booleans()):
             events = [(it, False) for it in draw(st.permutations(items))] + events
         users[f"u{u}"] = [
-            D.Record(f"u{u}", it, tuple(draw(attr) for _ in range(n_attrs)) if other else usual[it], t)
+            (it, tuple(draw(attr) for _ in range(n_attrs)) if other else usual[it], t)
             for t, (it, other) in enumerate(events)
         ]
-    return D.InteractionLog(users=users, seq_fields=["item"] + [f"attr_{i + 1}" for i in range(n_attrs)])
+    return make_log(users, ["item"] + [f"attr_{i + 1}" for i in range(n_attrs)])
 
 
 def assert_same_snapshot(got, want, directory):
@@ -412,12 +521,12 @@ def test_make_batches_rejects_tiny_batch():
 def test_synth_determinism():
     a = D.synth_generate(20, 12, 3, (5, 9), seed=11)
     b = D.synth_generate(20, 12, 3, (5, 9), seed=11)
-    assert a.users == b.users
+    assert log_events(a) == log_events(b)
 
 
 def test_synth_users_stay_within_three_clusters():
     interactions = D.synth_generate(50, 40, 8, (8, 14), seed=2)
-    for recs in interactions.users.values():
+    for recs in log_events(interactions).values():
         clusters = {r.attrs[0] for r in recs}
         assert 1 <= len(clusters) <= 3
         assert len(recs) in range(8, 15)
@@ -425,14 +534,14 @@ def test_synth_users_stay_within_three_clusters():
 
 def test_synth_single_interest_single_cluster():
     interactions = D.synth_generate(30, 10, 1, (5, 8), seed=3)
-    for recs in interactions.users.values():
+    for recs in log_events(interactions).values():
         assert {r.attrs[0] for r in recs} == {"c0"}
 
 
 def test_synth_cluster_matches_item_partition():
     interactions = D.synth_generate(10, 12, 4, (5, 8), seed=4)
     per = 12 // 4
-    for recs in interactions.users.values():
+    for recs in log_events(interactions).values():
         for r in recs:
             idx = int(r.item[1:])
             assert r.attrs[0] == f"c{idx // per}"
@@ -456,7 +565,7 @@ def test_user_who_touched_every_item_gets_no_negatives(caplog):
     assert "skipped 3 negative rows" in caplog.text
     item_vocab, user_vocab = item_ids(interactions), user_ids(interactions)
     for part in (splits.train, splits.valid, splits.test):
-        for u, recs in interactions.users.items():
+        for u, recs in log_events(interactions).items():
             history = {item_vocab[r.item] for r in recs}
             rows = part.cat[:, 0] == user_vocab[u]
             negatives = part.cand[rows & (part.label == 0), 0]

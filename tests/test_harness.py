@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import missctr.harness
 from missctr.data import SampleSet, Splits
 from missctr.errors import ConfigError
 from missctr.harness import (
@@ -108,6 +109,15 @@ def test_sweep_annotates_run_errors():
     splits = toy_splits()
     with pytest.raises(ConfigError, match=r"temperature=-1.0 seed=0"):
         sweep("temperature", [-1.0], toy_cfg(), splits, seeds=[0])
+
+
+def test_sweep_validates_every_run_before_the_first_trains(monkeypatch):
+    calls = []
+    monkeypatch.setattr(missctr.harness, "run_experiment", lambda *args: calls.append(args))
+    cfg = toy_cfg(grid_mode=True, lr=0.01, alpha_interest=0.1, alpha_feature=0.1)
+    with pytest.raises(ConfigError, match=r"^temperature=7.0 seed=0: grid mode: tau=7.0 not in"):
+        sweep("temperature", [0.1, 0.5, 7.0], cfg, toy_splits(), seeds=[0, 1])
+    assert calls == []
 
 
 def test_robustness_identity_rows_match_clean_run():

@@ -506,11 +506,13 @@ def test_non_finite_loss_aborts_with_diagnostic():
 
 def test_degenerate_extractor_is_reported_once(caplog):
     # one field (no attribute column): the width-2 vertical kernels never fit
-    from missctr.data import InteractionLog, Record, build_splits, synth_generate
+    from dataclasses import replace
 
-    users = {u: [Record(u, r.item, (), r.ts) for r in recs]
-             for u, recs in synth_generate(40, 20, 4, (6, 10), seed=0).users.items()}
-    splits = build_splits(InteractionLog(users, ["item"]), max_len=6, seed=0)
+    from missctr.data import build_splits, synth_generate
+
+    log = synth_generate(40, 20, 4, (6, 10), seed=0)
+    log = replace(log, seq_fields=["item"], tokens=log.tokens[:1], codes=log.codes[:1])
+    splits = build_splits(log, max_len=6, seed=0)
     with caplog.at_level("WARNING", logger="missctr"):
         result = train_joint(tiny_cfg(epochs=1), splits)
     assert len(result.telemetry) > 1
