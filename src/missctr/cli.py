@@ -6,8 +6,8 @@ robustness, gradcheck.  Configuration comes from a flat key-value file
 writes the resolved configuration beside its outputs so a run can be
 reproduced from the artifact directory alone.
 
-Exit codes: 0 success, 1 configuration error, 2 data error,
-3 numerical failure.
+Exit codes: 0 success, 1 configuration error or out of memory, 2 data
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -474,6 +474,9 @@ def run(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a size key too large for this host
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (DataError, MetricError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

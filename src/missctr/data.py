@@ -7,8 +7,10 @@ columns is inferred from the first well-formed line.  In memory a log
 is integer-coded columns, and splits are integer-encoded: id 0 is
 padding, id 1 is reserved and never emitted (every token of the log
 being split gets an id), and real tokens are numbered densely from 2 in
-order of first appearance.  A split snapshot stores those integer
-splits in the `serialize` array container (see `save_splits`).
+order of first appearance.  The three splits are rows over one event
+table that holds each eligible user's history once (see `SampleSet`);
+a split snapshot stores the table and the rows in the `serialize`
+array container (see `save_splits`).
 """
 
 from __future__ import annotations
@@ -175,22 +177,40 @@ def filter_infrequent(
 
 @dataclass
 class SampleSet:
-    """One split as parallel arrays.  Each positive is followed by its
-    negative (same user, context, and history), except the positive of a
-    user who touched every item, which has none."""
+    """One split as rows over the event table its Splits share.  Row i
+    predicts cand[i] from events end[i] - seq_len[i] .. end[i] - 1, held
+    in table rows one higher (row 0 is padding).  Each positive is
+    followed by its negative (same user, context, and history), except
+    the positive of a user who touched every item, which has none."""
 
     cat: np.ndarray  # (n, I) int64
-    seq: np.ndarray  # (n, J, L) int64, front-padded with 0
-    seq_len: np.ndarray  # (n,) int64
+    seq_len: np.ndarray  # (n,) int64, at most max_len
     cand: np.ndarray  # (n, J) int64
     label: np.ndarray  # (n,) int64 in {0, 1}
+    end: np.ndarray  # (n,) int64, seq_len <= end <= n_events
+    events: np.ndarray  # (n_events + 1, J) int64, row 0 all PAD_ID
+    max_len: int
 
     @property
     def n(self) -> int:
         return self.cat.shape[0]
 
     def take(self, idx: np.ndarray) -> "SampleSet":
-        return SampleSet(*(getattr(self, a)[idx] for a in SAMPLE_ARRAYS))
+        return replace(self, **{a: getattr(self, a)[idx] for a in SAMPLE_ARRAYS})
+
+    def batch(self, idx) -> tuple[np.ndarray, ...]:
+        """(cat, seq, seq_len, cand, label) of rows idx, where seq is
+        their (B, J, max_len) history windows, front-padded with 0."""
+        end, seq_len = self.end[idx], self.seq_len[idx]
+        pos = end[:, None] + np.arange(-self.max_len, 0)
+        rows = np.where(pos >= (end - seq_len)[:, None], pos + 1, PAD_ID)
+        seq = self.events.take(rows, axis=0).transpose(0, 2, 1)
+        return self.cat[idx], seq, seq_len, self.cand[idx], self.label[idx]
+
+    @property
+    def seq(self) -> np.ndarray:
+        """(n, J, max_len) windows of every row, gathered on each read."""
+        return self.batch(slice(None))[1]
 
 
 @dataclass
@@ -201,12 +221,15 @@ class Splits:
     cat_fields: list[str]
     seq_fields: list[str]
     vocab_sizes: dict[str, int]
-    max_len: int
     n_short_users: int = 0
 
     @property
     def fields(self) -> list[str]:
         return self.cat_fields + self.seq_fields
+
+    @property
+    def max_len(self) -> int:
+        return self.train.max_len
 
 
 def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Splits:
@@ -222,7 +245,8 @@ def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Split
     recent max_len events and are front-padded with id 0.
 
     An event is encoded as its item and the item's first-seen
-    attributes: one code-table row per item, gathered into every split.
+    attributes: one code-table row per item, gathered once into the
+    event table that the three splits share.
     Draw k of a user picks its k-th unseen item in sorted item order.
     """
     if max_len < 1:
@@ -282,19 +306,18 @@ def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Split
     row_user = np.repeat(np.arange(n_users), 2)[keep]
     is_pos = np.tile([True, False], n_users)[keep]
     row_stop = np.cumsum(n_events)[row_user]
+    events = codes[np.concatenate(([PAD_ID], ev))]  # row 1 + e encodes event e
     parts = []
     for split, back in enumerate((3, 2, 1)):
         target = row_stop - back  # the held-out event; the history ends before it
-        seq_len = np.minimum(n_events[row_user] - back, max_len)
-        pos = target[:, None] + np.arange(-max_len, 0)
-        hist = np.where(pos >= (target - seq_len)[:, None], ev[np.maximum(pos, 0)], PAD_ID)
         cand = np.where(is_pos, ev[target], negative[row_user, split])
         parts.append(SampleSet(
-            cat=(2 + row_user)[:, None], seq=np.ascontiguousarray(codes[hist].transpose(0, 2, 1)),
-            seq_len=seq_len, cand=codes[cand], label=is_pos.astype(np.int64)))
+            cat=(2 + row_user)[:, None], seq_len=np.minimum(n_events[row_user] - back, max_len),
+            cand=codes[cand], label=is_pos.astype(np.int64), end=target, events=events,
+            max_len=max_len))
     vocab_sizes = {"user": 2 + n_users} | {f: 2 + c.size for f, c in zip(seq_fields, by_id)}
     return Splits(*parts, cat_fields=["user"], seq_fields=list(seq_fields), vocab_sizes=vocab_sizes,
-                  max_len=max_len, n_short_users=len(interactions.users) - n_users)
+                  n_short_users=len(interactions.users) - n_users)
 
 
 def make_batches(
@@ -413,53 +436,35 @@ def flip_labels(splits: Splits, rate: float, seed: int) -> Splits:
 # split snapshots (int64 records in the serialize container)
 
 SPLIT_NAMES = ("train", "valid", "test")
-SAMPLE_ARRAYS = ("cat", "seq", "seq_len", "cand", "label")
+SAMPLE_ARRAYS = ("cat", "seq_len", "cand", "label", "end")  # a split's per-row arrays
 
 
 def save_splits(splits: Splits, path: str) -> None:
     """Serialize integer-encoded splits as int64 records: `max_len`, one
     vocab-size scalar per field (`cat:<field>`, then `seq:<field>`, in
-    field order), then `<split>:<array>` for each split and sample
-    array.  Token maps are not stored; snapshots are self-sufficient for
-    training and eval."""
+    field order), the shared (n_events + 1, J) `events` table, then
+    `<split>:<array>` for each split and row array.  Token maps are not
+    stored; snapshots are self-sufficient for training and eval."""
     records = {"max_len": np.int64(splits.max_len)}
     for kind, fields in (("cat", splits.cat_fields), ("seq", splits.seq_fields)):
         records |= {f"{kind}:{f}": np.int64(splits.vocab_sizes[f]) for f in fields}
+    records["events"] = splits.train.events  # the table the three splits share
     for name in SPLIT_NAMES:
         part = getattr(splits, name)
         records |= {f"{name}:{a}": getattr(part, a) for a in SAMPLE_ARRAYS}
     save_arrays(path, records)
 
 
-def _check_sample_set(
-    path: str, name: str, part: SampleSet,
-    cat_fields: list[str], seq_fields: list[str], vocab_sizes: dict[str, int], max_len: int,
-) -> None:
-    """Raise FormatError at the first row of a loaded split whose ids,
-    label, length or padding a model could not consume."""
-
-    def fail(bad: np.ndarray, what: str) -> None:
-        if bad.any():
-            row = int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
-            raise FormatError(f"{path}: {name} sample {row}: {what}")
-
-    for arr, fields in ((part.cat, cat_fields), (part.cand, seq_fields), (part.seq, seq_fields)):
-        for j, field_name in enumerate(fields):
-            ids, size = arr[:, j], vocab_sizes[field_name]
-            fail((ids < 0) | (ids >= size), f"{field_name} id outside [0, {size})")
-    fail((part.label != 0) & (part.label != 1), "label not 0 or 1")
-    fail((part.seq_len < 0) | (part.seq_len > max_len), f"seq_len outside [0, {max_len}]")
-    padding = np.arange(max_len) < (max_len - part.seq_len)[:, None]
-    fail((part.seq != 0) & padding[:, None, :], "nonzero id in a padding slot")
-
-
 def load_splits(path: str) -> Splits:
     """Read a snapshot written by save_splits.  Raises a one-line
-    FormatError naming the path on a missing, extra or non-int64 record,
-    an array whose shape disagrees with the fields and max_len, max_len
-    or a vocab size below 1, a split without samples (so max_len is
-    bounded by the file), and any sample a model could not consume."""
+    FormatError naming the path on the earlier per-row window layout, a
+    missing, extra or non-int64 record, a shape that disagrees with the
+    fields, max_len or a vocab size below 1, a split without samples, and
+    any event or row (ends checked against the table) a model cannot use."""
     arrays = load_arrays(path)
+    if old := next((f"{n}:seq" for n in SPLIT_NAMES if f"{n}:seq" in arrays), None):
+        raise FormatError(f"{path}: record {old!r} holds per-row windows, a layout this version "
+                          "does not read; rerun `missctr ingest` to rebuild the snapshot")
     cat_fields = [k[4:] for k in arrays if k.startswith("cat:")]
     seq_fields = [k[4:] for k in arrays if k.startswith("seq:")]
 
@@ -480,11 +485,26 @@ def load_splits(path: str) -> Splits:
             raise FormatError(f"{path}: {name} is {value}, must be >= 1")
         return value
 
+    def fail(where: str, bad: np.ndarray, what: str) -> None:
+        """FormatError at the first row of `bad` that holds a True."""
+        if bad.any():
+            row = int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
+            raise FormatError(f"{path}: {where} {row}: {what}")
+
+    def check_ids(where: str, arr: np.ndarray, fields: list[str]) -> None:
+        for j, field_name in enumerate(fields):
+            size = vocab_sizes[field_name]
+            fail(where, (arr[:, j] < 0) | (arr[:, j] >= size), f"{field_name} id outside [0, {size})")
+
     max_len = at_least_one("max_len")
     if not cat_fields or not seq_fields:
         raise FormatError(f"{path}: needs at least one cat: and one seq: field")
     vocab_sizes = {f: at_least_one(f"cat:{f}") for f in cat_fields}
     vocab_sizes |= {f: at_least_one(f"seq:{f}") for f in seq_fields}
+    events = take("events", -1, len(seq_fields))
+    fail("events row", events[:1] != PAD_ID, "nonzero id in the padding row")
+    check_ids("events row", events, seq_fields)
+    n_events = events.shape[0] - 1
     parts = []
     for name in SPLIT_NAMES:
         label = take(f"{name}:label", -1)
@@ -492,15 +512,18 @@ def load_splits(path: str) -> Splits:
         if n == 0:
             raise FormatError(f"{path}: {name} split has no samples")
         part = SampleSet(
-            cat=take(f"{name}:cat", n, len(cat_fields)),
-            seq=take(f"{name}:seq", n, len(seq_fields), max_len),
-            seq_len=take(f"{name}:seq_len", n),
-            cand=take(f"{name}:cand", n, len(seq_fields)),
-            label=label,
+            cat=take(f"{name}:cat", n, len(cat_fields)), seq_len=take(f"{name}:seq_len", n),
+            cand=take(f"{name}:cand", n, len(seq_fields)), label=label,
+            end=take(f"{name}:end", n), events=events, max_len=max_len,
         )
-        _check_sample_set(path, name, part, cat_fields, seq_fields, vocab_sizes, max_len)
+        where = f"{name} sample"
+        check_ids(where, part.cat, cat_fields)
+        check_ids(where, part.cand, seq_fields)
+        fail(where, (label != 0) & (label != 1), "label not 0 or 1")
+        fail(where, (part.seq_len < 0) | (part.seq_len > max_len), f"seq_len outside [0, {max_len}]")
+        fail(where, (part.end < part.seq_len) | (part.end > n_events),
+             f"end outside [seq_len, {n_events}]")
         parts.append(part)
     if arrays:
         raise FormatError(f"{path}: unexpected record {next(iter(arrays))!r}")
-    return Splits(*parts, cat_fields=cat_fields, seq_fields=seq_fields,
-                  vocab_sizes=vocab_sizes, max_len=max_len)
+    return Splits(*parts, cat_fields=cat_fields, seq_fields=seq_fields, vocab_sizes=vocab_sizes)

@@ -138,23 +138,22 @@ def tiny_instance_check(
 
     rng = np.random.default_rng(seed)
     L, J, batch, vocab = 6, 2, 4, 7
-    seq = np.zeros((batch, J, L), dtype=np.int64)
     seq_len = np.array([6, 5, 4, 3], dtype=np.int64)
-    for i, s in enumerate(seq_len):
-        seq[i, :, L - s:] = rng.integers(2, vocab, size=(J, s))
+    histories = [rng.integers(2, vocab, size=(J, s)).T for s in seq_len]  # row i's events
     sample = SampleSet(
         cat=rng.integers(2, vocab, size=(batch, 2)),
-        seq=seq,
         seq_len=seq_len,
         cand=rng.integers(2, vocab, size=(batch, J)),
         label=np.array([1, 0, 1, 0], dtype=np.int64),
+        end=np.cumsum(seq_len),
+        events=np.concatenate([np.zeros((1, J), dtype=np.int64), *histories]),
+        max_len=L,
     )
     splits = Splits(
         train=sample, valid=sample, test=sample,
         cat_fields=["user", "context"],
         seq_fields=["item", "attr_1"],
         vocab_sizes={"user": vocab, "context": vocab, "item": vocab, "attr_1": vocab},
-        max_len=L,
     )
     cfg = ExperimentConfig(
         emb_dim=4, batch_size=batch, mlp=(5, 1), enc_interest=(6,), enc_feature=(5,),

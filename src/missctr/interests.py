@@ -47,19 +47,6 @@ class ConvBank:
     horizontal: list[Tensor]
     vertical: list[list[Tensor]]
 
-    @property
-    def n_branches(self) -> int:
-        return len(self.horizontal)
-
-    @property
-    def n_depths(self) -> int:
-        return len(self.vertical[0]) if self.vertical else 0
-
-    def param_count(self) -> int:
-        m = self.n_branches
-        n = self.n_depths
-        return m * (m + 1) // 2 + m * (n * (n + 1) // 2)
-
     def named(self) -> dict[str, Tensor]:
         out = {f"conv_g{m + 1}": g for m, g in enumerate(self.horizontal)}
         for m, row in enumerate(self.vertical):
@@ -165,27 +152,19 @@ class FineBank:
     Time validity is inherited from the horizontal branch."""
 
     maps: dict[tuple[int, int], Tensor]  # keyed by (branch index, depth index)
-    depths: list[int]
-
-    def row_count(self, j_fields: int) -> int:
-        return sum(j_fields - n + 1 for n in self.depths)
 
 
 def mimfe_forward(bank: InterestBank, conv: ConvBank) -> FineBank:
     """Slide each branch's vertical kernels along the field axis; a
     kernel wider than the field count is skipped."""
     maps: dict[tuple[int, int], Tensor] = {}
-    depths: list[int] = []
     for bi, branch in enumerate(bank.branches):
         n_j = branch.shape[1]
         for di, g in enumerate(conv.vertical[bi]):
-            w = g.shape[0]
-            if w > n_j:
+            if g.shape[0] > n_j:
                 continue
             maps[(bi, di)] = _conv_along(branch, g, axis=1)
-            if bi == 0:
-                depths.append(w)
-    return FineBank(maps, depths)
+    return FineBank(maps)
 
 
 # ---------------------------------------------------------------------------

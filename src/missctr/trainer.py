@@ -335,16 +335,12 @@ class TrainResult:
     best_val_auc: float
 
 
-def _batch_arrays(part: SampleSet, idx: np.ndarray):
-    return part.cat[idx], part.seq[idx], part.seq_len[idx], part.cand[idx], part.label[idx]
-
-
 def predict_scores(model: MissModel, part: SampleSet, batch_size: int) -> np.ndarray:
     """Ordered, full-coverage predictions (partial tail batch kept)."""
     out = np.zeros(part.n)
     with ad.no_grad():
         for idx in make_batches(part.n, batch_size, shuffle=False):
-            cat, seq, seq_len, cand, _ = _batch_arrays(part, idx)
+            cat, seq, seq_len, cand, _ = part.batch(idx)
             v = bm.behavior_matrix(model.tables, model.seq_fields, seq)
             preds = bm.predict_batch(
                 model.tables, model.cat_fields, model.seq_fields, model.base,
@@ -374,7 +370,7 @@ def step_loss(
     vectors v, and the contrastive tower reads its channel stack from v.
     The SSL part draws its plans from ssl_rng."""
     cfg = model.cfg
-    cat, seq, seq_len, cand, label = _batch_arrays(part, idx)
+    cat, seq, seq_len, cand, label = part.batch(idx)
     v = bm.behavior_matrix(model.tables, model.seq_fields, seq)
 
     terms: list[Tensor] = []

@@ -6,7 +6,8 @@ forms of the row-sparse gather gradient and of the Adam step, the
 line-by-line TSV reader, the per-row split builder, and the attention
 unit with its first layer applied to the concatenated [v; c; v*c; v-c]
 input.  log_events and make_log convert between a columnar
-InteractionLog and per-user event lists."""
+InteractionLog and per-user event lists; pack_splits turns hand-built
+per-row windows into Splits over one shared event table."""
 
 import logging
 from typing import NamedTuple
@@ -274,28 +275,52 @@ def naive_build_splits(interactions: InteractionLog, max_len: int, seed: int) ->
     if n_no_negative:
         log.warning("skipped %d negative rows: their users touched every item", n_no_negative)
 
-    def finish(buf) -> SampleSet:
-        return SampleSet(
-            cat=np.asarray(buf["cat"], dtype=np.int64),
-            seq=np.stack(buf["seq"]).astype(np.int64),
-            seq_len=np.asarray(buf["seq_len"], dtype=np.int64),
-            cand=np.asarray(buf["cand"], dtype=np.int64),
-            label=np.asarray(buf["label"], dtype=np.int64),
-        )
-
     vocab_sizes = {"user": 2 + len(user_vocab)}
     for j, name in enumerate(seq_fields):
         vocab_sizes[name] = 2 + len(seq_vocab[j])
-    return Splits(
-        train=finish(buffers["train"]),
-        valid=finish(buffers["valid"]),
-        test=finish(buffers["test"]),
-        cat_fields=["user"],
-        seq_fields=list(seq_fields),
-        vocab_sizes=vocab_sizes,
-        max_len=max_len,
-        n_short_users=n_short,
+    return pack_splits(
+        buffers.values(), cat_fields=["user"], seq_fields=list(seq_fields),
+        vocab_sizes=vocab_sizes, max_len=max_len, n_short_users=n_short,
     )
+
+
+def pack_splits(parts, *, cat_fields, seq_fields, vocab_sizes, max_len, n_short_users=0) -> Splits:
+    """Splits from three hand-built parts (train, valid, test), each a
+    mapping of per-row `cat`, `seq` (front-padded (J, max_len) windows),
+    `seq_len`, `cand` and `label`.  Every row's history, the last
+    seq_len slots of its window, is appended to one event table that the
+    three parts share, after the padding row 0."""
+    chunks, n_events, samples = [np.zeros((1, len(seq_fields)), dtype=np.int64)], 0, []
+    for part in parts:
+        end = []
+        for window, s in zip(part["seq"], part["seq_len"]):
+            chunks.append(np.asarray(window)[:, max_len - s:].T)
+            n_events += s
+            end.append(n_events)
+        samples.append(dict(
+            cat=np.asarray(part["cat"], dtype=np.int64),
+            seq_len=np.asarray(part["seq_len"], dtype=np.int64),
+            cand=np.asarray(part["cand"], dtype=np.int64),
+            label=np.asarray(part["label"], dtype=np.int64),
+            end=np.asarray(end, dtype=np.int64),
+        ))
+    events = np.concatenate(chunks).astype(np.int64)
+    return Splits(*(SampleSet(**a, events=events, max_len=max_len) for a in samples),
+                  cat_fields=cat_fields, seq_fields=seq_fields, vocab_sizes=vocab_sizes,
+                  n_short_users=n_short_users)
+
+
+def random_windows(n, n_items, rng, J=2, L=6) -> dict:
+    """One hand-built part: alternating labels, random user ids and
+    candidates, histories of 3..L random items per row."""
+    seq = np.zeros((n, J, L), dtype=np.int64)
+    seq_len = rng.integers(3, L + 1, size=n)
+    for i, s in enumerate(seq_len):
+        seq[i, :, L - s:] = rng.integers(2, n_items, size=(J, s))
+    labels = np.zeros(n, dtype=np.int64)
+    labels[0::2] = 1
+    return dict(cat=rng.integers(2, 10, size=(n, 1)), seq=seq, seq_len=seq_len,
+                cand=rng.integers(2, n_items, size=(n, J)), label=labels)
 
 
 def concat_laup_pool(v, mask, cand, params):

@@ -103,8 +103,10 @@ def test_03_shape_and_count_laws():
             for di in range(n_n):
                 depth = di + 1
                 assert fine.maps[(bi, di)].shape[1] == n_j - depth + 1
-        assert fine.row_count(n_j) == sum(n_j - n + 1 for n in range(1, n_n + 1))
-        assert conv.param_count() == n_m * (n_m + 1) // 2 + n_m * (n_n * (n_n + 1) // 2)
+        rows = sum(t.shape[1] for (bi, _), t in fine.maps.items() if bi == 0)
+        assert rows == sum(n_j - n + 1 for n in range(1, n_n + 1))
+        n_kernel = sum(g.data.size for g in conv.named().values())
+        assert n_kernel == n_m * (n_m + 1) // 2 + n_m * (n_n * (n_n + 1) // 2)
     print("PASS shape laws: window counts, refined-row counts, kernel counts on 100 instances")
 
 

@@ -2,6 +2,9 @@
 determinism, exit codes, config precedence, and the summary counts."""
 
 import os
+import resource
+import subprocess
+import sys
 import threading
 from dataclasses import fields
 
@@ -9,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_data import FUZZ
+from oracles import pack_splits
+from test_data import FUZZ, per_row_layout
 
+import missctr
 import missctr.harness
 from missctr.cli import (
     CONFIG_KEYS,
@@ -487,6 +492,41 @@ def test_train_on_snapshot_with_out_of_vocab_id_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and splits_path in err and "item id outside" in err
 
 
+def test_train_on_a_per_row_window_snapshot_exits_2(tmp_path, capsys):
+    from missctr.data import load_splits
+
+    snapshot = ingest_snapshot(tmp_path, 8)
+    save_arrays(snapshot, per_row_layout(load_splits(snapshot)))
+    capsys.readouterr()
+    code = run(["train", "--dataset", snapshot, "--out-dir", str(tmp_path / "t"), *TINY])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and snapshot in err and "rerun `missctr ingest`" in err
+
+
+MEMORY_CAP = 1536 << 20  # bytes of address space for the child: numpy starts, no huge array fits
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+@pytest.mark.parametrize("flag, value", [("--emb-dim", "100000000"), ("--max-len", "1000000000")])
+def test_size_key_past_memory_exits_1_in_one_line(tmp_path, flag, value):
+    # in a child process under an address-space cap, so the array the key
+    # sizes fails to allocate instead of taking the host's memory
+    corpus = synth_corpus(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(missctr.__file__)),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "missctr.cli", "train", "--dataset", corpus,
+         "--out-dir", str(tmp_path / "t"), *TINY, flag, value],
+        env=env, preexec_fn=_cap_memory, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: out of memory: "), proc.stderr
+
+
 def test_sweep_writes_sorted_report(tmp_path):
     corpus = synth_corpus(tmp_path)
     out = str(tmp_path / "sw")
@@ -543,22 +583,19 @@ def test_out_dir_env_default(tmp_path, monkeypatch):
 
 
 def summary_splits():
-    from missctr.data import SampleSet, Splits
-
     rng = np.random.default_rng(0)
     n, J, L = 8, 2, 6
     seq = np.zeros((n, J, L), dtype=np.int64)
     seq[:, :, 2:] = rng.integers(2, 9, size=(n, J, 4))
-    part = SampleSet(
+    part = dict(
         cat=rng.integers(2, 9, size=(n, 1)),
         seq=seq,
         seq_len=np.full(n, 4, dtype=np.int64),
         cand=rng.integers(2, 9, size=(n, J)),
         label=np.tile([1, 0], n // 2).astype(np.int64),
     )
-    return Splits(
-        train=part, valid=part, test=part,
-        cat_fields=["user"], seq_fields=["item", "attr_1"],
+    return pack_splits(
+        [part] * 3, cat_fields=["user"], seq_fields=["item", "attr_1"],
         vocab_sizes={"user": 9, "item": 9, "attr_1": 9}, max_len=L,
     )
 
@@ -596,7 +633,7 @@ def test_summary_matches_built_model():
         "prediction mlp": sum(
             t.data.size for k, t in model.base.named().items() if k.startswith("mlp")
         ),
-        "conv bank": model.conv.param_count(),
+        "conv bank": sum(g.data.size for g in model.conv.named().values()),
         "interest encoder": sum(w.data.size for w in model.enc_interest.weights),
         "feature encoder": sum(w.data.size for w in model.enc_feature.weights),
     }

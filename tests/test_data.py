@@ -453,18 +453,24 @@ def small_logs(draw):
     return make_log(users, ["item"] + [f"attr_{i + 1}" for i in range(n_attrs)])
 
 
-def assert_same_snapshot(got, want, directory):
+def assert_same_splits(got, want):
+    """Row for row: every split's windows (read through the accessor),
+    cat, seq_len, cand and label, int64 and equal; then the fields,
+    vocab sizes, max_len and short-user count."""
     for name in D.SPLIT_NAMES:
-        part = getattr(got, name)
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.events is got.train.events, name  # the splits share one table
         for a in D.SAMPLE_ARRAYS:
-            arr = getattr(part, a)
-            assert arr.dtype == np.int64 and arr.flags.c_contiguous, (name, a)
+            assert getattr(g, a).dtype == np.int64 and getattr(g, a).flags.c_contiguous, (name, a)
+        for a in ("cat", "seq", "seq_len", "cand", "label"):
+            x, y = getattr(g, a), getattr(w, a)
+            assert x.dtype == y.dtype == np.int64, (name, a)
+            np.testing.assert_array_equal(x, y, err_msg=f"{name}.{a}")
         for a in ("cat", "seq", "cand"):
-            assert not (getattr(part, a) == 1).any(), (name, a)  # id 1 is reserved
-    D.save_splits(want, str(directory / "want.bin"))
-    D.save_splits(got, str(directory / "got.bin"))
-    assert (directory / "got.bin").read_bytes() == (directory / "want.bin").read_bytes()
-    assert got.n_short_users == want.n_short_users
+            assert not (getattr(g, a) == 1).any(), (name, a)  # id 1 is reserved
+    assert got.train.events.dtype == np.int64 and not (got.train.events == 1).any()
+    assert (got.cat_fields, got.seq_fields, got.vocab_sizes, got.max_len, got.n_short_users) == (
+        want.cat_fields, want.seq_fields, want.vocab_sizes, want.max_len, want.n_short_users)
 
 
 @pytest.fixture(scope="module")
@@ -474,20 +480,20 @@ def snapshot_dir(tmp_path_factory):
 
 @settings(max_examples=200, deadline=None)
 @given(interactions=small_logs(), max_len=st.integers(1, 12), seed=st.integers(0, 3))
-def test_build_splits_matches_the_per_row_oracle(snapshot_dir, interactions, max_len, seed):
+def test_build_splits_matches_the_per_row_oracle(interactions, max_len, seed):
     try:
         want = naive_build_splits(interactions, max_len, seed)
     except DegenerateDatasetError as exc:
         with pytest.raises(DegenerateDatasetError, match=re.escape(str(exc))):
             D.build_splits(interactions, max_len, seed)
         return
-    assert_same_snapshot(D.build_splits(interactions, max_len, seed), want, snapshot_dir)
+    assert_same_splits(D.build_splits(interactions, max_len, seed), want)
 
 
-def test_build_splits_matches_the_oracle_on_a_2k_user_corpus(tmp_path):
+def test_build_splits_matches_the_oracle_on_a_2k_user_corpus():
     interactions = D.synth_generate(2000, 500, 5, (8, 16), seed=0)
     got = D.build_splits(interactions, 16, 0)
-    assert_same_snapshot(got, naive_build_splits(interactions, 16, 0), tmp_path)
+    assert_same_splits(got, naive_build_splits(interactions, 16, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -666,42 +672,56 @@ def test_snapshot_round_trip_keeps_a_positive_without_negative(tmp_path):
 
 
 def _corrupt_train(splits, what):
-    part = splits.train
+    """Break one value of a snapshot; returns where the load must
+    report it: train sample 3, or the event table row holding it."""
+    part, events = splits.train, splits.train.events
     if what == "cat_id_past_vocab":
         part.cat[3, 0] = splits.vocab_sizes["user"]
     elif what == "cand_id_huge":
         part.cand[3, 0] = 10**6
-    elif what == "seq_id_negative":
-        part.seq[3, 1, -1] = -1
+    elif what == "seq_id_negative":  # the last event of sample 3's history
+        events[part.end[3], 1] = -1
+        return f"events row {part.end[3]}"
+    elif what == "event_id_past_vocab":  # the last user's test target, in no history
+        events[-1, 0] = splits.vocab_sizes["item"]
+        return f"events row {events.shape[0] - 1}"
+    elif what == "nonzero_padding":  # every padding slot reads row 0
+        events[0, 0] = 2
+        return "events row 0"
     elif what == "label_two":
         part.label[3] = 2
     elif what == "seq_len_past_max":
         part.seq_len[3] = splits.max_len + 1
     elif what == "seq_len_negative":
         part.seq_len[3] = -1
-    elif what == "nonzero_padding":
-        part.seq[3, 0, 0] = 2
-        part.seq_len[3] = splits.max_len - 1
+    elif what == "end_past_table":
+        part.end[3] = events.shape[0]
+    elif what == "end_before_seq_len":
+        part.end[3] = part.seq_len[3] - 1
+    return "train sample 3"
 
 
 SNAPSHOT_DEFECTS = {
     "cat_id_past_vocab": "user id outside",
     "cand_id_huge": "item id outside",
     "seq_id_negative": "attr_1 id outside",
+    "event_id_past_vocab": "item id outside",
+    "nonzero_padding": "nonzero id in the padding row",
     "label_two": "label not 0 or 1",
     "seq_len_past_max": "seq_len outside",
     "seq_len_negative": "seq_len outside",
-    "nonzero_padding": "nonzero id in a padding slot",
+    "end_past_table": "end outside [seq_len, ",
+    "end_before_seq_len": "end outside [seq_len, ",
 }
 
 
 @pytest.mark.parametrize("what", sorted(SNAPSHOT_DEFECTS))
 def test_snapshot_body_validated_at_load(tmp_path, what):
     splits = make_synth_splits()
-    _corrupt_train(splits, what)
+    where = _corrupt_train(splits, what)
     path = str(tmp_path / "splits.txt")
     D.save_splits(splits, path)
-    with pytest.raises(FormatError, match="train sample 3: " + SNAPSHOT_DEFECTS[what]) as info:
+    with pytest.raises(FormatError, match=re.escape(f"{where}: {SNAPSHOT_DEFECTS[what]}")) as info:
         D.load_splits(path)
     assert path in str(info.value) and "\n" not in str(info.value)
 
@@ -747,6 +767,46 @@ def test_snapshot_structure_validated_at_load(tmp_path, what):
     with pytest.raises(FormatError, match=re.escape(SNAPSHOT_STRUCTURE_DEFECTS[what])) as info:
         D.load_splits(path)
     assert path in str(info.value) and "\n" not in str(info.value)
+
+
+def per_row_layout(splits):
+    """A snapshot's records in the layout before the shared event table:
+    every split row stored its own front-padded (J, max_len) window as
+    `<split>:seq`."""
+    records = {"max_len": np.int64(splits.max_len)}
+    for kind, fields in (("cat", splits.cat_fields), ("seq", splits.seq_fields)):
+        records |= {f"{kind}:{f}": np.int64(splits.vocab_sizes[f]) for f in fields}
+    for name in D.SPLIT_NAMES:
+        part = getattr(splits, name)
+        records |= {f"{name}:{a}": np.ascontiguousarray(getattr(part, a))
+                    for a in ("cat", "seq", "seq_len", "cand", "label")}
+    return records
+
+
+def test_snapshot_with_per_row_windows_asks_for_a_new_ingest(tmp_path):
+    path = str(tmp_path / "splits.txt")
+    save_arrays(path, per_row_layout(make_synth_splits()))
+    with pytest.raises(FormatError, match="record 'train:seq' holds per-row windows") as info:
+        D.load_splits(path)
+    assert path in str(info.value) and "\n" not in str(info.value)
+    assert "rerun `missctr ingest`" in str(info.value)
+
+
+def test_snapshot_stores_each_event_once(tmp_path):
+    interactions = D.synth_generate(30, 20, 4, (6, 10), seed=1)
+    splits = D.build_splits(interactions, max_len=7, seed=0)
+    assert splits.train.events is splits.valid.events is splits.test.events
+    path = str(tmp_path / "splits.txt")
+    D.save_splits(splits, path)
+    records = load_arrays(path)
+    want = {"max_len": (), "cat:user": (), "seq:item": (), "seq:attr_1": (),
+            "events": (interactions.n_records + 1, 2)}  # every user has >= 4 events
+    for name in D.SPLIT_NAMES:
+        n = getattr(splits, name).n
+        want |= {f"{name}:cat": (n, 1), f"{name}:seq_len": (n,), f"{name}:cand": (n, 2),
+                 f"{name}:label": (n,), f"{name}:end": (n,)}
+    assert {k: a.shape for k, a in records.items()} == want
+    assert not records["events"][0].any()
 
 
 def test_snapshot_records_are_int64_and_max_len_is_0d(tmp_path):

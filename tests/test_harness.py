@@ -5,9 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import pack_splits, random_windows
 
 import missctr.harness
-from missctr.data import SampleSet, Splits
 from missctr.errors import ConfigError
 from missctr.harness import (
     robustness_study,
@@ -20,28 +20,10 @@ from missctr.harness import (
 from missctr.trainer import ExperimentConfig
 
 
-def make_sample_set(n, n_items, rng, J=2, L=6):
-    seq = np.zeros((n, J, L), dtype=np.int64)
-    seq_len = rng.integers(3, L + 1, size=n)
-    for i, s in enumerate(seq_len):
-        seq[i, :, L - s:] = rng.integers(2, n_items, size=(J, s))
-    labels = np.zeros(n, dtype=np.int64)
-    labels[0::2] = 1
-    return SampleSet(
-        cat=rng.integers(2, 10, size=(n, 1)),
-        seq=seq,
-        seq_len=seq_len.astype(np.int64),
-        cand=rng.integers(2, n_items, size=(n, J)),
-        label=labels,
-    )
-
-
 def toy_splits(seed=0):
     rng = np.random.default_rng(seed)
-    return Splits(
-        train=make_sample_set(32, 20, rng),
-        valid=make_sample_set(12, 20, rng),
-        test=make_sample_set(12, 20, rng),
+    return pack_splits(
+        [random_windows(n, 20, rng) for n in (32, 12, 12)],
         cat_fields=["user"],
         seq_fields=["item", "attr_1"],
         vocab_sizes={"user": 10, "item": 20, "attr_1": 20},

@@ -68,7 +68,8 @@ def test_mimfe_matches_naive_oracle_bitwise():
         C = rng.normal(size=(2, n_j, n_l, n_k))
         mid = I.mie_forward(ad.constant(C), np.ones((2, n_l)), bank)
         fine = I.mimfe_forward(mid, bank)
-        assert fine.row_count(n_j) == sum(n_j - n + 1 for n in fine.depths)
+        rows = sum(t.shape[1] for (bi, _), t in fine.maps.items() if bi == 0)
+        assert rows == sum(n_j - n + 1 for n in range(1, n_n + 1))
         for (bi, di), t in fine.maps.items():
             for b in range(2):
                 ref = naive_field_conv(mid.branches[bi].data[b], bank.vertical[bi][di].data)
@@ -88,8 +89,8 @@ def test_row_count_example():
     bank = make_bank(1, 2)
     C = ad.constant(np.random.default_rng(3).normal(size=(1, 3, 4, 2)))
     fine = I.mimfe_forward(I.mie_forward(C, np.ones((1, 4)), bank), bank)
-    assert fine.depths == [1, 2]
-    assert fine.row_count(3) == 5
+    assert sorted(fine.maps) == [(0, 0), (0, 1)]
+    assert sum(t.shape[1] for t in fine.maps.values()) == 5
 
 
 def test_branch_wider_than_sequence_skipped():
@@ -103,7 +104,6 @@ def test_param_count_law():
     for n_m, n_n in [(1, 1), (2, 2), (4, 2), (3, 0)]:
         bank = make_bank(n_m, n_n)
         expected = n_m * (n_m + 1) // 2 + n_m * (n_n * (n_n + 1) // 2)
-        assert bank.param_count() == expected
         assert sum(t.data.size for t in bank.named().values()) == expected
 
 

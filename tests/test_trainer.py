@@ -5,11 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from oracles import dense_scatter_add, textbook_adam
+from oracles import dense_scatter_add, pack_splits, random_windows, textbook_adam
 
 from missctr import autodiff as ad
 from missctr.autodiff import Tensor
-from missctr.data import SampleSet, Splits
 from missctr.errors import ConfigError, DegenerateDatasetError, FormatError, NumericalError
 from missctr.serialize import save_arrays
 from missctr.trainer import (
@@ -28,28 +27,10 @@ from missctr.trainer import (
 )
 
 
-def make_sample_set(n, n_items, rng, J=2, L=6):
-    seq = np.zeros((n, J, L), dtype=np.int64)
-    seq_len = rng.integers(3, L + 1, size=n)
-    for i, s in enumerate(seq_len):
-        seq[i, :, L - s:] = rng.integers(2, n_items, size=(J, s))
-    labels = np.zeros(n, dtype=np.int64)
-    labels[0::2] = 1
-    return SampleSet(
-        cat=rng.integers(2, 10, size=(n, 1)),
-        seq=seq,
-        seq_len=seq_len.astype(np.int64),
-        cand=rng.integers(2, n_items, size=(n, J)),
-        label=labels,
-    )
-
-
 def make_toy_splits(n_train=64, n_valid=16, n_test=16, n_items=30, L=6, seed=0):
     rng = np.random.default_rng(seed)
-    return Splits(
-        train=make_sample_set(n_train, n_items, rng, L=L),
-        valid=make_sample_set(n_valid, n_items, rng, L=L),
-        test=make_sample_set(n_test, n_items, rng, L=L),
+    return pack_splits(
+        [random_windows(n, n_items, rng, L=L) for n in (n_train, n_valid, n_test)],
         cat_fields=["user"],
         seq_fields=["item", "attr_1"],
         vocab_sizes={"user": 10, "item": n_items, "attr_1": n_items},
