@@ -10,7 +10,15 @@ k downstream ops receives the sum of the k contributions.
 Gradients are never zeroed implicitly.  Leaf parameters keep their
 .grad until zero_grad is called on them, which is what lets an
 optimizer step read accumulated gradients and what makes the reset an
-explicit, visible part of the training loop.
+explicit, visible part of the training loop.  An op output lets go of
+its gradient and its backward closure (with what the closure captured)
+as the sweep fires it, so after backward only leaf .grad is readable
+and the tape cannot be swept again.
+
+A gradient array is owned, not copied: accumulate keeps the array it is
+given, and add, reshape and transpose pass g or a view of it on, so one
+array may be shared by several nodes.  No gradient is ever written in
+place; a second contribution is summed into a new array.
 
 The gradient of a gathered table is row-sparse: gather_rows leaves
 (sorted unique rows, one summed gradient row each) on its table, never
@@ -92,7 +100,7 @@ class Tensor:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self._grad is None:
-            self._grad = g.copy()
+            self._grad = g
         else:
             self._grad = self.grad + g
 
@@ -152,6 +160,7 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[Tensor] = []
+        self.swept = False
 
     def append(self, t: Tensor) -> None:
         self.nodes.append(t)
@@ -160,14 +169,20 @@ class Graph:
         """Seed d(loss)/d(loss) = 1 and sweep the tape in reverse.
 
         loss must be scalar (shape () or size 1).  Nodes that never
-        received a gradient are dead branches and are skipped.
+        received a gradient are dead branches and are skipped.  Each
+        node drops its gradient and closure before the closure runs.
         """
         if loss.data.size != 1:
             raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+        if self.swept:
+            raise ShapeError("backward already swept this tape; its op gradients are released")
+        self.swept = True
         loss.accumulate(np.ones_like(loss.data))
         for node in reversed(self.nodes):
-            if node.grad is not None and node._backward is not None:
-                node._backward(node.grad)
+            g, backward = node.grad, node._backward
+            node._grad = node._rows = node._backward = None
+            if g is not None:
+                backward(g)
 
 
 _ACTIVE = Graph()
@@ -332,9 +347,9 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
 
     def backward(g):
         if axis is None:
-            x.accumulate(np.broadcast_to(g, x.shape).copy())
+            x.accumulate(np.broadcast_to(g, x.shape))
         else:
-            x.accumulate(np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
+            x.accumulate(np.broadcast_to(np.expand_dims(g, axis), x.shape))
 
     return _register(out, backward, x)
 
@@ -345,9 +360,9 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
 
     def backward(g):
         if axis is None:
-            x.accumulate(np.broadcast_to(g / n, x.shape).copy())
+            x.accumulate(np.broadcast_to(g / n, x.shape))
         else:
-            x.accumulate(np.broadcast_to(np.expand_dims(g / n, axis), x.shape).copy())
+            x.accumulate(np.broadcast_to(np.expand_dims(g / n, axis), x.shape))
 
     return _register(out, backward, x)
 
@@ -387,12 +402,14 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _register(out, backward, *parts)
 
 
-def conv1d(x: Tensor, kernel: Tensor, axis: int) -> Tensor:
+def conv1d(x: Tensor, kernel: Tensor, axis: int, relu: bool = False) -> Tensor:
     """Valid cross-correlation of a width-w kernel along one axis, stride
     1: out[.., l, ..] = sum_i x[.., l+i, ..] * kernel[i].  Taps add left
     to right, so a per-element replay of the same sum is bitwise equal.
-    The backward reduces one kernel gradient per tap and writes the x
-    gradient of every tap into one buffer."""
+    With relu the output is max(out, 0), in this node: the backward masks
+    g where out > 0, bitwise as a separate relu() would.  The backward
+    reduces one kernel gradient per tap and writes the x gradient of
+    every tap through one scratch buffer."""
     if kernel.ndim != 1:
         raise ShapeError(f"conv1d needs a 1-d kernel, got shape {kernel.shape}")
     w = kernel.shape[0]
@@ -409,15 +426,23 @@ def conv1d(x: Tensor, kernel: Tensor, axis: int) -> Tensor:
     acc = x.data[taps[0]] * k[0]
     for i in range(1, w):
         acc += x.data[taps[i]] * k[i]
+    live = acc > 0.0 if relu else None
+    if relu:
+        np.maximum(acc, 0.0, out=acc)
     out = Tensor(acc)
 
     def backward(g):
+        if live is not None:
+            g = g * live
         if kernel.requires_grad:
             kernel.accumulate(np.array([np.vdot(g, x.data[t]) for t in taps]))
-        if x.requires_grad:
+        if x.requires_grad and w == 1:
+            x.accumulate(g * k[0])
+        elif x.requires_grad:
             gx = np.zeros_like(x.data)
+            tap = np.empty(g.shape)
             for i, t in enumerate(taps):
-                gx[t] += g * k[i]
+                gx[t] += np.multiply(g, k[i], out=tap)
             x.accumulate(gx)
 
     return _register(out, backward, x, kernel)

@@ -84,11 +84,6 @@ def channel_stack(v: Tensor, n_fields: int) -> Tensor:
     return ad.transpose(ad.reshape(v, (nb, nl, n_fields, width // n_fields)), (0, 2, 1, 3))
 
 
-def _conv_along(x: Tensor, kernel: Tensor, axis: int) -> Tensor:
-    """Valid cross-correlation along one axis, stride 1, then ReLU."""
-    return ad.relu(ad.conv1d(x, kernel, axis))
-
-
 @dataclass
 class InterestBank:
     """Per-branch interest maps plus per-sample window validity.
@@ -140,7 +135,7 @@ def mie_forward(C: Tensor, mask: np.ndarray, bank: ConvBank) -> InterestBank:
         w = g.shape[0]
         if w > n_l:
             continue
-        branches.append(_conv_along(C, g, axis=2))
+        branches.append(ad.conv1d(C, g, axis=2, relu=True))
         widths.append(w)
         valid.append(window_validity(mask, w))
     return InterestBank(branches, widths, valid)
@@ -163,7 +158,7 @@ def mimfe_forward(bank: InterestBank, conv: ConvBank) -> FineBank:
         for di, g in enumerate(conv.vertical[bi]):
             if g.shape[0] > n_j:
                 continue
-            maps[(bi, di)] = _conv_along(branch, g, axis=1)
+            maps[(bi, di)] = ad.conv1d(branch, g, axis=1, relu=True)
     return FineBank(maps)
 
 

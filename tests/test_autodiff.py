@@ -142,6 +142,27 @@ def test_conv1d_is_one_tape_node():
     assert len(g.nodes) == 1
 
 
+def test_conv1d_relu_is_relu_of_conv1d_bitwise():
+    # the fused ReLU must give the values and gradients of a separate
+    # relu node, zero signs included
+    rng = np.random.default_rng(5)
+    for axis in (0, 1):
+        for w in (1, 2, 3):
+            x0, k0, up = rng.normal(size=(4, 5)), rng.normal(size=w), rng.normal(size=(4, 5))
+            runs = []
+            for fused in (True, False):
+                x, k = ad.parameter(x0), ad.parameter(k0)
+                g = ad.fresh_graph()
+                out = ad.conv1d(x, k, axis, relu=True) if fused else ad.relu(ad.conv1d(x, k, axis))
+                shape = out.shape
+                g.backward(ad.tsum(ad.mul(out, ad.constant(up[: shape[0], : shape[1]]))))
+                runs.append((out.data, x.grad, k.grad, len(g.nodes)))
+            (fo, fx, fk, fn), (so, sx, sk, sn) = runs
+            for a, b in ((fo, so), (fx, sx), (fk, sk)):
+                assert a.tobytes() == b.tobytes(), (axis, w)
+            assert fn == sn - 1
+
+
 def test_conv1d_kernel_wider_than_axis():
     x = ad.constant(np.zeros((2, 3)))
     with pytest.raises(ShapeError, match="width 4"):
@@ -366,3 +387,39 @@ def test_backward_requires_scalar():
     y = ad.scale(x, 2.0)
     with pytest.raises(ShapeError):
         g.backward(y)
+
+
+# ---------------------------------------------------------------------------
+# the sweep releases what it has used
+
+
+def _swept_composite():
+    rng = np.random.default_rng(9)
+    leaves = [ad.parameter(rng.normal(size=(3, 4))), ad.parameter(rng.normal(size=4)),
+              ad.parameter(rng.normal(size=(5, 3)))]
+    a, b, table = leaves
+    g = ad.fresh_graph()
+    h = ad.relu(ad.add(ad.matmul(ad.gather_rows(table, np.array([0, 2, 2])), a), b))
+    loss = ad.tmean(ad.concat([ad.conv1d(h, b, 1), ad.reshape(h, (3, 4))], axis=1))
+    return g, loss, leaves
+
+
+def test_backward_releases_op_gradients_and_keeps_leaf_ones():
+    g, loss, leaves = _swept_composite()
+    n_nodes = len(g.nodes)
+    g.backward(loss)
+    assert len(g.nodes) == n_nodes
+    for node in g.nodes:
+        assert node.grad_rows() is None and node._backward is None, node
+    assert all(p.grad_rows() is not None for p in leaves)
+
+
+def test_second_backward_on_a_swept_tape_raises():
+    g, loss, leaves = _swept_composite()
+    g.backward(loss)
+    grads = [p.grad.copy() for p in leaves]
+    with pytest.raises(ShapeError, match="already swept") as err:
+        g.backward(loss)
+    assert "\n" not in str(err.value)
+    for p, before in zip(leaves, grads):
+        assert np.array_equal(p.grad, before)

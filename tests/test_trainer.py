@@ -1,7 +1,9 @@
 """Trainer: config validation, Adam oracle, determinism, and the
 equivalences that tie the auxiliary losses to the base trajectory."""
 
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +231,77 @@ def test_din_step_tapes_no_concatenated_attention_input():
     # repeats one (J*K)-vector over the L steps
     per_step = [t.data for t in nodes if t.shape == (n_b, n_l, jk)]
     assert per_step and not any(np.all(d == d[:, :1]) for d in per_step)
+
+
+# ---------------------------------------------------------------------------
+# one gate-config din-miss step: gradient ownership and memory
+
+
+@pytest.fixture(scope="module")
+def gate_splits():
+    from missctr.data import build_splits, synth_generate
+
+    return build_splits(synth_generate(2000, 500, 5, (8, 16), seed=0), max_len=16, seed=0)
+
+
+def gate_step(splits, n_steps=1, measure=None):
+    """Build the gate-config din-miss model and run n_steps train steps;
+    measure, if given, wraps the last one.  Returns the parameters."""
+    cfg = ExperimentConfig(
+        emb_dim=10, batch_size=128, lr=1e-2, tau=0.1, n_branches=2, n_depths=2,
+        max_offset=2, max_len=16, seed=0, model="din-miss",
+    )
+    model = build_model(cfg, splits)
+    params, opt, rng = model.parameters(), AdamState(), np.random.default_rng(1)
+    for step in range(n_steps):
+        idx = np.arange(step * 128, (step + 1) * 128)
+        with measure() if measure and step == n_steps - 1 else contextlib.nullcontext():
+            train_step(model, splits.train, idx, rng, opt, params, step)
+    return params
+
+
+def test_gradients_are_never_written_in_place(gate_splits, monkeypatch):
+    # gradients are owned and shared, not copied: with every array that
+    # reaches accumulate made read-only, a write into one would raise
+    # (a numpy scalar is immutable already)
+    plain = gate_step(gate_splits)
+    guarded = []
+
+    def read_only(method):
+        def guard(self, *arrays):
+            for a in arrays:
+                if isinstance(a, np.ndarray) and a.flags.owndata:
+                    a.flags.writeable = False
+                    guarded.append(a.size)
+            return method(self, *arrays)
+
+        return guard
+
+    for name in ("accumulate", "accumulate_rows"):
+        monkeypatch.setattr(Tensor, name, read_only(getattr(Tensor, name)))
+    checked = gate_step(gate_splits)
+    assert len(guarded) > 100
+    for name, p in plain.items():
+        assert p.data.tobytes() == checked[name].data.tobytes(), name
+
+
+def test_gate_step_peaks_below_20_mb(gate_splits):
+    # the sweep frees each op gradient and closure once used; holding
+    # them all (and a copy of every gradient) peaks at about 31 MB
+    peak = []
+
+    @contextlib.contextmanager
+    def traced():
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            yield
+            peak.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+
+    gate_step(gate_splits, n_steps=2, measure=traced)
+    assert peak[0] <= 20e6, f"{peak[0] / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------
