@@ -56,15 +56,17 @@ for p in range(plan.branch.shape[0]):
         print(f"  pair {p}, user {u}: branch width {plan.branch[p, u] + 1}, "
               f"anchor {plan.anchor[p, u]}, offset {plan.offset[p, u]}")
 
-# each view side comes back as one stack, pair-major: with n users
-# contributing, row p*n + u is pair p, user u; reshaped to
-# (pairs, n, width), every pair set gets its own softmax over its users
+# both view sides come back as one stack, the second after the first,
+# each pair-major: with n users contributing, row p*n + u is pair p,
+# user u.  One encoder pass covers both sides; split into (pairs, n,
+# width) halves, every pair set gets its own softmax over its users
 views = it.gather_interest_views(bank, plan)
 enc = it.init_encoder(J * K, (8,), rng, "enc")
-slots = (plan.n_pairs, -1, 8)
-z1, z2 = (ad.reshape(it.encode(v, enc), slots) for v in views)
-loss = it.infonce(z1, z2, tau=0.5)
+z = it.encode(views, enc)
+sides = np.arange(z.shape[0]).reshape(2, plan.n_pairs, -1)
+cosines = []
+loss = it.infonce(*(ad.gather_rows(z, s) for s in sides), tau=0.5, cosines=cosines)
 print(f"\ncontrastive loss over {plan.n_pairs} batched pair sets: {float(loss.data):.4f}")
-sim = it.view_similarity_stats([views])
-print(f"raw view cosine before encoding: mean {sim[0]:+.3f} "
-      f"(min {sim[1]:+.3f}, max {sim[2]:+.3f})")
+cos = cosines[0]
+print(f"positive-pair cosine after encoding: mean {cos.mean():+.3f} "
+      f"(min {cos.min():+.3f}, max {cos.max():+.3f})")

@@ -20,12 +20,13 @@ given, and add, reshape and transpose pass g or a view of it on, so one
 array may be shared by several nodes.  No gradient is ever written in
 place; a second contribution is summed into a new array.
 
-The gradient of a gathered table is row-sparse: gather_rows leaves
+The gradient of a gathered leaf table is row-sparse: gather_rows leaves
 (sorted unique rows, one summed gradient row each) on its table, never
 a table-sized array, and a second gather into the same table merges
 rows.  .grad still reads dense (it is built on first read), and every
 sum is the one a dense scatter-add into zeros would make, so sparse and
-dense gradients are bitwise equal.
+dense gradients are bitwise equal.  A gathered op output takes that
+dense scatter-add directly, since the sweep reads its gradient dense.
 """
 
 from __future__ import annotations
@@ -125,20 +126,22 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
 
 
-def _sum_rows(idx: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum the rows of g (n, K) that share an index in idx (n,); returns
-    the sorted unique indices and one summed row each.  Every sum starts
-    at +0.0 and adds its rows in input order, as np.add.at into zeros
-    does, so no sum is -0.0 and scattering the result into zeros is
-    bitwise the dense scatter-add."""
-    rows, inv = np.unique(idx, return_inverse=True)
+def _scatter_add(idx: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
+    """Rows of g (n, K) summed into n_rows zero rows at idx (n,), each from
+    +0.0 in input order: bitwise np.add.at into zeros, and never -0.0."""
     k = g.shape[1]
     sums = np.bincount(
-        (inv[:, None] * k + np.arange(k)).reshape(-1), weights=g.reshape(-1),
-        minlength=rows.size * k,
+        (idx[:, None] * k + np.arange(k)).reshape(-1), weights=g.reshape(-1), minlength=n_rows * k,
     )
     # bincount over an empty index returns int64, not float64
-    return rows, sums.astype(np.float64, copy=False).reshape(rows.size, k)
+    return sums.astype(np.float64, copy=False).reshape(n_rows, k)
+
+
+def _sum_rows(idx: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted unique indices of idx (n,) and the rows of g (n, K) that
+    share each summed, bitwise the dense scatter-add's rows."""
+    rows, inv = np.unique(idx, return_inverse=True)
+    return rows, _scatter_add(inv, g, rows.size)
 
 
 def _scatter_rows(rows: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -470,8 +473,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup table[indices]; backward scatter-adds, so repeated
-    indices sum their gradients.  The table's gradient is row-sparse:
-    only the rows looked up are held."""
+    indices sum their gradients.  A leaf table's gradient is row-sparse,
+    only the rows looked up; an op output's is the dense scatter-add."""
     idx = np.asarray(indices)
     if table.ndim != 2:
         raise ShapeError(f"gather_rows needs a 2-d table, got shape {table.shape}")
@@ -481,9 +484,14 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
             f"min={idx.min()}, max={idx.max()}"
         )
     out = Tensor(table.data[idx])
+    dense = table._backward is not None
 
     def backward(g):
-        table.accumulate_rows(*_sum_rows(idx.reshape(-1), g.reshape(-1, table.shape[1])))
+        flat, rows = idx.reshape(-1), g.reshape(-1, table.shape[1])
+        if dense:
+            table.accumulate(_scatter_add(flat, rows, table.shape[0]))
+        else:
+            table.accumulate_rows(*_sum_rows(flat, rows))
 
     return _register(out, backward, table)
 

@@ -15,10 +15,12 @@ and l+h as the two views of one sample.  The feature loss draws a
 refined slice, one valid time column, and two distinct rows.  The slot
 is an array axis: the P slots of a loss share its n contributing rows,
 so each view side is one slot-major (P*n, D) stack (row p*n + i is slot
-p, contributor i), gathered once and passed once through a small
-weight-only MLP encoder shared by both sides.  One InfoNCE call on the
-(P, n, d) reshape gives every slot its own softmax over its n rows, the
-positive included.  Samples whose sequences are too short to form a
+p, contributor i).  Both sides of a loss come from one gather, stacked
+side after side, and pass once through a small weight-only MLP encoder;
+two row gathers of the encoded stack give the (P, n, d) sides.  One
+InfoNCE call gives every slot its own softmax over its n rows, the
+positive included, and reads each positive as the dot product of its
+two normalized rows.  Samples whose sequences are too short to form a
 view pair drop out of the loss and are counted, never imputed.
 """
 
@@ -148,6 +150,11 @@ class FineBank:
 
     maps: dict[tuple[int, int], Tensor]  # keyed by (branch index, depth index)
 
+    @property
+    def usable(self) -> list[tuple[int, int]]:
+        """The keys of the slices a feature pair can use (>= 2 rows), sorted."""
+        return [k for k in sorted(self.maps) if self.maps[k].shape[1] >= 2]
+
 
 def mimfe_forward(bank: InterestBank, conv: ConvBank) -> FineBank:
     """Slide each branch's vertical kernels along the field axis; a
@@ -220,9 +227,10 @@ def sample_interest_plan(
 @dataclass
 class FeaturePlan:
     """Chosen (branch, depth, anchor column, two distinct rows) per pair
-    slot and contributor."""
+    slot and contributor; slice_idx indexes FineBank.usable."""
 
     rows: np.ndarray
+    slice_idx: np.ndarray
     branch: np.ndarray
     depth: np.ndarray
     anchor: np.ndarray
@@ -247,9 +255,8 @@ def sample_feature_plan(
     all first rows, then all second rows, each one `rng.integers` call
     with per-element bounds."""
     counts, starts = bank.counts, bank.starts
-    usable = [k for k in sorted(fine.maps) if fine.maps[k].shape[1] >= 2]
-    slice_branch = np.array([bi for bi, _ in usable], dtype=np.int64)
-    slice_depth = np.array([di for _, di in usable], dtype=np.int64)
+    usable = fine.usable
+    slice_branch, slice_depth = np.array(usable, dtype=np.int64).reshape(-1, 2).T
     slice_rows = np.array([fine.maps[k].shape[1] for k in usable], dtype=np.int64)
     feas = counts[:, slice_branch] >= 1
     rows = np.flatnonzero(feas.any(axis=1))
@@ -260,7 +267,7 @@ def sample_feature_plan(
     row_b = rng.integers(0, n_rows - 1)
     row_b += row_b >= row_a
     return FeaturePlan(
-        rows=rows, branch=branch, depth=slice_depth[s], anchor=anchor,
+        rows=rows, slice_idx=s, branch=branch, depth=slice_depth[s], anchor=anchor,
         row_a=row_a, row_b=row_b, n_infeasible=counts.shape[0] - rows.size,
     )
 
@@ -269,50 +276,40 @@ def sample_feature_plan(
 # view gathering
 
 
-def gather_interest_views(bank: InterestBank, plan: InterestPlan) -> tuple[Tensor, Tensor]:
-    """The two (P*n, J*K) view stacks, slot-major: flattened columns at l
-    and l+h.  All branches are flattened into one row table so a single
-    gather per side serves every slot of a mixed-branch plan."""
-    flats, offsets = [], []
-    base = 0
-    for branch in bank.branches:
-        nb, nj, nl, nk = branch.shape
-        flat = ad.reshape(ad.transpose(branch, (0, 2, 1, 3)), (nb * nl, nj * nk))
-        flats.append(flat)
-        offsets.append(base)
-        base += nb * nl
+def _row_table(maps: list[Tensor]) -> tuple[Tensor, np.ndarray]:
+    """Every map's K-wide rows, map after map, in one (rows, K) table,
+    and the table row where each map starts."""
+    flats = [ad.reshape(m, (-1, m.shape[-1])) for m in maps]
     table = ad.concat(flats, axis=0) if len(flats) > 1 else flats[0]
-    lens = np.array([b.shape[2] for b in bank.branches])
-    offs = np.array(offsets)
-
-    idx1 = offs[plan.branch] + plan.rows * lens[plan.branch] + plan.anchor
-    idx2 = idx1 + plan.offset
-    return ad.gather_rows(table, idx1.reshape(-1)), ad.gather_rows(table, idx2.reshape(-1))
+    return table, np.cumsum([0] + [f.shape[0] for f in flats[:-1]])
 
 
-def gather_feature_views(fine: FineBank, plan: FeaturePlan) -> tuple[Tensor, Tensor]:
-    """The two (P*n, K) view stacks, slot-major: same slice and column,
-    distinct rows.  Every slice is flattened into one row table, and a
-    (branch, depth) -> (offset, rows, columns) lookup turns the whole
-    plan into table rows at once."""
-    keys = sorted(fine.maps)
-    flats = []
-    slot = np.zeros((max(k[0] for k in keys) + 1, max(k[1] for k in keys) + 1), dtype=np.int64)
-    meta = np.zeros((len(keys), 3), dtype=np.int64)
-    base = 0
-    for si, key in enumerate(keys):
-        t = fine.maps[key]
-        nb, nj, nl, nk = t.shape
-        flats.append(ad.reshape(t, (nb * nj * nl, nk)))
-        slot[key] = si
-        meta[si] = (base, nj, nl)
-        base += nb * nj * nl
-    table = ad.concat(flats, axis=0) if len(flats) > 1 else flats[0]
+def gather_interest_views(bank: InterestBank, plan: InterestPlan) -> Tensor:
+    """Both (P*n, J*K) view sides in one (2*P*n, J*K) stack: first every
+    slot's column l, then every slot's column l+h.  A column is its J
+    field rows of a branch map side by side, so one gather of J rows per
+    view from the table of all branches serves a mixed-branch plan."""
+    table, offs = _row_table(bank.branches)
+    _, nj, _, nk = bank.branches[0].shape
+    nl = np.array([b.shape[2] for b in bank.branches])[plan.branch]
+    col = np.stack([plan.anchor, plan.anchor + plan.offset])
+    first = offs[plan.branch] + plan.rows * nj * nl + col  # row (b, 0, col) of the branch map
+    idx = first[..., None] + np.arange(nj) * nl[..., None]
+    return ad.reshape(ad.gather_rows(table, idx.reshape(-1)), (-1, nj * nk))
 
-    off, nj, nl = np.moveaxis(meta[slot[plan.branch, plan.depth]], -1, 0)
-    idx1 = off + (plan.rows * nj + plan.row_a) * nl + plan.anchor
-    idx2 = off + (plan.rows * nj + plan.row_b) * nl + plan.anchor
-    return ad.gather_rows(table, idx1.reshape(-1)), ad.gather_rows(table, idx2.reshape(-1))
+
+def gather_feature_views(fine: FineBank, plan: FeaturePlan) -> Tensor:
+    """Both (P*n, K) view sides in one (2*P*n, K) stack: first every
+    slot's row_a, then every slot's row_b, at the same slice and column.
+    Only the slices a plan can sample are flattened into the table, so
+    the whole plan turns into table rows at once through slice_idx."""
+    maps = [fine.maps[k] for k in fine.usable]
+    table, offs = _row_table(maps)
+    nj, nl = np.array([m.shape[1:3] for m in maps]).T
+    s = plan.slice_idx
+    rows = np.stack([plan.row_a, plan.row_b])
+    idx = offs[s] + (plan.rows * nj[s] + rows) * nl[s] + plan.anchor
+    return ad.gather_rows(table, idx.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -353,61 +350,52 @@ def encode(x: Tensor, enc: EncoderParams) -> Tensor:
 # InfoNCE
 
 
-def infonce(z1: Tensor, z2: Tensor, tau: float) -> Tensor:
+def infonce(z1: Tensor, z2: Tensor, tau: float, *, cosines: list[np.ndarray] | None = None) -> Tensor:
     """-mean_x log( exp(cos(z1_x, z2_x)/tau) / sum_x' exp(cos(z1_x, z2_x')/tau) ).
 
     z1 and z2 are (..., n, d): each leading index is one pair slot whose
     denominator runs over its own n rows, x itself included, and the
     mean runs over every slot and row.  The row-max shift is detached,
     which leaves gradients exact while keeping exp bounded for any
-    tau > 0.
+    tau > 0.  The positive cosines are the row dot products of the
+    normalized views; given a list, they are appended to it, (..., n).
     """
     if tau <= 0.0:
         raise ConfigError(f"temperature must be positive, got {tau}")
     if z1.shape != z2.shape or z1.ndim < 2 or z1.shape[-2] < 2:
         raise ShapeError(f"need two equal view matrices with >= 2 rows, got {z1.shape} and {z2.shape}")
     flip = (*range(z1.ndim - 2), z1.ndim - 1, z1.ndim - 2)
-    s = ad.matmul(ad.normalize_rows(z1), ad.transpose(ad.normalize_rows(z2), flip))
-    logits = ad.scale(s, 1.0 / tau)
+    n1, n2 = ad.normalize_rows(z1), ad.normalize_rows(z2)
+    logits = ad.scale(ad.matmul(n1, ad.transpose(n2, flip)), 1.0 / tau)
     shift = ad.constant(logits.data.max(axis=-1, keepdims=True))
     lse = ad.add(
         ad.tlog(ad.tsum(ad.texp(ad.sub(logits, shift)), axis=-1)),
         ad.constant(shift.data[..., 0]),
     )
-    pos = ad.tsum(ad.mul(logits, ad.constant(np.eye(z1.shape[-2]))), axis=-1)
-    return ad.tmean(ad.sub(lse, pos))
-
-
-def view_similarity_stats(pairs: list[tuple[Tensor, Tensor]]) -> tuple[float, float, float]:
-    """(mean, min, max) cosine between paired views, norms floored."""
-    sims = []
-    for z1, z2 in pairs:
-        a, b = z1.data, z2.data
-        na = np.maximum(np.linalg.norm(a, axis=1), ad.COSINE_EPS)
-        nb = np.maximum(np.linalg.norm(b, axis=1), ad.COSINE_EPS)
-        sims.append((a * b).sum(axis=1) / (na * nb))
-    if not sims:
-        return (float("nan"),) * 3
-    s = np.concatenate(sims)
-    return float(s.mean()), float(s.min()), float(s.max())
+    cos = ad.tsum(ad.mul(n1, n2), axis=-1)
+    if cosines is not None:
+        cosines.append(cos.data)
+    return ad.tmean(ad.sub(lse, ad.scale(cos, 1.0 / tau)))
 
 
 # ---------------------------------------------------------------------------
 # one-call orchestration for the trainer
 
 
-def _contrast(
-    views: tuple[Tensor, Tensor], enc: EncoderParams, n_pairs: int, tau: float
-) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-    """Encode both (P*n, D) view stacks and score all P slots in one
-    InfoNCE; returns the loss and the flat encodings."""
-    z1, z2 = (encode(v, enc) for v in views)
-    slots = (n_pairs, -1, z1.shape[1])
-    return infonce(ad.reshape(z1, slots), ad.reshape(z2, slots), tau), (z1, z2)
+def _contrast(views: Tensor, enc: EncoderParams, n_pairs: int, tau: float,
+              cosines: list[np.ndarray]) -> Tensor:
+    """Encode the (2*P*n, D) stack of both view sides in one pass and
+    score all P slots in one InfoNCE on its (P, n, d) halves."""
+    z = encode(views, enc)
+    sides = np.arange(z.shape[0]).reshape(2, n_pairs, -1)
+    return infonce(ad.gather_rows(z, sides[0]), ad.gather_rows(z, sides[1]), tau, cosines=cosines)
 
 
 @dataclass
 class SslOut:
+    """Both losses (None when too few samples form pairs) and the mean,
+    min and max InfoNCE positive cosine over every scored pair."""
+
     loss_interest: Tensor | None
     loss_feature: Tensor | None
     sim_mean: float = float("nan")
@@ -438,13 +426,12 @@ def ssl_forward(
     iplan = sample_interest_plan(bank, n_pairs_interest, max_offset, rng)
     fplan = sample_feature_plan(bank, fine, n_pairs_feature, rng)
 
-    encoded: list[tuple[Tensor, Tensor]] = []
+    cosines: list[np.ndarray] = []
     loss_i = loss_f = None
     if iplan.rows.size >= 2 and iplan.n_pairs > 0:
-        loss_i, z = _contrast(gather_interest_views(bank, iplan), enc_interest, iplan.n_pairs, tau)
-        encoded.append(z)
-    if fplan.rows.size >= 2 and fplan.n_pairs > 0 and fine.maps:
-        loss_f, z = _contrast(gather_feature_views(fine, fplan), enc_feature, fplan.n_pairs, tau)
-        encoded.append(z)
-    return SslOut(loss_i, loss_f, *view_similarity_stats(encoded),
+        loss_i = _contrast(gather_interest_views(bank, iplan), enc_interest, iplan.n_pairs, tau, cosines)
+    if fplan.rows.size >= 2 and fplan.n_pairs > 0:
+        loss_f = _contrast(gather_feature_views(fine, fplan), enc_feature, fplan.n_pairs, tau, cosines)
+    sims = np.concatenate([c.reshape(-1) for c in cosines]) if cosines else np.full(1, np.nan)
+    return SslOut(loss_i, loss_f, float(sims.mean()), float(sims.min()), float(sims.max()),
                   n_infeasible_interest=iplan.n_infeasible, n_infeasible_feature=fplan.n_infeasible)

@@ -181,7 +181,9 @@ def build_model(cfg: ExperimentConfig, splits: Splits) -> MissModel:
     (tables, attention unit + MLP, kernels, encoders), so the base
     model's parameters do not depend on whether the SSL tower exists.
     Kernels wider than the sequence or the field count are warned about
-    here, once; the extractors skip them at every step."""
+    here, once; the extractors skip them at every step.  So is a field
+    count that leaves every vertical kernel one field row or none, since
+    no feature pair can then be formed."""
     cfg.validate()
     rng = np.random.default_rng([cfg.seed, 0])
     ordered_sizes = {f: splits.vocab_sizes[f] for f in splits.cat_fields + splits.seq_fields}
@@ -199,6 +201,9 @@ def build_model(cfg: ExperimentConfig, splits: Splits) -> MissModel:
         if cfg.ssl_enabled and widest > size:
             log.warning("%s width %d exceeds %s %d: the extractor skips the kernels wider than %d",
                         kind, widest, axis, size, size)
+    if cfg.ssl_enabled and cfg.n_depths and n_seq < 2:
+        log.warning("field count %d leaves no vertical kernel 2 field rows: "
+                    "the feature loss never forms a pair, so its kernels never train", n_seq)
     return MissModel(
         cfg=cfg,
         cat_fields=list(splits.cat_fields),

@@ -298,6 +298,29 @@ def test_gather_rows_gradient_holds_only_the_rows_looked_up():
     assert table.grad_rows()[0] is ...
 
 
+def test_gather_rows_scatters_densely_into_an_op_output_table():
+    # an op output's own backward reads its gradient dense, so a gather
+    # from it leaves the dense scatter-add, byte for byte np.add.at into
+    # zeros; a leaf table gathered beside it stays row-sparse
+    rng = np.random.default_rng(7)
+    leaf, other = ad.parameter(rng.standard_normal((6, 3))), ad.parameter(rng.standard_normal((6, 3)))
+    idx = np.array([[4, 1], [4, 0], [1, 4]])
+    up = _with_signed_zeros(rng, (3, 2, 3))
+    table = ad.scale(other, 2.0)
+    ad.gather_rows(table, idx)._backward(up)
+    rows, held = table.grad_rows()
+    assert rows is ... and held.tobytes() == dense_scatter_add(6, idx, up).tobytes()
+
+    def loss():
+        return ad.add(ad.tsum(ad.mul(ad.gather_rows(ad.scale(other, 2.0), idx), ad.constant(up))),
+                      ad.tsum(ad.gather_rows(leaf, idx)))
+
+    graph = ad.fresh_graph()
+    graph.backward(loss())
+    np.testing.assert_array_equal(leaf.grad_rows()[0], [0, 1, 4])
+    fd_check(loss, {"leaf": leaf, "other": other})
+
+
 def test_gather_rows_out_of_range():
     table = ad.parameter(np.zeros((4, 2)))
     with pytest.raises(IndexError, match="4 rows"):

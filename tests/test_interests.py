@@ -301,10 +301,13 @@ def test_max_offset_validation():
 
 
 def test_gathered_interest_views_match_direct_indexing():
+    # one stack of both sides: rows [0, P*n) at column l, the rest at l+h
     mid, _ = bank_for_lengths([6, 4, 5], 6, 2, seed=10)
     plan = I.sample_interest_plan(mid, 3, 3, np.random.default_rng(10))
-    z1, z2 = I.gather_interest_views(mid, plan)
+    views = I.gather_interest_views(mid, plan)
     n = plan.rows.size
+    half = plan.n_pairs * n
+    assert views.shape == (2 * half, mid.branches[0].shape[1] * mid.branches[0].shape[3])
     for p in range(plan.n_pairs):
         for ci, b in enumerate(plan.rows):
             m = plan.branch[p, ci]
@@ -312,22 +315,25 @@ def test_gathered_interest_views_match_direct_indexing():
             h = plan.offset[p, ci]
             expect1 = mid.branches[m].data[b, :, l, :].reshape(-1)
             expect2 = mid.branches[m].data[b, :, l + h, :].reshape(-1)
-            assert np.array_equal(z1.data[p * n + ci], expect1)
-            assert np.array_equal(z2.data[p * n + ci], expect2)
+            assert np.array_equal(views.data[p * n + ci], expect1)
+            assert np.array_equal(views.data[half + p * n + ci], expect2)
 
 
 def test_gathered_feature_views_match_direct_indexing():
     mid, bank = bank_for_lengths([6, 5], 6, 2, seed=11)
     fine = I.mimfe_forward(mid, bank)
     plan = I.sample_feature_plan(mid, fine, 3, np.random.default_rng(11))
-    z1, z2 = I.gather_feature_views(fine, plan)
+    views = I.gather_feature_views(fine, plan)
     n = plan.rows.size
+    half = plan.n_pairs * n
+    assert views.shape == (2 * half, fine.maps[(0, 0)].shape[3])
     for p in range(plan.n_pairs):
         for ci, b in enumerate(plan.rows):
             key = (int(plan.branch[p, ci]), int(plan.depth[p, ci]))
             l = plan.anchor[p, ci]
-            assert np.array_equal(z1.data[p * n + ci], fine.maps[key].data[b, plan.row_a[p, ci], l, :])
-            assert np.array_equal(z2.data[p * n + ci], fine.maps[key].data[b, plan.row_b[p, ci], l, :])
+            m = fine.maps[key].data
+            assert np.array_equal(views.data[p * n + ci], m[b, plan.row_a[p, ci], l, :])
+            assert np.array_equal(views.data[half + p * n + ci], m[b, plan.row_b[p, ci], l, :])
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +451,24 @@ def test_stacked_infonce_is_the_mean_of_its_slots():
 
 
 def test_similarity_stats_bounds():
+    # the cosines InfoNCE reports are its positive term's, one per row
     rng = np.random.default_rng(17)
-    pairs = [(ad.constant(rng.normal(size=(4, 3))), ad.constant(rng.normal(size=(4, 3))))]
-    mean_s, min_s, max_s = I.view_similarity_stats(pairs)
-    assert -1.0 <= min_s <= mean_s <= max_s <= 1.0
-    nan_stats = I.view_similarity_stats([])
-    assert all(np.isnan(v) for v in nan_stats)
+    a, b = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))
+    cosines = []
+    I.infonce(ad.constant(a), ad.constant(b), 0.1, cosines=cosines)
+    (cos,) = cosines
+    want = (a * b).sum(-1) / (np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1))
+    assert cos.shape == (2, 4) and np.abs(cos - want).max() <= 1e-12
+    assert np.all(np.abs(cos) <= 1.0 + 1e-12)
+    # a batch that forms no pair of either kind reports NaN, not a number
+    bank = make_bank(1, 1, seed=28)
+    mask = np.zeros((3, 4))
+    mask[0] = 1.0  # one sample long enough: no loss has two rows
+    out = I.ssl_forward(ad.constant(rng.normal(size=(3, 2, 4, 2))), mask, bank,
+                        I.init_encoder(4, (3,), rng, "a"), I.init_encoder(2, (3,), rng, "b"),
+                        2, 2, 2, 0.1, rng=np.random.default_rng(30))
+    assert out.loss_interest is None and out.loss_feature is None
+    assert np.isnan([out.sim_mean, out.sim_min, out.sim_max]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +513,8 @@ def test_ssl_forward_replay_is_deterministic():
 
 
 def test_ssl_tape_does_not_grow_with_pair_slots():
-    # each loss tapes 2 gathers, 2 encoder passes and 1 InfoNCE, however
-    # many pair slots it scores
+    # each loss tapes 1 view gather, 1 encoder pass, 2 side gathers and
+    # 1 InfoNCE, however many pair slots it scores
     rng = np.random.default_rng(31)
     bank = make_bank(2, 2, seed=32)
     enc_i = I.init_encoder(6, (4, 4), np.random.default_rng(33), "enc_i")
