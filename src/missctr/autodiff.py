@@ -310,12 +310,20 @@ def sigmoid(x: Tensor) -> Tensor:
     return _register(out, backward, x)
 
 
-def texp(x: Tensor) -> Tensor:
-    val = np.exp(x.data)
-    out = Tensor(val)
+def logsumexp(x: Tensor, c: float) -> Tensor:
+    """log sum exp(c * x) over the last axis, shifted by the detached row
+    max of c * x so exp stays bounded: one node, bitwise the values and
+    gradients of the scale, sub, exp, sum, log and add ops it replaces."""
+    c = float(c)
+    e = x.data * c
+    shift = e.max(axis=-1, keepdims=True)
+    e -= shift
+    np.exp(e, out=e)
+    s = e.sum(axis=-1)
+    out = Tensor(np.log(s) + shift[..., 0])
 
     def backward(g):
-        x.accumulate(g * val)
+        x.accumulate((e * (g / s)[..., None]) * c)
 
     return _register(out, backward, x)
 

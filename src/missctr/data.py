@@ -248,6 +248,8 @@ def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Split
     attributes: one code-table row per item, gathered once into the
     event table that the three splits share.
     Draw k of a user picks its k-th unseen item in sorted item order.
+    Vocabulary encoding and negative sampling run in helpers whose
+    event-sized temporaries die on return, before the rows are built.
     """
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
@@ -257,10 +259,36 @@ def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Split
     n_users = n_events.size
     if not n_users:
         raise DegenerateDatasetError("no user has enough behaviors to split")
+    events, codes, by_id = _encode_events(interactions, eligible)
+    ev = events[1:, 0]  # each event's item id: an item's code-table row starts with it
+    names = [interactions.tokens[0][c] for c in by_id[0].tolist()]
+    negative, has_negative = _sample_negatives(ev, n_events, names, seed)
+    if not has_negative.all():
+        log.warning("skipped %d negative rows: their users touched every item",
+                    3 * (n_users - np.count_nonzero(has_negative)))
 
-    # vocab over the eligible users' events (user after user), one field
-    # column at a time, first-appearance order, ids from 2; user k of
-    # them gets id 2 + k.  by_id[j] lists field j's codes in id order.
+    # each positive row, then its negative row if the user has one
+    keep = np.column_stack([np.ones(n_users, dtype=bool), has_negative]).ravel()
+    row_user = np.repeat(np.arange(n_users), 2)[keep]
+    is_pos = np.tile([True, False], n_users)[keep]
+    row_stop = np.cumsum(n_events)[row_user]
+    parts = []
+    for split, back in enumerate((3, 2, 1)):
+        target = row_stop - back  # the held-out event; the history ends before it
+        cand = np.where(is_pos, ev[target], negative[row_user, split])
+        parts.append(SampleSet(
+            cat=(2 + row_user)[:, None], seq_len=np.minimum(n_events[row_user] - back, max_len),
+            cand=codes[cand], label=is_pos.astype(np.int64), end=target, events=events,
+            max_len=max_len))
+    vocab_sizes = {"user": 2 + n_users} | {f: 2 + c.size for f, c in zip(seq_fields, by_id)}
+    return Splits(*parts, cat_fields=["user"], seq_fields=list(seq_fields), vocab_sizes=vocab_sizes,
+                  n_short_users=len(interactions.users) - n_users)
+
+
+def _encode_events(interactions: InteractionLog, eligible: np.ndarray):
+    """The eligible users' event table, code table and by_id[j], field
+    j's codes in id order: vocab over their events (user after user), one
+    field column at a time, first-appearance order, ids from 2."""
     ids = interactions.codes[:, np.repeat(eligible, interactions.counts)]
     by_id = []
     for column, tokens in zip(ids, interactions.tokens):
@@ -275,49 +303,38 @@ def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Split
         raise DegenerateDatasetError("need at least 2 distinct items to sample negatives")
     # item ids count up in first-seen order, so an item's first event is
     # where the running maximum of ev grows
-    codes = np.zeros((2 + n_items, len(seq_fields)), dtype=np.int64)  # row 0 encodes padding
+    codes = np.zeros((2 + n_items, ids.shape[0]), dtype=np.int64)  # row 0 encodes padding
     codes[2:] = ids[:, np.diff(np.maximum.accumulate(ev), prepend=1) > 0].T
+    return codes[np.concatenate(([PAD_ID], ev))], codes, by_id  # row 1 + e encodes event e
 
-    # each user's seen items as sorted ranks in sorted item order (sort and
-    # drop repeats: np.unique hashes, which is far slower here); below[i]
-    # counts the unseen ranks under seen rank i, offset per user so that
-    # one searchsorted serves every user
-    names = [interactions.tokens[0][c] for c in by_id[0].tolist()]
+
+def _sample_negatives(ev: np.ndarray, n_events: np.ndarray, names: list[str], seed: int):
+    """Each user's negative per split over the items the user never
+    touched, given ev, the events' item ids, and names, the item tokens in
+    id order; and whether the user has any."""
+    n_users, n_items = n_events.size, len(names)
     by_rank = 2 + np.array(sorted(range(n_items), key=names.__getitem__), dtype=np.int64)
     rank = np.empty(2 + n_items, dtype=np.int64)
     rank[by_rank] = np.arange(n_items)
+    # each user's seen items as sorted ranks in sorted item order (sort and
+    # drop repeats: np.unique hashes, which is far slower here)
     seen = np.sort(np.repeat(np.arange(n_users), n_events) * n_items + rank[ev])
-    seen_user, seen_rank = np.divmod(seen[np.diff(seen, prepend=-1) > 0], n_items)
+    seen_user, below = np.divmod(seen[np.concatenate(([True], seen[1:] != seen[:-1]))], n_items)
+    del seen
     n_seen = np.bincount(seen_user, minlength=n_users)
     first = np.cumsum(n_seen) - n_seen
-    below = seen_rank - np.arange(seen_rank.size) + first[seen_user] + seen_user * (n_items + 1)
+    # below[i], the i-th seen rank, becomes the count of unseen ranks under
+    # it, offset per user so that one searchsorted serves every user
+    below -= np.arange(below.size)
+    below += first[seen_user]
+    below += seen_user * (n_items + 1)
     drawn = np.flatnonzero(n_seen < n_items)  # users with a negative; k per user, then per split
     k = np.random.default_rng(seed).integers(np.repeat(n_items - n_seen[drawn], 3)).reshape(-1, 3)
     k += np.searchsorted(below, drawn[:, None] * (n_items + 1) + k, side="right")
     k -= first[drawn, None]
     negative = np.zeros((n_users, 3), dtype=np.int64)
     negative[drawn] = by_rank[k]
-    if drawn.size < n_users:
-        log.warning("skipped %d negative rows: their users touched every item",
-                    3 * (n_users - drawn.size))
-
-    # each positive row, then its negative row if the user has one
-    keep = np.column_stack([np.ones(n_users, dtype=bool), n_seen < n_items]).ravel()
-    row_user = np.repeat(np.arange(n_users), 2)[keep]
-    is_pos = np.tile([True, False], n_users)[keep]
-    row_stop = np.cumsum(n_events)[row_user]
-    events = codes[np.concatenate(([PAD_ID], ev))]  # row 1 + e encodes event e
-    parts = []
-    for split, back in enumerate((3, 2, 1)):
-        target = row_stop - back  # the held-out event; the history ends before it
-        cand = np.where(is_pos, ev[target], negative[row_user, split])
-        parts.append(SampleSet(
-            cat=(2 + row_user)[:, None], seq_len=np.minimum(n_events[row_user] - back, max_len),
-            cand=codes[cand], label=is_pos.astype(np.int64), end=target, events=events,
-            max_len=max_len))
-    vocab_sizes = {"user": 2 + n_users} | {f: 2 + c.size for f, c in zip(seq_fields, by_id)}
-    return Splits(*parts, cat_fields=["user"], seq_fields=list(seq_fields), vocab_sizes=vocab_sizes,
-                  n_short_users=len(interactions.users) - n_users)
+    return negative, n_seen < n_items
 
 
 def make_batches(

@@ -31,15 +31,15 @@ def init_tables(
 
 
 def embed(tables: dict[str, Tensor], field: str, ids: np.ndarray) -> Tensor:
-    """Look up rows for one field; shape out = ids.shape + (dim,)."""
+    """Look up rows for one field; shape out = ids.shape + (dim,).  The
+    gather's range check raises an IndexError naming the field and id."""
     table = tables[field]
     idx = np.asarray(ids)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    try:
+        return ad.gather_rows(table, idx)
+    except IndexError:
         bad = int(idx.min()) if idx.min() < 0 else int(idx.max())
-        raise IndexError(
-            f"field {field!r}: id {bad} out of range [0, {table.shape[0]})"
-        )
-    return ad.gather_rows(table, idx)
+        raise IndexError(f"field {field!r}: id {bad} out of range [0, {table.shape[0]})") from None
 
 
 def zero_pad_rows(tables: dict[str, Tensor]) -> None:

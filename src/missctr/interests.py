@@ -357,8 +357,9 @@ def infonce(z1: Tensor, z2: Tensor, tau: float, *, cosines: list[np.ndarray] | N
     denominator runs over its own n rows, x itself included, and the
     mean runs over every slot and row.  The row-max shift is detached,
     which leaves gradients exact while keeping exp bounded for any
-    tau > 0.  The positive cosines are the row dot products of the
-    normalized views; given a list, they are appended to it, (..., n).
+    tau > 0 (see `ad.logsumexp`).  The positive cosines are the row dot
+    products of the normalized views; given a list, they are appended to
+    it, (..., n).
     """
     if tau <= 0.0:
         raise ConfigError(f"temperature must be positive, got {tau}")
@@ -366,12 +367,7 @@ def infonce(z1: Tensor, z2: Tensor, tau: float, *, cosines: list[np.ndarray] | N
         raise ShapeError(f"need two equal view matrices with >= 2 rows, got {z1.shape} and {z2.shape}")
     flip = (*range(z1.ndim - 2), z1.ndim - 1, z1.ndim - 2)
     n1, n2 = ad.normalize_rows(z1), ad.normalize_rows(z2)
-    logits = ad.scale(ad.matmul(n1, ad.transpose(n2, flip)), 1.0 / tau)
-    shift = ad.constant(logits.data.max(axis=-1, keepdims=True))
-    lse = ad.add(
-        ad.tlog(ad.tsum(ad.texp(ad.sub(logits, shift)), axis=-1)),
-        ad.constant(shift.data[..., 0]),
-    )
+    lse = ad.logsumexp(ad.matmul(n1, ad.transpose(n2, flip)), 1.0 / tau)
     cos = ad.tsum(ad.mul(n1, n2), axis=-1)
     if cosines is not None:
         cosines.append(cos.data)

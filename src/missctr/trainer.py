@@ -32,6 +32,7 @@ log = logging.getLogger(__name__)
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 4096  # rows per Adam update pass: the fastest of 1024-8192 on a 50k-row table
 
 _ALPHA_GRID = {0.05, 0.1, 0.5, 1.0, 5.0}
 # field name -> published search grid, checked in this order in grid mode
@@ -256,8 +257,9 @@ def load_checkpoint(path: str, model: MissModel) -> None:
 
 @dataclass
 class AdamState:
-    """Step count, first and second moments, and per-parameter work
-    buffers (the update and its denominator), all kept across steps."""
+    """Step count, whole-table first and second moments, and per-parameter
+    work buffers (the update and its denominator) of at most ADAM_BLOCK
+    rows, all kept across steps."""
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -271,8 +273,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
 
     A row-sparse gradient is read as its rows: every row's moments
     decay, and only the rows held add their gradient terms.  A dense
-    gradient is the all-rows case.  The update is computed into the
-    parameter's work buffers, so a step allocates nothing table-sized.
+    gradient is the all-rows case.  The update runs a block of ADAM_BLOCK
+    rows at a time through the work buffers, so its passes stay in cache.
     Each value is the one the textbook dense expressions give, except
     that an untouched row's moment that decays to -0.0 keeps its sign."""
     state.t += 1
@@ -286,21 +288,26 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-            state.work[name] = (np.empty_like(p.data), np.empty_like(p.data))
+            block = p.data[:ADAM_BLOCK]
+            state.work[name] = (np.empty_like(block), np.empty_like(block))
         m, v = state.m[name], state.v[name]
         update, denom = state.work[name]
         m *= BETA1
         m[rows] += (1.0 - BETA1) * g
         v *= BETA2
         v[rows] += (1.0 - BETA2) * g * g
-        # update = lr * (m / c1) / (sqrt(v / c2) + eps)
-        np.divide(m, c1, out=update)
-        update *= lr
-        np.divide(v, c2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        update /= denom
-        p.data -= update
+        for lo in range(0, len(p.data), ADAM_BLOCK):
+            at = slice(lo, lo + ADAM_BLOCK)
+            m_at, p_at = m[at], p.data[at]
+            u, d = update[: len(m_at)], denom[: len(m_at)]
+            # u = lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m_at, c1, out=u)
+            u *= lr
+            np.divide(v[at], c2, out=d)
+            np.sqrt(d, out=d)
+            d += ADAM_EPS
+            u /= d
+            p_at -= u
 
 
 # ---------------------------------------------------------------------------
@@ -494,21 +501,9 @@ def _run_epochs(
         scores = predict_scores(model, splits.valid, cfg.batch_size)
         val_auc = auc(scores, splits.valid.label)
         val_ll = logloss_value(scores, splits.valid.label)
-        history.append(
-            EpochRow(
-                epoch=epoch,
-                loss_ll=_epoch_mean(rows, "loss_ll"),
-                loss_interest=_epoch_mean(rows, "loss_interest"),
-                loss_feature=_epoch_mean(rows, "loss_feature"),
-                val_auc=val_auc,
-                val_logloss=val_ll,
-            )
-        )
-        log.info(
-            "epoch %d: ll=%.5f int=%.5f feat=%.5f val_auc=%.5f",
-            epoch, history[-1].loss_ll,
-            history[-1].loss_interest, history[-1].loss_feature, val_auc,
-        )
+        means = [_epoch_mean(rows, a) for a in ("loss_ll", "loss_interest", "loss_feature")]
+        history.append(EpochRow(epoch, *means, val_auc=val_auc, val_logloss=val_ll))
+        log.info("epoch %d: ll=%.5f int=%.5f feat=%.5f val_auc=%.5f", epoch, *means, val_auc)
         if val_auc > best_auc:
             best_auc = val_auc
             best_epoch = epoch

@@ -3,6 +3,7 @@ the robustness-study perturbations."""
 
 import logging
 import re
+import tracemalloc
 from contextlib import contextmanager
 from unittest import mock
 
@@ -494,6 +495,20 @@ def test_build_splits_matches_the_oracle_on_a_2k_user_corpus():
     interactions = D.synth_generate(2000, 500, 5, (8, 16), seed=0)
     got = D.build_splits(interactions, 16, 0)
     assert_same_splits(got, naive_build_splits(interactions, 16, 0))
+
+
+def test_build_splits_peaks_near_what_it_returns():
+    # each phase's event-sized temporaries die before the next phase
+    # allocates; holding them all peaks at about 2.5x the splits
+    interactions = D.synth_generate(5000, 500, 5, (8, 16), seed=0)
+    tracemalloc.start()
+    try:
+        splits = D.build_splits(interactions, 16, 0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert splits.train.events.nbytes <= held
+    assert peak <= 1.6 * held, f"peak {peak / 1e6:.1f} MB, held {held / 1e6:.1f} MB"
 
 
 # ---------------------------------------------------------------------------

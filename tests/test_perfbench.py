@@ -33,7 +33,7 @@ def test_tiny_miss_gate_traced_equals_untraced(tmp_path):
     # branches x 2 depths), and per contrastive loss 1 view gather, 1
     # encoder pass, 2 side gathers and 1 InfoNCE whatever its pair-slot
     # count; the feature table holds only the 2 slices with 2 rows
-    assert layer["autodiff.tape_nodes_per_step"] == 111
+    assert layer["autodiff.tape_nodes_per_step"] == 101
 
 
 def test_tiny_din_vocab_traced_equals_untraced(tmp_path):

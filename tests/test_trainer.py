@@ -10,6 +10,7 @@ import pytest
 from oracles import dense_scatter_add, pack_splits, random_windows, textbook_adam
 
 from missctr import autodiff as ad
+from missctr import trainer
 from missctr.autodiff import Tensor
 from missctr.errors import ConfigError, DegenerateDatasetError, FormatError, NumericalError
 from missctr.serialize import save_arrays
@@ -171,34 +172,51 @@ def test_adam_two_step_trace():
     assert state.t == 2
 
 
-def test_row_sparse_adam_is_the_textbook_dense_step():
+def test_row_sparse_adam_is_the_textbook_dense_step(monkeypatch):
     # a different touched row set each step, an empty one included;
-    # rows 0, 4, 6 and 9-11 are never touched after init
-    rng = np.random.default_rng(0)
-    n, k, lr = 12, 3, 0.05
-    init = rng.uniform(-1.0, 1.0, (n, k))
-    sparse = Tensor(init.copy(), requires_grad=True)
-    dense = Tensor(init.copy(), requires_grad=True)
-    s_sparse, s_dense = AdamState(), AdamState()
-    want, m, v = init.copy(), np.zeros((n, k)), np.zeros((n, k))
-    for t, ids in enumerate([[3, 1, 3], [5], [1, 7, 8, 7], [], [2, 5], [3]], start=1):
-        idx = np.array(ids, dtype=np.int64)
-        up = rng.standard_normal((idx.size, k))
-        sparse.zero_grad()
-        graph = ad.fresh_graph()
-        graph.backward(ad.tsum(ad.mul(ad.gather_rows(sparse, idx), ad.constant(up))))
-        np.testing.assert_array_equal(sparse.grad_rows()[0], np.unique(idx))
-        g = dense_scatter_add(n, idx, up)
-        dense.grad = g.copy()
-        adam_step({"p": sparse}, s_sparse, lr)
-        adam_step({"p": dense}, s_dense, lr)
-        want, m, v = textbook_adam(want, m, v, g, t, lr)
-        assert sparse.data.tobytes() == want.tobytes(), t
-        assert dense.data.tobytes() == want.tobytes(), t
-        for state in (s_sparse, s_dense):
-            np.testing.assert_array_equal(state.m["p"], m)
-            np.testing.assert_array_equal(state.v["p"], v)
-    np.testing.assert_array_equal(sparse.data[[0, 4, 6, 9, 10, 11]], init[[0, 4, 6, 9, 10, 11]])
+    # rows 0, 4, 6 and 9-11 are never touched after init.  Blocks of 5
+    # rows run the update over rows 0-4, 5-9 and a ragged 10-11
+    for block in (trainer.ADAM_BLOCK, 5):
+        monkeypatch.setattr(trainer, "ADAM_BLOCK", block)
+        rng = np.random.default_rng(0)
+        n, k, lr = 12, 3, 0.05
+        init = rng.uniform(-1.0, 1.0, (n, k))
+        sparse = Tensor(init.copy(), requires_grad=True)
+        dense = Tensor(init.copy(), requires_grad=True)
+        s_sparse, s_dense = AdamState(), AdamState()
+        want, m, v = init.copy(), np.zeros((n, k)), np.zeros((n, k))
+        for t, ids in enumerate([[3, 1, 3], [5], [1, 7, 8, 7], [], [2, 5], [3]], start=1):
+            idx = np.array(ids, dtype=np.int64)
+            up = rng.standard_normal((idx.size, k))
+            sparse.zero_grad()
+            graph = ad.fresh_graph()
+            graph.backward(ad.tsum(ad.mul(ad.gather_rows(sparse, idx), ad.constant(up))))
+            np.testing.assert_array_equal(sparse.grad_rows()[0], np.unique(idx))
+            g = dense_scatter_add(n, idx, up)
+            dense.grad = g.copy()
+            adam_step({"p": sparse}, s_sparse, lr)
+            adam_step({"p": dense}, s_dense, lr)
+            want, m, v = textbook_adam(want, m, v, g, t, lr)
+            assert sparse.data.tobytes() == want.tobytes(), t
+            assert dense.data.tobytes() == want.tobytes(), t
+            for state in (s_sparse, s_dense):
+                np.testing.assert_array_equal(state.m["p"], m)
+                np.testing.assert_array_equal(state.v["p"], v)
+        np.testing.assert_array_equal(sparse.data[[0, 4, 6, 9, 10, 11]], init[[0, 4, 6, 9, 10, 11]])
+
+
+def test_adam_work_buffers_hold_at_most_one_block():
+    n = 2 * trainer.ADAM_BLOCK + 3
+    params = {"table": Tensor(np.ones((n, 2)), requires_grad=True),
+              "bias": Tensor(np.ones(3), requires_grad=True)}
+    state = AdamState()
+    for step in range(2):
+        params["table"].grad = np.full((n, 2), 0.5)
+        params["bias"].grad = np.full(3, 0.5)
+        adam_step(params, state, lr=0.1)
+    assert {k: [b.shape for b in bufs] for k, bufs in state.work.items()} == {
+        "table": [(trainer.ADAM_BLOCK, 2)] * 2, "bias": [(3,)] * 2}
+    assert state.m["table"].shape == state.v["table"].shape == (n, 2)
 
 
 def test_din_step_holds_user_table_gradient_as_batch_rows():
@@ -280,12 +298,13 @@ def test_gradients_are_never_written_in_place(gate_splits, monkeypatch):
     for name in ("accumulate", "accumulate_rows"):
         monkeypatch.setattr(Tensor, name, read_only(getattr(Tensor, name)))
     checked = gate_step(gate_splits)
-    # the floor is what the 111-node gate-config tape allocates for sure:
+    # the floor is what the 101-node gate-config tape allocates for sure:
     # one new array per operand that needs a gradient at each live node
     # of matmul (30), conv1d (8), mul (9), relu (6), normalize_rows (4),
-    # tlog (4), texp (2), sigmoid (1) and clip (1), and the row indices of
-    # the 5 embedding gathers; the other ops may pass g or a view of it
-    assert len(guarded) >= 70
+    # tlog (2), logsumexp (2), sigmoid (1) and clip (1), and the row
+    # indices of the 5 embedding gathers; the other ops may pass g or a
+    # view of it
+    assert len(guarded) >= 68
     for name, p in plain.items():
         assert p.data.tobytes() == checked[name].data.tobytes(), name
 
