@@ -32,9 +32,9 @@ conv = it.init_conv_bank(n_branches=3, n_depths=2, rng=rng)
 
 bank = it.mie_forward(C, mask, conv)
 print("time-axis branches (windows shrink as kernels widen):")
-for width, branch, valid in zip(bank.widths, bank.branches, bank.valid):
-    print(f"  width {width}: output {branch.shape}, user 0 has "
-          f"{int(valid[0].sum())} of {branch.shape[2]} windows free of padding")
+for bi, branch in enumerate(bank.branches):
+    print(f"  width {bi + 1}: output {branch.shape}, user 0 has "
+          f"{bank.counts[0, bi]} of {branch.shape[2]} windows free of padding")
 print(f"total interest vectors per user at full length: {bank.n_vectors}")
 
 # field-axis refinement: inside each time window, a second bank of

@@ -398,6 +398,9 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join parts along axis; a single part is returned as is, untaped."""
+    if len(parts) == 1:
+        return parts[0]
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     sizes = [p.shape[axis] for p in parts]
 

@@ -150,7 +150,7 @@ def field_concat(tables: dict[str, Tensor], fields: list[str], ids: np.ndarray) 
     from .embeddings import embed
 
     parts = [embed(tables, f, ids[:, j]) for j, f in enumerate(fields)]
-    return ad.concat(parts, axis=1) if len(parts) > 1 else parts[0]
+    return ad.concat(parts, axis=1)
 
 
 def behavior_matrix(tables: dict[str, Tensor], seq_fields: list[str], seq_ids: np.ndarray) -> Tensor:
@@ -160,7 +160,7 @@ def behavior_matrix(tables: dict[str, Tensor], seq_fields: list[str], seq_ids: n
     from .embeddings import embed
 
     parts = [embed(tables, f, seq_ids[:, j, :]) for j, f in enumerate(seq_fields)]
-    return ad.concat(parts, axis=2) if len(parts) > 1 else parts[0]
+    return ad.concat(parts, axis=2)
 
 
 def predict_batch(

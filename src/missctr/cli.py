@@ -305,12 +305,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, splits = load_dataset(args)
-    out_dir = resolve_out_dir(args)
     if not args.checkpoint:
         raise ConfigError("--checkpoint is required for eval")
     if not os.path.isfile(args.checkpoint):
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
+    cfg, splits = load_dataset(args)
+    out_dir = resolve_out_dir(args)
     model = build_model(cfg, splits)
     load_checkpoint(args.checkpoint, model)
     part = getattr(splits, args.split)
@@ -342,10 +342,10 @@ def _parse_list(text: str, flag: str, cast: type) -> list:
 
 
 def cmd_sweep(args) -> int:
-    cfg, splits = load_dataset(args)
-    out_dir = resolve_out_dir(args)
     grid = _parse_list(args.grid, "--grid", float)
     seeds = _parse_list(args.seeds, "--seeds", int)
+    cfg, splits = load_dataset(args)
+    out_dir = resolve_out_dir(args)
     report = sweep(args.axis, grid, cfg, splits, seeds)
     path = write_sweep_report(report, out_dir, dataset_tag(args))
     write_resolved_config(
@@ -359,10 +359,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    cfg, splits = load_dataset(args)
-    out_dir = resolve_out_dir(args)
     rates = _parse_list(args.rates, "--rates", float)
     seeds = _parse_list(args.seeds, "--seeds", int)
+    cfg, splits = load_dataset(args)
+    out_dir = resolve_out_dir(args)
     cfg_miss = replace(cfg, model="din-miss")
     cfg_base = replace(cfg, model="din")
     report = robustness_study(args.kind, rates, cfg_base, cfg_miss, splits, seeds)
@@ -401,7 +401,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_config_flags(sp) -> None:
+def _dataset_verb(sub, name: str, help_text: str, func):
+    """A verb that reads a dataset: --config, --out-dir, one flag per
+    config key, --dataset and --min-count."""
+    sp = sub.add_parser(name, help=help_text)
     sp.add_argument("--config", help="flat key-value config file")
     sp.add_argument("--out-dir", help=f"artifact directory (default ${OUT_DIR_ENV} or ./runs)")
     for key in CONFIG_KEYS:
@@ -410,12 +413,11 @@ def _add_config_flags(sp) -> None:
                             action="store_true", default=None)
         else:
             sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
-
-
-def _add_dataset_flags(sp) -> None:
     sp.add_argument("--dataset", help="interaction TSV or split snapshot")
     sp.add_argument("--min-count", type=int, default=1,
                     help="drop users/items seen fewer times (raw TSV input only)")
+    sp.set_defaults(func=func)
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,38 +430,23 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-dir")
     sp.set_defaults(func=cmd_synth)
 
-    sp = sub.add_parser("ingest", help="build leave-last-out splits from a TSV log")
-    _add_config_flags(sp)
-    _add_dataset_flags(sp)
-    sp.set_defaults(func=cmd_ingest)
+    _dataset_verb(sub, "ingest", "build leave-last-out splits from a TSV log", cmd_ingest)
+    _dataset_verb(sub, "train", "train one model and write artifacts", cmd_train)
 
-    sp = sub.add_parser("train", help="train one model and write artifacts")
-    _add_config_flags(sp)
-    _add_dataset_flags(sp)
-    sp.set_defaults(func=cmd_train)
-
-    sp = sub.add_parser("eval", help="score a checkpoint on one split")
-    _add_config_flags(sp)
-    _add_dataset_flags(sp)
+    sp = _dataset_verb(sub, "eval", "score a checkpoint on one split", cmd_eval)
     sp.add_argument("--checkpoint", help="parameter snapshot from train")
     sp.add_argument("--split", choices=("train", "valid", "test"), default="test")
-    sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("sweep", help="hyperparameter sweep over seeds")
-    _add_config_flags(sp)
-    _add_dataset_flags(sp)
+    sp = _dataset_verb(sub, "sweep", "hyperparameter sweep over seeds", cmd_sweep)
     sp.add_argument("--axis", choices=SWEEP_AXES, required=True)
     sp.add_argument("--grid", required=True, help="comma-separated values")
     sp.add_argument("--seeds", default="0", help="comma-separated seeds")
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("robustness", help="label sparsity/noise study, base vs full model")
-    _add_config_flags(sp)
-    _add_dataset_flags(sp)
+    sp = _dataset_verb(sub, "robustness", "label sparsity/noise study, base vs full model",
+                       cmd_robustness)
     sp.add_argument("--kind", choices=ROBUSTNESS_KINDS, required=True)
     sp.add_argument("--rates", required=True, help="comma-separated rates")
     sp.add_argument("--seeds", default="0", help="comma-separated seeds")
-    sp.set_defaults(func=cmd_robustness)
 
     sp = sub.add_parser("gradcheck", help="finite-difference check on a built-in instance")
     sp.set_defaults(func=cmd_gradcheck)

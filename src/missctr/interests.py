@@ -22,11 +22,15 @@ InfoNCE call gives every slot its own softmax over its n rows, the
 positive included, and reads each positive as the dot product of its
 two normalized rows.  Samples whose sequences are too short to form a
 view pair drop out of the loss and are counted, never imputed.
+
+Histories are front-padded and kernel widths grow with the branch
+index, so a sample's all-real windows in a branch are one run at its
+end, and the branches and slices it can sample are a prefix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,42 +92,26 @@ def channel_stack(v: Tensor, n_fields: int) -> Tensor:
 
 @dataclass
 class InterestBank:
-    """Per-branch interest maps plus per-sample window validity.
+    """Per-branch interest maps and each sample's run of all-real windows.
 
-    branches[i]: (B, J, L-m_i+1, K) for kernel width m_i; valid[i]:
-    bool (B, L-m_i+1), true where the window covers only real events.
-    With front padding the valid windows form a contiguous tail run, so
-    counts[b, i] (its length) and starts[b, i] (its first column, 0 when
-    empty) describe it fully; both samplers read them from here.
+    branches[i]: (B, J, L-m_i+1, K) for kernel width m_i.  Histories are
+    front-padded, so a sample of history length s has counts[b, i] =
+    max(s - m_i + 1, 0) all-real windows in branch i, one run from
+    column starts[b, i] = L - s (0 when empty); both samplers read them.
     """
 
     branches: list[Tensor]
-    widths: list[int]
-    valid: list[np.ndarray]
-    counts: np.ndarray = field(init=False)
-    starts: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.counts = np.stack([v.sum(axis=1) for v in self.valid], axis=1)
-        self.starts = np.stack(
-            [np.where(v.any(axis=1), v.argmax(axis=1), 0) for v in self.valid], axis=1
-        )
+    counts: np.ndarray
+    starts: np.ndarray
 
     @property
     def n_vectors(self) -> int:
         return sum(b.shape[2] for b in self.branches)
 
 
-def window_validity(mask: np.ndarray, width: int) -> np.ndarray:
-    """(B, L) event mask -> (B, L-width+1) all-real window mask."""
-    if width > mask.shape[1]:
-        return np.zeros((mask.shape[0], 0), dtype=bool)
-    view = np.lib.stride_tricks.sliding_window_view(mask.astype(bool), width, axis=1)
-    return view.all(axis=-1)
-
-
 def mie_forward(C: Tensor, mask: np.ndarray, bank: ConvBank) -> InterestBank:
-    """Run every horizontal branch over the time axis of C (B, J, L, K).
+    """Run every horizontal branch over the time axis of C (B, J, L, K)
+    and size each sample's window runs from its front-padded mask (B, L).
 
     A branch wider than the sequence is skipped, not an error:
     downstream sampling simply never picks it (`trainer.build_model`
@@ -132,15 +120,13 @@ def mie_forward(C: Tensor, mask: np.ndarray, bank: ConvBank) -> InterestBank:
     if C.ndim != 4:
         raise ShapeError(f"channel stack must be (B, J, L, K), got {C.shape}")
     n_l = C.shape[2]
-    branches, widths, valid = [], [], []
-    for g in bank.horizontal:
-        w = g.shape[0]
-        if w > n_l:
-            continue
-        branches.append(ad.conv1d(C, g, axis=2, relu=True))
-        widths.append(w)
-        valid.append(window_validity(mask, w))
-    return InterestBank(branches, widths, valid)
+    kernels = [g for g in bank.horizontal if g.shape[0] <= n_l]
+    seq_len = np.count_nonzero(mask, axis=1)[:, None]
+    widths = np.array([g.shape[0] for g in kernels], dtype=np.int64)
+    counts = np.maximum(seq_len - widths + 1, 0)
+    starts = np.where(counts > 0, n_l - seq_len, 0)
+    branches = [ad.conv1d(C, g, axis=2, relu=True) for g in kernels]
+    return InterestBank(branches, counts, starts)
 
 
 @dataclass
@@ -170,7 +156,7 @@ def mimfe_forward(bank: InterestBank, conv: ConvBank) -> FineBank:
 
 
 # ---------------------------------------------------------------------------
-# augmentation sampling (pure functions of the validity structure + rng)
+# augmentation sampling (pure functions of the window runs + rng)
 
 
 @dataclass
@@ -189,16 +175,6 @@ class InterestPlan:
         return self.branch.shape[0]
 
 
-def _pick_feasible(feasible: np.ndarray, n_pairs: int, rng: np.random.Generator) -> np.ndarray:
-    """(P, n) column indices, each uniform among the true entries of its
-    row of `feasible` (n, S); every row must have one.  One integer draw
-    k per element picks the (k+1)-th true entry: the number of columns
-    whose running count of true entries is <= k."""
-    cum = np.cumsum(feasible, axis=1)
-    k = rng.integers(0, feasible.sum(axis=1), size=(n_pairs, feasible.shape[0]))
-    return (cum <= k[..., None]).sum(axis=-1)
-
-
 def sample_interest_plan(
     bank: InterestBank, n_pairs: int, max_offset: int, rng: np.random.Generator
 ) -> InterestPlan:
@@ -206,15 +182,17 @@ def sample_interest_plan(
     with >= 2 valid windows, an offset h uniform on [1, min(max_offset,
     windows-1)], and an anchor uniform among columns where both l and
     l+h are valid.  Samples with no such branch are excluded and counted.
+    Widths grow with the branch index, so the feasible branches are a
+    prefix and the pick is one draw below their count.
 
     Draw order: the branches of all (P, n) slots, then all offsets, then
     all anchors, each one `rng.integers` call with per-element bounds."""
     if max_offset < 1:
         raise ConfigError(f"max_offset must be >= 1, got {max_offset}")
     counts, starts = bank.counts, bank.starts
-    feasible = counts >= 2
-    rows = np.flatnonzero(feasible.any(axis=1))
-    branch = _pick_feasible(feasible[rows], n_pairs, rng)
+    n_feasible = (counts >= 2).sum(axis=1)
+    rows = np.flatnonzero(n_feasible)
+    branch = rng.integers(0, n_feasible[rows], size=(n_pairs, rows.size))
     v = counts[rows, branch]
     offset = rng.integers(1, np.minimum(max_offset, v - 1) + 1)
     anchor = starts[rows, branch] + rng.integers(0, v - offset)
@@ -249,7 +227,8 @@ def sample_feature_plan(
     """Uniform over feasible (branch, depth) slices: the slice must keep
     >= 2 rows and the sample >= 1 valid time column in that branch.
     Both views share the slice and column; rows are drawn distinct, an
-    ordered pair uniform over the slice's distinct rows.
+    ordered pair uniform over the slice's distinct rows.  The usable
+    slices are sorted by branch, so the feasible ones are a prefix too.
 
     Draw order: the slices of all (P, n) slots, then all columns, then
     all first rows, then all second rows, each one `rng.integers` call
@@ -258,9 +237,9 @@ def sample_feature_plan(
     usable = fine.usable
     slice_branch, slice_depth = np.array(usable, dtype=np.int64).reshape(-1, 2).T
     slice_rows = np.array([fine.maps[k].shape[1] for k in usable], dtype=np.int64)
-    feas = counts[:, slice_branch] >= 1
-    rows = np.flatnonzero(feas.any(axis=1))
-    s = _pick_feasible(feas[rows], n_pairs, rng)
+    n_feasible = (counts[:, slice_branch] >= 1).sum(axis=1)
+    rows = np.flatnonzero(n_feasible)
+    s = rng.integers(0, n_feasible[rows], size=(n_pairs, rows.size))
     branch, n_rows = slice_branch[s], slice_rows[s]
     anchor = starts[rows, branch] + rng.integers(0, counts[rows, branch])
     row_a = rng.integers(0, n_rows)
@@ -280,7 +259,7 @@ def _row_table(maps: list[Tensor]) -> tuple[Tensor, np.ndarray]:
     """Every map's K-wide rows, map after map, in one (rows, K) table,
     and the table row where each map starts."""
     flats = [ad.reshape(m, (-1, m.shape[-1])) for m in maps]
-    table = ad.concat(flats, axis=0) if len(flats) > 1 else flats[0]
+    table = ad.concat(flats, axis=0)
     return table, np.cumsum([0] + [f.shape[0] for f in flats[:-1]])
 
 

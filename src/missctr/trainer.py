@@ -155,7 +155,6 @@ class MissModel:
     cfg: ExperimentConfig
     cat_fields: list[str]
     seq_fields: list[str]
-    vocab_sizes: dict[str, int]
     tables: dict[str, Tensor]
     base: bm.BaseParams
     conv: it.ConvBank
@@ -209,7 +208,6 @@ def build_model(cfg: ExperimentConfig, splits: Splits) -> MissModel:
         cfg=cfg,
         cat_fields=list(splits.cat_fields),
         seq_fields=list(splits.seq_fields),
-        vocab_sizes=ordered_sizes,
         tables=tables,
         base=base,
         conv=conv,
@@ -470,8 +468,10 @@ def _run_epochs(
     history: list[EpochRow],
 ) -> tuple[int, float]:
     """Shared epoch loop, appending to telemetry and history; epochs and
-    steps are numbered on from the rows already there.  Returns
-    (best_epoch, best_val_auc)."""
+    steps are numbered on from the rows already there.  With early_stop
+    the loop stops after `patience` epochs without a better validation
+    AUC and restores the best epoch's parameters; without it nothing is
+    kept.  Returns (best_epoch, best_val_auc)."""
     cfg = model.cfg
     if splits.train.n < cfg.batch_size:
         raise DegenerateDatasetError(
@@ -507,14 +507,15 @@ def _run_epochs(
         if val_auc > best_auc:
             best_auc = val_auc
             best_epoch = epoch
-            best_state = {k: p.data.copy() for k, p in params.items()}
+            if early_stop:
+                best_state = {k: p.data.copy() for k, p in params.items()}
             wait = 0
         else:
             wait += 1
             if early_stop and wait >= cfg.patience:
                 log.info("early stop after epoch %d", epoch)
                 break
-    if early_stop and best_state is not None:
+    if best_state is not None:
         for k, p in params.items():
             p.data = best_state[k]
     return best_epoch, best_auc

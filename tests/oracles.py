@@ -3,9 +3,9 @@ contrastive-loss, ranking-metric, gather, optimizer, ingest, split and
 attention-pooling tests: scalar loops in the library's own tap order,
 so the extractor oracles can be compared bitwise, the dense textbook
 forms of the row-sparse gather gradient and of the Adam step, the
-line-by-line TSV reader, the per-row split builder, and the attention
+line-by-line TSV reader, the per-row split builder, the attention
 unit with its first layer applied to the concatenated [v; c; v*c; v-c]
-input.  log_events and make_log convert between a columnar
+input, and the view-pair samplers over per-branch window masks.  log_events and make_log convert between a columnar
 InteractionLog and per-user event lists; pack_splits turns hand-built
 per-row windows into Splits over one shared event table."""
 
@@ -50,6 +50,64 @@ def naive_field_conv(G, g):
                     s = s + G[j + i, l, k] * g[i]
                 out[j, l, k] = np.maximum(s, 0.0)
     return out
+
+
+def naive_window_validity(mask: np.ndarray, width: int) -> np.ndarray:
+    """(B, L) event mask -> (B, L-width+1) all-real window mask."""
+    if width > mask.shape[1]:
+        return np.zeros((mask.shape[0], 0), dtype=bool)
+    view = np.lib.stride_tricks.sliding_window_view(mask.astype(bool), width, axis=1)
+    return view.all(axis=-1)
+
+
+def naive_pick_feasible(feasible: np.ndarray, n_pairs: int, rng: np.random.Generator) -> np.ndarray:
+    """(P, n) column indices, each uniform among the true entries of its
+    row of `feasible` (n, S); every row must have one.  One integer draw
+    k per element picks the (k+1)-th true entry: the number of columns
+    whose running count of true entries is <= k."""
+    cum = np.cumsum(feasible, axis=1)
+    k = rng.integers(0, feasible.sum(axis=1), size=(n_pairs, feasible.shape[0]))
+    return (cum <= k[..., None]).sum(axis=-1)
+
+
+def _window_runs(valid: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-branch window masks -> (B, S) run lengths and first columns
+    (0 for an empty run)."""
+    counts = np.stack([v.sum(axis=1) for v in valid], axis=1)
+    starts = np.stack([np.where(v.any(axis=1), v.argmax(axis=1), 0) for v in valid], axis=1)
+    return counts, starts
+
+
+def naive_interest_plan(valid, n_pairs, max_offset, rng):
+    """sample_interest_plan read from the window masks `valid` (one per
+    branch), with no assumption on which branches are feasible: (rows,
+    branch, anchor, offset)."""
+    counts, starts = _window_runs(valid)
+    feasible = counts >= 2
+    rows = np.flatnonzero(feasible.any(axis=1))
+    branch = naive_pick_feasible(feasible[rows], n_pairs, rng)
+    v = counts[rows, branch]
+    offset = rng.integers(1, np.minimum(max_offset, v - 1) + 1)
+    anchor = starts[rows, branch] + rng.integers(0, v - offset)
+    return rows, branch, anchor, offset
+
+
+def naive_feature_plan(valid, fine, n_pairs, rng):
+    """sample_feature_plan read from the window masks `valid`, with no
+    assumption on which slices are feasible: (rows, slice_idx, anchor,
+    row_a, row_b)."""
+    counts, starts = _window_runs(valid)
+    slice_branch = np.array([bi for bi, _ in fine.usable], dtype=np.int64)
+    slice_rows = np.array([fine.maps[k].shape[1] for k in fine.usable], dtype=np.int64)
+    feas = counts[:, slice_branch] >= 1
+    rows = np.flatnonzero(feas.any(axis=1))
+    s = naive_pick_feasible(feas[rows], n_pairs, rng)
+    branch, n_rows = slice_branch[s], slice_rows[s]
+    anchor = starts[rows, branch] + rng.integers(0, counts[rows, branch])
+    row_a = rng.integers(0, n_rows)
+    row_b = rng.integers(0, n_rows - 1)
+    row_b += row_b >= row_a
+    return rows, s, anchor, row_a, row_b
 
 
 def naive_cosine(a, b):

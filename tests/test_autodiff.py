@@ -142,6 +142,16 @@ def test_conv1d_is_one_tape_node():
     assert len(g.nodes) == 1
 
 
+def test_concat_of_one_part_is_that_part_untaped():
+    x = ad.parameter(np.arange(6.0).reshape(2, 3))
+    g = ad.fresh_graph()
+    t = ad.relu(x)
+    assert ad.concat([t], axis=1) is t
+    assert len(g.nodes) == 1
+    g.backward(ad.tsum(ad.concat([t])))
+    np.testing.assert_array_equal(x.grad, [[0, 1, 1], [1, 1, 1]])
+
+
 def test_conv1d_relu_is_relu_of_conv1d_bitwise():
     # the fused ReLU must give the values and gradients of a separate
     # relu node, zero signs included

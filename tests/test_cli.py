@@ -211,6 +211,35 @@ def test_config_error_comes_before_a_missing_dataset(tmp_path, capsys):
     assert err.count("\n") == 1 and "n_branches must be >= 1" in err
 
 
+# a verb's own flags, each with the message its error names
+BAD_VERB_FLAGS = {
+    "eval without --checkpoint": (["eval"], "--checkpoint is required for eval"),
+    "eval --checkpoint missing": (["eval", "--checkpoint", "nope.bin"], "checkpoint not found: "),
+    "sweep --grid abc": (["sweep", "--axis", "temperature", "--grid", "abc"], "bad --grid list"),
+    "sweep --seeds x": (["sweep", "--axis", "temperature", "--grid", "0.1", "--seeds", "x"],
+                        "bad --seeds list"),
+    "robustness --rates 0.1,0.1": (["robustness", "--kind", "noise", "--rates", "0.1,0.1"],
+                                   "--rates repeats 0.1"),
+    "robustness --seeds ''": (["robustness", "--kind", "noise", "--rates", "0.1", "--seeds", ""],
+                              "--seeds list is empty"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_VERB_FLAGS)
+@pytest.mark.parametrize("dataset", ["missing", "corpus"])
+def test_bad_verb_flag_exits_1_before_the_dataset_or_out_dir(tmp_path, capsys, case, dataset):
+    # exit 1 naming the flag, even when the dataset is missing (exit 2),
+    # and the out dir is never made
+    argv, message = BAD_VERB_FLAGS[case]
+    path = synth_corpus(tmp_path) if dataset == "corpus" else str(tmp_path / "missing.tsv")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = run([argv[0], "--dataset", path, "--out-dir", str(out), *TINY, *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1 and message in err, err
+    assert not out.exists()
+
+
 def test_eval_matches_train_test_metrics(tmp_path, capsys):
     corpus = synth_corpus(tmp_path)
     ing = str(tmp_path / "ing")

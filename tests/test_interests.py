@@ -4,12 +4,21 @@ softmax cross-entropy reference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from missctr import autodiff as ad
 from missctr import interests as I
 from missctr.errors import ConfigError, ShapeError
 from missctr.gradcheck import check_gradients
-from oracles import naive_field_conv, naive_infonce, naive_time_conv
+from oracles import (
+    naive_feature_plan,
+    naive_field_conv,
+    naive_infonce,
+    naive_interest_plan,
+    naive_time_conv,
+    naive_window_validity,
+)
 
 
 def make_bank(n_branches, n_depths, seed=0):
@@ -49,7 +58,7 @@ def test_mie_matches_naive_oracle_bitwise():
         bank = make_bank(n_m, 0, seed=int(rng.integers(1000)))
         C = rng.normal(size=(2, n_j, n_l, n_k))
         out = I.mie_forward(ad.constant(C), np.ones((2, n_l)), bank)
-        assert out.n_vectors == sum(n_l - m + 1 for m in out.widths)
+        assert out.n_vectors == sum(n_l - g.shape[0] + 1 for g in bank.horizontal)
         for bi, g in enumerate(bank.horizontal):
             for b in range(2):
                 ref = naive_time_conv(C[b], g.data)
@@ -97,7 +106,8 @@ def test_branch_wider_than_sequence_skipped():
     bank = make_bank(4, 0)
     C = ad.constant(np.random.default_rng(4).normal(size=(1, 2, 3, 2)))
     out = I.mie_forward(C, np.ones((1, 3)), bank)
-    assert out.widths == [1, 2, 3]
+    assert [3 - b.shape[2] + 1 for b in out.branches] == [1, 2, 3]
+    assert out.counts.shape == out.starts.shape == (1, 3)
 
 
 def test_param_count_law():
@@ -113,11 +123,29 @@ def test_mie_rejects_wrong_rank():
         I.mie_forward(ad.constant(np.zeros((2, 3, 4))), np.ones((2, 3)), bank)
 
 
-def test_window_validity_front_padding():
-    mask = np.array([[0, 0, 1, 1, 1], [1, 1, 1, 1, 1]], dtype=float)
-    np.testing.assert_array_equal(
-        I.window_validity(mask, 2), [[False, False, True, True], [True, True, True, True]]
-    )
+def front_mask(seq_lens, max_len):
+    mask = np.zeros((len(seq_lens), max_len))
+    for i, s in enumerate(seq_lens):
+        mask[i, max_len - s :] = 1.0
+    return mask
+
+
+def test_window_runs_are_the_oracle_masks_tail_run():
+    # every buffer length L, history length s and kernel width w: the
+    # all-real windows of the oracle mask are counts[s, w-1] columns from
+    # starts[s, w-1] (0 when none), and the width L+1 kernel makes no branch
+    for n_l in range(1, 9):
+        mask = front_mask(range(n_l + 1), n_l)
+        out = I.mie_forward(ad.constant(np.zeros((n_l + 1, 1, n_l, 1))), mask, make_bank(n_l + 1, 0))
+        assert len(out.branches) == n_l
+        assert out.counts.shape == out.starts.shape == (n_l + 1, n_l)
+        assert naive_window_validity(mask, n_l + 1).shape == (n_l + 1, 0)
+        assert np.all(out.starts[out.counts == 0] == 0)
+        for w in range(1, n_l + 1):
+            cols = np.arange(n_l - w + 1)
+            start, count = out.starts[:, [w - 1]], out.counts[:, [w - 1]]
+            run = (cols >= start) & (cols < start + count)
+            assert np.array_equal(run, naive_window_validity(mask, w)), (n_l, w)
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +154,13 @@ def test_window_validity_front_padding():
 
 def bank_for_lengths(seq_lens, max_len, n_branches, seed=0):
     n_b = len(seq_lens)
-    mask = np.zeros((n_b, max_len))
-    for i, s in enumerate(seq_lens):
-        mask[i, max_len - s :] = 1.0
     bank = make_bank(n_branches, 1, seed=seed)
     C = ad.constant(np.random.default_rng(seed + 1).normal(size=(n_b, 3, max_len, 2)))
-    return I.mie_forward(C, mask, bank), bank
+    return I.mie_forward(C, front_mask(seq_lens, max_len), bank), bank
+
+
+def oracle_valid(seq_lens, max_len, n_branches):
+    return [naive_window_validity(front_mask(seq_lens, max_len), w) for w in range(1, n_branches + 1)]
 
 
 def test_interest_plan_offset_clamped_by_windows():
@@ -159,10 +188,11 @@ def test_interest_plan_excludes_short_sequences():
 def test_interest_plan_pairs_stay_valid():
     mid, _ = bank_for_lengths([3, 5, 6], 8, 3)
     plan = I.sample_interest_plan(mid, 50, max_offset=4, rng=np.random.default_rng(3))
+    valid = oracle_valid([3, 5, 6], 8, 3)
     for p in range(plan.n_pairs):
         for ci, b in enumerate(plan.rows):
             m = plan.branch[p, ci]
-            v = mid.valid[m][b]
+            v = valid[m][b]
             assert v[plan.anchor[p, ci]]
             assert v[plan.anchor[p, ci] + plan.offset[p, ci]]
 
@@ -258,10 +288,11 @@ def test_feature_plan_rows_distinct_and_slice_shared():
     mid, bank = bank_for_lengths([5, 7], 8, 2, seed=6)
     fine = I.mimfe_forward(mid, bank)
     plan = I.sample_feature_plan(mid, fine, 200, np.random.default_rng(6))
+    valid = oracle_valid([5, 7], 8, 2)
     assert np.all(plan.row_a != plan.row_b)
     for p in range(plan.n_pairs):
         for ci, b in enumerate(plan.rows):
-            assert mid.valid[plan.branch[p, ci]][b, plan.anchor[p, ci]]
+            assert valid[plan.branch[p, ci]][b, plan.anchor[p, ci]]
             n_rows = fine.maps[(int(plan.branch[p, ci]), int(plan.depth[p, ci]))].shape[1]
             assert plan.row_a[p, ci] < n_rows and plan.row_b[p, ci] < n_rows
 
@@ -288,6 +319,38 @@ def test_two_field_depth_two_slice_excluded():
     fine = I.mimfe_forward(mid, bank)
     plan = I.sample_feature_plan(mid, fine, 100, np.random.default_rng(8))
     assert set(plan.depth.reshape(-1).tolist()) == {0}
+
+
+@settings(max_examples=150, deadline=2000)
+@given(
+    data=st.data(),
+    max_len=st.integers(1, 8),
+    n_fields=st.integers(1, 4),
+    n_branches=st.integers(1, 4),
+    n_depths=st.integers(0, 3),
+    n_pairs=st.integers(0, 4),
+    max_offset=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plans_equal_the_mask_based_oracle_draws(data, max_len, n_fields, n_branches, n_depths,
+                                                 n_pairs, max_offset, seed):
+    # prefix draws from the window runs give the same plans as the
+    # (k+1)-th-true picks over the window masks, from the same stream
+    seq_lens = data.draw(st.lists(st.integers(0, max_len), min_size=1, max_size=6))
+    bank = make_bank(n_branches, n_depths)
+    C = ad.constant(np.zeros((len(seq_lens), n_fields, max_len, 2)))
+    mid = I.mie_forward(C, front_mask(seq_lens, max_len), bank)
+    fine = I.mimfe_forward(mid, bank)
+    valid = oracle_valid(seq_lens, max_len, len(mid.branches))
+    ip = I.sample_interest_plan(mid, n_pairs, max_offset, np.random.default_rng(seed))
+    fp = I.sample_feature_plan(mid, fine, n_pairs, np.random.default_rng(seed))
+    want_i = naive_interest_plan(valid, n_pairs, max_offset, np.random.default_rng(seed))
+    want_f = naive_feature_plan(valid, fine, n_pairs, np.random.default_rng(seed))
+    for got, want in zip([ip.rows, ip.branch, ip.anchor, ip.offset, fp.rows, fp.slice_idx,
+                          fp.anchor, fp.row_a, fp.row_b], [*want_i, *want_f]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert ip.n_infeasible == len(seq_lens) - want_i[0].size
+    assert fp.n_infeasible == len(seq_lens) - want_f[0].size
 
 
 def test_max_offset_validation():
