@@ -44,16 +44,10 @@ class BaseParams:
     mlp: list[tuple[Tensor, Tensor]]  # (W, b) per affine layer, last one feeds the sigmoid
 
     def named(self) -> dict[str, Tensor]:
-        out = {
-            "lau_w1": self.lau_w1,
-            "lau_b1": self.lau_b1,
-            "lau_w2": self.lau_w2,
-            "lau_b2": self.lau_b2,
-        }
-        for d, (w, b) in enumerate(self.mlp):
-            out[f"mlp{d}_w"] = w
-            out[f"mlp{d}_b"] = b
-        return out
+        """Each parameter under its own name (its checkpoint key): the
+        attention unit's four, then each MLP layer's weight and bias."""
+        unit = [self.lau_w1, self.lau_b1, self.lau_w2, self.lau_b2]
+        return {t.name: t for t in unit + [t for layer in self.mlp for t in layer]}
 
 
 def init_base_params(
@@ -66,28 +60,22 @@ def init_base_params(
         raise ConfigError(f"mlp sizes must end in 1, got {mlp_sizes}")
     lau_in = 4 * step_dim
     params = BaseParams(
-        lau_w1=ad.parameter(glorot(rng, lau_in, LAU_HIDDEN), name="lau_w1"),
-        lau_b1=ad.parameter(np.zeros(LAU_HIDDEN), name="lau_b1"),
-        lau_w2=ad.parameter(glorot(rng, LAU_HIDDEN, 1), name="lau_w2"),
-        lau_b2=ad.parameter(np.zeros(1), name="lau_b2"),
+        lau_w1=ad.parameter(glorot(rng, lau_in, LAU_HIDDEN), name="base:lau_w1"),
+        lau_b1=ad.parameter(np.zeros(LAU_HIDDEN), name="base:lau_b1"),
+        lau_w2=ad.parameter(glorot(rng, LAU_HIDDEN, 1), name="base:lau_w2"),
+        lau_b2=ad.parameter(np.zeros(1), name="base:lau_b2"),
         mlp=[],
     )
     fan_in = x_dim
     for d, width in enumerate(mlp_sizes):
         params.mlp.append(
             (
-                ad.parameter(glorot(rng, fan_in, width), name=f"mlp{d}_w"),
-                ad.parameter(np.zeros(width), name=f"mlp{d}_b"),
+                ad.parameter(glorot(rng, fan_in, width), name=f"base:mlp{d}_w"),
+                ad.parameter(np.zeros(width), name=f"base:mlp{d}_b"),
             )
         )
         fan_in = width
     return params
-
-
-def padding_mask(seq_len: np.ndarray, max_len: int) -> np.ndarray:
-    """Front-padding convention: real events occupy the last seq_len slots."""
-    pos = np.arange(max_len)
-    return (pos[None, :] >= max_len - seq_len[:, None]).astype(np.float64)
 
 
 @functools.lru_cache(maxsize=8)
@@ -107,8 +95,8 @@ def _fold_selectors(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def laup_pool(v: Tensor, mask: np.ndarray, cand: Tensor, params: BaseParams) -> Tensor:
     """Score-weighted sum over behavior steps.
 
-    v: (B, L, D) step vectors, cand: (B, D), mask: (B, L) with 1 on
-    real events.
+    v: (B, L, D) step vectors, cand: (B, D), mask: (B, L), true or 1 on
+    real events; either form enters the tape as the same 0.0/1.0 constant.
 
     The unit's first layer [v; c; v*c; v-c] @ lau_w1 + b1 is computed
     folded, as [v, v*c] @ [W_v + W_d; W_vc] + (c @ (W_c - W_d) + b1):
@@ -170,14 +158,14 @@ def predict_batch(
     base: BaseParams,
     cat_ids: np.ndarray,
     v: Tensor,
-    seq_len: np.ndarray,
+    mask: np.ndarray,
     cand_ids: np.ndarray,
 ) -> Tensor:
     """Full base-model forward for one batch over the step vectors v
-    (B, L, J*K) from behavior_matrix; returns (B,) probabilities."""
+    (B, L, J*K) from behavior_matrix and the batch's (B, L) mask of real
+    events (`SampleSet.batch`); returns (B,) probabilities."""
     cand = field_concat(tables, seq_fields, cand_ids)
     cats = field_concat(tables, cat_fields, cat_ids)
-    mask = padding_mask(seq_len, v.shape[1])
     pooled = laup_pool(v, mask, cand, base)
     x = ad.concat([cats, pooled, cand], axis=1)
     return mlp_predict(x, base)

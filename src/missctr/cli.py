@@ -24,9 +24,11 @@ from .gradcheck import tiny_instance_check
 from .harness import (
     ROBUSTNESS_KINDS,
     SWEEP_AXES,
+    check_robustness,
     robustness_study,
     run_experiment,
     sweep,
+    sweep_runs,
     write_robustness_report,
     write_rows,
     write_sweep_report,
@@ -186,16 +188,17 @@ def read_log(path: str, min_count: int) -> tuple[dt.InteractionLog, dt.FilterSta
     return log, None
 
 
-def load_dataset(args) -> tuple[ExperimentConfig, dt.Splits]:
-    """Resolve the run's config and read its dataset, either a raw
-    interaction TSV or a split snapshot; the snapshot is recognized by
-    the array container's magic.
+def load_dataset(args, check=lambda cfg: None) -> tuple[ExperimentConfig, dt.Splits]:
+    """Resolve the run's config, pass it to `check`, and read its
+    dataset, either a raw interaction TSV or a split snapshot; the
+    snapshot is recognized by the array container's magic.
 
     A snapshot fixes max_len, so it is read first and its max_len is the
     default the config is validated against; a max_len given in the
     config file or as a flag must agree with it.  Otherwise the config
-    is validated before the dataset is looked at, so a config error
-    (exit 1) comes before a missing or unreadable file (exit 2)."""
+    is validated and checked before the dataset is looked at, so a
+    config error (exit 1) comes before a missing or unreadable file
+    (exit 2)."""
     path = getattr(args, "dataset", None)
     if path and os.path.isfile(path):
         with open(path, "rb") as fh:
@@ -206,8 +209,10 @@ def load_dataset(args) -> tuple[ExperimentConfig, dt.Splits]:
             if cfg.max_len != splits.max_len:
                 raise ConfigError(f"max_len {cfg.max_len} disagrees with the snapshot's max_len "
                                   f"{splits.max_len} ({path})")
+            check(cfg)
             return cfg, splits
     cfg = resolve_config(args)
+    check(cfg)
     log, _ = read_log(dataset_path(args), args.min_count)
     return cfg, dt.build_splits(log, cfg.max_len, cfg.seed)
 
@@ -266,7 +271,6 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     cfg = resolve_config(args)
-    out_dir = resolve_out_dir(args)
     log, stats = read_log(dataset_path(args), args.min_count)
     n_raw = log.n_records
     if stats is not None:
@@ -277,6 +281,7 @@ def cmd_ingest(args) -> int:
             f"{stats.records_dropped} records"
         )
     splits = dt.build_splits(log, cfg.max_len, cfg.seed)
+    out_dir = resolve_out_dir(args)
     path = os.path.join(out_dir, "splits.txt")
     dt.save_splits(splits, path)
     write_resolved_config(out_dir, cfg, _run_meta("ingest", args))
@@ -291,8 +296,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, splits = load_dataset(args)
-    out_dir = resolve_out_dir(args)
     result, test_report = run_experiment(cfg, splits)
+    out_dir = resolve_out_dir(args)
     print(model_summary(result.model))
     write_rows(os.path.join(out_dir, "history.tsv"), result.history)
     write_rows(os.path.join(out_dir, "telemetry.tsv"), result.telemetry)
@@ -310,12 +315,12 @@ def cmd_eval(args) -> int:
     if not os.path.isfile(args.checkpoint):
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
     cfg, splits = load_dataset(args)
-    out_dir = resolve_out_dir(args)
     model = build_model(cfg, splits)
     load_checkpoint(args.checkpoint, model)
     part = getattr(splits, args.split)
     scores = predict_scores(model, part, cfg.batch_size)
     report = evaluate_scores(scores, part.label)
+    out_dir = resolve_out_dir(args)
     write_resolved_config(
         out_dir, cfg,
         _run_meta("eval", args, checkpoint=args.checkpoint, split=args.split),
@@ -344,9 +349,9 @@ def _parse_list(text: str, flag: str, cast: type) -> list:
 def cmd_sweep(args) -> int:
     grid = _parse_list(args.grid, "--grid", float)
     seeds = _parse_list(args.seeds, "--seeds", int)
-    cfg, splits = load_dataset(args)
-    out_dir = resolve_out_dir(args)
+    cfg, splits = load_dataset(args, lambda cfg: sweep_runs(args.axis, grid, cfg, seeds))
     report = sweep(args.axis, grid, cfg, splits, seeds)
+    out_dir = resolve_out_dir(args)
     path = write_sweep_report(report, out_dir, dataset_tag(args))
     write_resolved_config(
         out_dir, cfg,
@@ -361,11 +366,10 @@ def cmd_sweep(args) -> int:
 def cmd_robustness(args) -> int:
     rates = _parse_list(args.rates, "--rates", float)
     seeds = _parse_list(args.seeds, "--seeds", int)
-    cfg, splits = load_dataset(args)
+    cfg, splits = load_dataset(args, lambda cfg: check_robustness(args.kind, rates, seeds, cfg))
+    cfgs = replace(cfg, model="din"), replace(cfg, model="din-miss")
+    report = robustness_study(args.kind, rates, *cfgs, splits, seeds)
     out_dir = resolve_out_dir(args)
-    cfg_miss = replace(cfg, model="din-miss")
-    cfg_base = replace(cfg, model="din")
-    report = robustness_study(args.kind, rates, cfg_base, cfg_miss, splits, seeds)
     path = write_robustness_report(report, out_dir, dataset_tag(args))
     write_resolved_config(
         out_dir, cfg,

@@ -199,13 +199,14 @@ class SampleSet:
         return replace(self, **{a: getattr(self, a)[idx] for a in SAMPLE_ARRAYS})
 
     def batch(self, idx) -> tuple[np.ndarray, ...]:
-        """(cat, seq, seq_len, cand, label) of rows idx, where seq is
-        their (B, J, max_len) history windows, front-padded with 0."""
-        end, seq_len = self.end[idx], self.seq_len[idx]
+        """(cat, seq, mask, cand, label) of rows idx, where seq is their
+        (B, J, max_len) history windows, front-padded with 0, and mask the
+        (B, max_len) bool mask of real events that both towers read."""
+        end = self.end[idx]
         pos = end[:, None] + np.arange(-self.max_len, 0)
-        rows = np.where(pos >= (end - seq_len)[:, None], pos + 1, PAD_ID)
-        seq = self.events.take(rows, axis=0).transpose(0, 2, 1)
-        return self.cat[idx], seq, seq_len, self.cand[idx], self.label[idx]
+        mask = pos >= (end - self.seq_len[idx])[:, None]
+        seq = self.events.take(np.where(mask, pos + 1, PAD_ID), axis=0).transpose(0, 2, 1)
+        return self.cat[idx], seq, mask, self.cand[idx], self.label[idx]
 
     @property
     def seq(self) -> np.ndarray:
@@ -477,7 +478,7 @@ def load_splits(path: str) -> Splits:
     FormatError naming the path on the earlier per-row window layout, a
     missing, extra or non-int64 record, a shape that disagrees with the
     fields, max_len or a vocab size below 1, a split without samples, and
-    any event or row (ends checked against the table) a model cannot use."""
+    any event or row (an empty history, an end past the table) a model cannot use."""
     arrays = load_arrays(path)
     if old := next((f"{n}:seq" for n in SPLIT_NAMES if f"{n}:seq" in arrays), None):
         raise FormatError(f"{path}: record {old!r} holds per-row windows, a layout this version "
@@ -537,7 +538,7 @@ def load_splits(path: str) -> Splits:
         check_ids(where, part.cat, cat_fields)
         check_ids(where, part.cand, seq_fields)
         fail(where, (label != 0) & (label != 1), "label not 0 or 1")
-        fail(where, (part.seq_len < 0) | (part.seq_len > max_len), f"seq_len outside [0, {max_len}]")
+        fail(where, (part.seq_len < 1) | (part.seq_len > max_len), f"seq_len outside [1, {max_len}]")
         fail(where, (part.end < part.seq_len) | (part.end > n_events),
              f"end outside [seq_len, {n_events}]")
         parts.append(part)

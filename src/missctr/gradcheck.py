@@ -31,8 +31,6 @@ class ParamCheck:
 @dataclass
 class GradReport:
     checks: list[ParamCheck] = field(default_factory=list)
-    rel_tol: float = 1e-4
-    abs_tol: float = 1e-6
 
     @property
     def ok(self) -> bool:
@@ -95,7 +93,7 @@ def check_gradients(
         ad.fresh_graph()
         return float(build_loss().data)
 
-    report = GradReport(rel_tol=rel_tol, abs_tol=abs_tol)
+    report = GradReport()
     for name, p in params.items():
         num = numerical_gradient(loss_value, p, delta)
         a = analytic[name].reshape(-1)

@@ -44,6 +44,15 @@ def _check_seeds(seeds: list[int], study: str, *cfgs: ExperimentConfig) -> None:
             replace(cfg, seed=seed).validate()
 
 
+def _in_run(label: str, fn, *args):
+    """fn(*args), with the message of any error it raises led by label."""
+    try:
+        return fn(*args)
+    except MissError as exc:
+        exc.args = (f"{label}: {exc}",)
+        raise
+
+
 @dataclass
 class SweepRow:
     value: float
@@ -74,15 +83,10 @@ class SweepReport:
     rows: list[SweepRow]  # sorted by grid value
 
 
-def sweep(
-    axis: str,
-    grid: list[float],
-    cfg: ExperimentConfig,
-    splits: Splits,
-    seeds: list[int],
-) -> SweepReport:
-    """Train one model per (grid value, seed); aggregate test metrics.
-    Every run's config is validated before the first run trains."""
+def sweep_runs(axis: str, grid: list[float], cfg: ExperimentConfig,
+               seeds: list[int]) -> dict[tuple[float, int], ExperimentConfig]:
+    """Every (grid value, seed) run's config, in run order, each one
+    validated; needs no dataset, so a caller can check before reading one."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     if not grid:
@@ -90,15 +94,18 @@ def sweep(
     _check_seeds(seeds, "sweep", cfg)
     runs = {(value, seed): replace(cfg, seed=seed, **dict.fromkeys(SWEEP_AXES[axis], value))
             for value in sorted(grid) for seed in seeds}
-    reports = {}
-    try:
-        for value, seed in runs:
-            runs[value, seed].validate()
-        for value, seed in runs:
-            _, reports[value, seed] = run_experiment(runs[value, seed], splits)
-    except MissError as exc:
-        exc.args = (f"{axis}={value} seed={seed}: {exc}",)
-        raise
+    for (value, seed), run in runs.items():
+        _in_run(f"{axis}={value} seed={seed}", run.validate)
+    return runs
+
+
+def sweep(axis: str, grid: list[float], cfg: ExperimentConfig, splits: Splits,
+          seeds: list[int]) -> SweepReport:
+    """Train one model per (grid value, seed); aggregate test metrics.
+    Every run's config is validated before the first run trains."""
+    runs = sweep_runs(axis, grid, cfg, seeds)
+    reports = {(value, seed): _in_run(f"{axis}={value} seed={seed}", run_experiment, run, splits)[1]
+               for (value, seed), run in runs.items()}
     rows = [SweepRow(value=value, auc_per_seed=[reports[value, s].auc for s in seeds],
                      logloss_per_seed=[reports[value, s].logloss for s in seeds])
             for value in sorted(grid)]
@@ -124,37 +131,34 @@ class RobustnessReport:
     rows: list[RobustnessRow]
 
 
-def robustness_study(
-    kind: str,
-    rates: list[float],
-    cfg_base: ExperimentConfig,
-    cfg_miss: ExperimentConfig,
-    splits: Splits,
-    seeds: list[int],
-) -> RobustnessReport:
-    """Degrade the training labels, train both models per seed, report
-    mean test AUC and the relative improvement at each rate."""
+def check_robustness(kind: str, rates: list[float], seeds: list[int], *cfgs: ExperimentConfig) -> None:
+    """Reject an unknown kind, an empty or out-of-range rate list and an
+    empty or invalid seed list; needs no dataset."""
     if kind not in ROBUSTNESS_KINDS:
         raise ConfigError(f"robustness kind must be one of {tuple(ROBUSTNESS_KINDS)}, got {kind!r}")
     if not rates:
         raise ConfigError("robustness study needs at least one rate")
-    _check_seeds(seeds, "robustness study", cfg_base, cfg_miss)
+    _check_seeds(seeds, "robustness study", *cfgs)
     for r in rates:
         if kind == "sparsity" and not (0.0 < r <= 1.0):
             raise ConfigError(f"sparsity rate must lie in (0, 1], got {r}")
         if kind == "noise" and not (0.0 <= r < 1.0):
             raise ConfigError(f"noise rate must lie in [0, 1), got {r}")
+
+
+def robustness_study(kind: str, rates: list[float], cfg_base: ExperimentConfig,
+                     cfg_miss: ExperimentConfig, splits: Splits, seeds: list[int]) -> RobustnessReport:
+    """Degrade the training labels, train both models per seed, report
+    mean test AUC and the relative improvement at each rate."""
+    check_robustness(kind, rates, seeds, cfg_base, cfg_miss)
     rows = []
     for rate in rates:
         aucs = ([], [])  # base, miss
         for seed in seeds:
             degraded = ROBUSTNESS_KINDS[kind](splits, rate, seed)
             for cfg, sink in zip((cfg_base, cfg_miss), aucs):
-                try:
-                    sink.append(run_experiment(replace(cfg, seed=seed), degraded)[1].auc)
-                except MissError as exc:
-                    exc.args = (f"{kind}={rate} seed={seed}: {exc}",)
-                    raise
+                run = (replace(cfg, seed=seed), degraded)
+                sink.append(_in_run(f"{kind}={rate} seed={seed}", run_experiment, *run)[1].auc)
         rows.append(RobustnessRow(rate, *(float(np.mean(a)) for a in aucs)))
     return RobustnessReport(kind=kind, seeds=list(seeds), rows=rows)
 

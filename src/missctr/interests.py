@@ -54,23 +54,21 @@ class ConvBank:
     vertical: list[list[Tensor]]
 
     def named(self) -> dict[str, Tensor]:
-        out = {f"conv_g{m + 1}": g for m, g in enumerate(self.horizontal)}
-        for m, row in enumerate(self.vertical):
-            for n, g in enumerate(row):
-                out[f"conv_g{m + 1}v{n + 1}"] = g
-        return out
+        """Each kernel under its own name: the horizontal ones, then the
+        vertical ones branch by branch."""
+        return {g.name: g for g in self.horizontal + [g for row in self.vertical for g in row]}
 
 
 def init_conv_bank(n_branches: int, n_depths: int, rng: np.random.Generator) -> ConvBank:
     if n_branches < 1 or n_depths < 0:
         raise ConfigError(f"need n_branches >= 1 and n_depths >= 0, got {n_branches}, {n_depths}")
     horizontal = [
-        ad.parameter(rng.uniform(-KERNEL_INIT, KERNEL_INIT, size=m + 1), name=f"g{m + 1}")
+        ad.parameter(rng.uniform(-KERNEL_INIT, KERNEL_INIT, size=m + 1), name=f"ssl:conv_g{m + 1}")
         for m in range(n_branches)
     ]
     vertical = [
         [
-            ad.parameter(rng.uniform(-KERNEL_INIT, KERNEL_INIT, size=n + 1), name=f"g{m + 1}v{n + 1}")
+            ad.parameter(rng.uniform(-KERNEL_INIT, KERNEL_INIT, size=n + 1), name=f"ssl:conv_g{m + 1}v{n + 1}")
             for n in range(n_depths)
         ]
         for m in range(n_branches)
@@ -204,13 +202,11 @@ def sample_interest_plan(
 
 @dataclass
 class FeaturePlan:
-    """Chosen (branch, depth, anchor column, two distinct rows) per pair
+    """Chosen (refined slice, anchor column, two distinct rows) per pair
     slot and contributor; slice_idx indexes FineBank.usable."""
 
     rows: np.ndarray
     slice_idx: np.ndarray
-    branch: np.ndarray
-    depth: np.ndarray
     anchor: np.ndarray
     row_a: np.ndarray
     row_b: np.ndarray
@@ -218,7 +214,7 @@ class FeaturePlan:
 
     @property
     def n_pairs(self) -> int:
-        return self.branch.shape[0]
+        return self.slice_idx.shape[0]
 
 
 def sample_feature_plan(
@@ -235,7 +231,7 @@ def sample_feature_plan(
     with per-element bounds."""
     counts, starts = bank.counts, bank.starts
     usable = fine.usable
-    slice_branch, slice_depth = np.array(usable, dtype=np.int64).reshape(-1, 2).T
+    slice_branch = np.array([bi for bi, _ in usable], dtype=np.int64)
     slice_rows = np.array([fine.maps[k].shape[1] for k in usable], dtype=np.int64)
     n_feasible = (counts[:, slice_branch] >= 1).sum(axis=1)
     rows = np.flatnonzero(n_feasible)
@@ -245,10 +241,8 @@ def sample_feature_plan(
     row_a = rng.integers(0, n_rows)
     row_b = rng.integers(0, n_rows - 1)
     row_b += row_b >= row_a
-    return FeaturePlan(
-        rows=rows, slice_idx=s, branch=branch, depth=slice_depth[s], anchor=anchor,
-        row_a=row_a, row_b=row_b, n_infeasible=counts.shape[0] - rows.size,
-    )
+    return FeaturePlan(rows=rows, slice_idx=s, anchor=anchor, row_a=row_a, row_b=row_b,
+                       n_infeasible=counts.shape[0] - rows.size)
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +295,19 @@ class EncoderParams:
 
     weights: list[Tensor]
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}_w{i}": w for i, w in enumerate(self.weights)}
+    def named(self) -> dict[str, Tensor]:
+        """Each weight under its own name, layer by layer."""
+        return {w.name: w for w in self.weights}
 
 
 def init_encoder(d_in: int, sizes: tuple[int, ...], rng: np.random.Generator, name: str) -> EncoderParams:
+    """Layer i's weight is named `ssl:<name>_w<i>`."""
     from .base_model import glorot
 
     weights = []
     fan = d_in
     for i, width in enumerate(sizes):
-        weights.append(ad.parameter(glorot(rng, fan, width), name=f"{name}_w{i}"))
+        weights.append(ad.parameter(glorot(rng, fan, width), name=f"ssl:{name}_w{i}"))
         fan = width
     return EncoderParams(weights)
 

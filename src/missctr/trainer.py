@@ -162,12 +162,11 @@ class MissModel:
     enc_feature: it.EncoderParams
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {f"emb:{name}": t for name, t in self.tables.items()}
-        out.update({f"base:{k}": v for k, v in self.base.named().items()})
-        out.update({f"ssl:{k}": v for k, v in self.conv.named().items()})
-        out.update({f"ssl:{k}": v for k, v in self.enc_interest.named("enc_int").items()})
-        out.update({f"ssl:{k}": v for k, v in self.enc_feature.named("enc_feat").items()})
-        return out
+        """Every parameter keyed by its own name, which is its checkpoint
+        key: tables, base model, kernels, interest and feature encoders."""
+        tables = {t.name: t for t in self.tables.values()}
+        return (tables | self.base.named() | self.conv.named() | self.enc_interest.named()
+                | self.enc_feature.named())
 
     def ssl_parameters(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.parameters().items() if not k.startswith("base:")}
@@ -350,11 +349,11 @@ def predict_scores(model: MissModel, part: SampleSet, batch_size: int) -> np.nda
     out = np.zeros(part.n)
     with ad.no_grad():
         for idx in make_batches(part.n, batch_size, shuffle=False):
-            cat, seq, seq_len, cand, _ = part.batch(idx)
+            cat, seq, mask, cand, _ = part.batch(idx)
             v = bm.behavior_matrix(model.tables, model.seq_fields, seq)
             preds = bm.predict_batch(
                 model.tables, model.cat_fields, model.seq_fields, model.base,
-                cat, v, seq_len, cand,
+                cat, v, mask, cand,
             )
             out[idx] = preds.data
     return out
@@ -377,10 +376,11 @@ def step_loss(
     batch; returns (L, L_ll, SSL outputs), None for a part not built.
 
     The sequence embeddings are looked up once, as the base tower's step
-    vectors v, and the contrastive tower reads its channel stack from v.
-    The SSL part draws its plans from ssl_rng."""
+    vectors v, and the contrastive tower reads its channel stack from v;
+    both towers read the batch's padding mask.  The SSL part draws its
+    plans from ssl_rng."""
     cfg = model.cfg
-    cat, seq, seq_len, cand, label = part.batch(idx)
+    cat, seq, mask, cand, label = part.batch(idx)
     v = bm.behavior_matrix(model.tables, model.seq_fields, seq)
 
     terms: list[Tensor] = []
@@ -388,7 +388,7 @@ def step_loss(
     if include_ll:
         preds = bm.predict_batch(
             model.tables, model.cat_fields, model.seq_fields, model.base,
-            cat, v, seq_len, cand,
+            cat, v, mask, cand,
         )
         ll = bm.logloss(preds, label)
         terms.append(ll)
@@ -396,8 +396,7 @@ def step_loss(
     ssl = None
     if include_ssl and cfg.ssl_enabled:
         ssl = it.ssl_forward(
-            it.channel_stack(v, len(model.seq_fields)),
-            bm.padding_mask(seq_len, seq.shape[2]),
+            it.channel_stack(v, len(model.seq_fields)), mask,
             model.conv, model.enc_interest, model.enc_feature,
             cfg.pairs_interest, cfg.pairs_feature, cfg.max_offset, cfg.tau,
             ssl_rng,

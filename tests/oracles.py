@@ -52,6 +52,15 @@ def naive_field_conv(G, g):
     return out
 
 
+def front_mask(seq_lens, max_len: int) -> np.ndarray:
+    """(B, max_len) float event mask, 1.0 on the last seq_len slots of
+    each row: histories are front-padded."""
+    mask = np.zeros((len(seq_lens), max_len))
+    for i, s in enumerate(seq_lens):
+        mask[i, max_len - s :] = 1.0
+    return mask
+
+
 def naive_window_validity(mask: np.ndarray, width: int) -> np.ndarray:
     """(B, L) event mask -> (B, L-width+1) all-real window mask."""
     if width > mask.shape[1]:

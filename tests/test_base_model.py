@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import concat_laup_pool
+from oracles import concat_laup_pool, front_mask
 
 from missctr import autodiff as ad
 from missctr import base_model as bm
@@ -18,11 +18,6 @@ def make_params(x_dim=14, step_dim=6, mlp=(8, 1), seed=0):
 def test_mlp_sizes_must_end_in_one():
     with pytest.raises(ConfigError):
         make_params(mlp=(8, 4))
-
-
-def test_padding_mask_front_convention():
-    mask = bm.padding_mask(np.array([2, 0, 3]), 3)
-    np.testing.assert_array_equal(mask, [[0, 1, 1], [0, 0, 0], [1, 1, 1]])
 
 
 def test_empty_sequence_rejected():
@@ -44,7 +39,7 @@ def test_single_event_pooling_matches_manual():
     params = make_params()
     v = rng.normal(size=(1, 4, 6))
     cand = rng.normal(size=(1, 6))
-    mask = bm.padding_mask(np.array([1]), 4)
+    mask = front_mask([1], 4)
     out = bm.laup_pool(ad.constant(v), mask, ad.constant(cand), params)
     w = manual_lau_score(v[0, 3], cand[0], params)
     np.testing.assert_allclose(out.data, (w * v[0, 3])[None], rtol=1e-12)
@@ -68,7 +63,7 @@ def test_padded_positions_cannot_leak():
     rng = np.random.default_rng(4)
     params = make_params()
     v = rng.normal(size=(2, 5, 6))
-    mask = bm.padding_mask(np.array([2, 4]), 5)
+    mask = front_mask([2, 4], 5)
     cand = ad.constant(rng.normal(size=(2, 6)))
     base = bm.laup_pool(ad.constant(v), mask, cand, params).data
     junk = v.copy()
@@ -102,7 +97,7 @@ def test_folded_pool_matches_the_concatenated_first_layer(seq_len, n_l, dim):
     nb = len(seq_len)
     v = ad.parameter(rng.normal(size=(nb, n_l, dim)))
     cand = ad.parameter(rng.normal(size=(nb, dim)))
-    mask = bm.padding_mask(np.array(seq_len), n_l)
+    mask = front_mask(seq_len, n_l)
     upstream = rng.normal(size=(nb, dim))
     got = pool_and_grads(bm.laup_pool, v, mask, cand, params, upstream)
     want = pool_and_grads(concat_laup_pool, v, mask, cand, params, upstream)
@@ -182,10 +177,11 @@ def test_full_chain_gradients_match_finite_differences():
         seq[i, 1, n_l - s :] = rng.integers(2, 3, size=s)
     cand = np.stack([rng.integers(2, 8, size=n_b), rng.integers(2, 3, size=n_b)], axis=1)
     labels = np.array([1, 0, 1])
+    mask = front_mask(seq_len, n_l)
 
     def build():
         v = bm.behavior_matrix(tables, seq_fields, seq)
-        preds = bm.predict_batch(tables, cat_fields, seq_fields, base, cat, v, seq_len, cand)
+        preds = bm.predict_batch(tables, cat_fields, seq_fields, base, cat, v, mask, cand)
         return bm.logloss(preds, labels)
 
     params = {**{f"emb_{k}": v for k, v in tables.items()}, **base.named()}

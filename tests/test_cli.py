@@ -2,7 +2,9 @@
 determinism, exit codes, config precedence, and the summary counts."""
 
 import os
+import re
 import resource
+import shlex
 import subprocess
 import sys
 import threading
@@ -19,6 +21,7 @@ import missctr
 import missctr.harness
 from missctr.cli import (
     CONFIG_KEYS,
+    build_parser,
     model_summary,
     parse_config_file,
     resolve_config,
@@ -67,6 +70,22 @@ def test_synth_rerun_byte_identical(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
     c = synth_corpus(tmp_path / "c", seed=8)
     assert open(a, "rb").read() != open(c, "rb").read()
+
+
+def readme_commands():
+    """Every `missctr ...` line inside a code block of the README."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", fh.read(), flags=re.M | re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("missctr ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 8
+    for line in commands:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line
 
 
 def test_missing_config_exits_1_naming_path(tmp_path, capsys):
@@ -222,6 +241,11 @@ BAD_VERB_FLAGS = {
                                    "--rates repeats 0.1"),
     "robustness --seeds ''": (["robustness", "--kind", "noise", "--rates", "0.1", "--seeds", ""],
                               "--seeds list is empty"),
+    "sweep --grid 7 in grid mode": (["sweep", "--grid-mode", "--lr", "0.01", "--axis", "temperature",
+                                     "--grid", "7"],
+                                    "temperature=7.0 seed=0: grid mode: tau=7.0 not in "),
+    "robustness --rates 1.5": (["robustness", "--kind", "sparsity", "--rates", "1.5"],
+                               "sparsity rate must lie in (0, 1], got 1.5"),
 }
 
 
@@ -237,6 +261,34 @@ def test_bad_verb_flag_exits_1_before_the_dataset_or_out_dir(tmp_path, capsys, c
     code = run([argv[0], "--dataset", path, "--out-dir", str(out), *TINY, *argv[1:]])
     err = capsys.readouterr().err
     assert code == 1 and err.count("\n") == 1 and message in err, err
+    assert not out.exists()
+
+
+def _mismatched_checkpoint(tmp_path):
+    path = str(tmp_path / "other.bin")
+    save_arrays(path, {"w": np.zeros(3)})
+    return ["--checkpoint", path]
+
+
+# a verb that fails after its flags are read, its exit code, and the
+# message it names
+FAILED_RUNS = {
+    "ingest of a missing dataset": ("ingest", "missing", lambda tmp_path: [], 2,
+                                    "dataset not found: "),
+    "eval of a mismatched checkpoint": ("eval", "corpus", _mismatched_checkpoint, 1,
+                                        "checkpoint/model mismatch: "),
+}
+
+
+@pytest.mark.parametrize("case", FAILED_RUNS)
+def test_a_failed_verb_leaves_no_out_dir(tmp_path, capsys, case):
+    verb, dataset, extra, want_code, message = FAILED_RUNS[case]
+    path = synth_corpus(tmp_path) if dataset == "corpus" else str(tmp_path / "missing.tsv")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = run([verb, "--dataset", path, "--out-dir", str(out), *TINY, *extra(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == want_code and err.count("\n") == 1 and message in err, err
     assert not out.exists()
 
 
@@ -350,7 +402,7 @@ def test_min_count_below_one_exits_1(tmp_path, capsys, verb, min_count):
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"--min-count must be >= 1, got {min_count}" in err
-    assert not (out / "config.txt").exists()
+    assert not out.exists()
 
 
 NEGATIVE_SEEDS = {
@@ -657,10 +709,10 @@ def test_summary_matches_built_model():
     by_component = {
         "embedding tables": sum(t.data.size for t in model.tables.values()),
         "attention unit": sum(
-            t.data.size for k, t in model.base.named().items() if k.startswith("lau")
+            t.data.size for k, t in model.base.named().items() if k.startswith("base:lau")
         ),
         "prediction mlp": sum(
-            t.data.size for k, t in model.base.named().items() if k.startswith("mlp")
+            t.data.size for k, t in model.base.named().items() if k.startswith("base:mlp")
         ),
         "conv bank": sum(g.data.size for g in model.conv.named().values()),
         "interest encoder": sum(w.data.size for w in model.enc_interest.weights),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import log_events, make_log, naive_build_splits, naive_ingest_log
+from oracles import front_mask, log_events, make_log, naive_build_splits, naive_ingest_log
 
 from missctr import data as D
 from missctr.errors import ConfigError, DataError, DegenerateDatasetError, FormatError, MissError
@@ -515,6 +515,29 @@ def test_build_splits_peaks_near_what_it_returns():
 # batching
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), max_len=st.integers(1, 10), n_events=st.integers(0, 20))
+def test_batch_mask_is_the_front_padding_oracle(data, max_len, n_events):
+    # any row's mask is its last seq_len slots, and its window holds the
+    # events end - seq_len .. end - 1 there and padding everywhere else
+    seq_len = np.array(data.draw(st.lists(st.integers(0, min(max_len, n_events)), min_size=1,
+                                          max_size=8)), dtype=np.int64)
+    end = np.array([data.draw(st.integers(s, n_events)) for s in seq_len], dtype=np.int64)
+    n = seq_len.size
+    events = np.arange(n_events + 1)[:, None] * np.array([1, 2])  # row 0 is padding
+    part = D.SampleSet(cat=np.zeros((n, 1), dtype=np.int64), seq_len=seq_len,
+                       cand=np.zeros((n, 2), dtype=np.int64), label=np.zeros(n, dtype=np.int64),
+                       end=end, events=events, max_len=max_len)
+    idx = np.array(data.draw(st.permutations(range(n))))
+    _, seq, mask, _, _ = part.batch(idx)
+    assert mask.dtype == bool
+    np.testing.assert_array_equal(mask, front_mask(seq_len[idx], max_len) == 1.0)
+    np.testing.assert_array_equal(seq == D.PAD_ID, np.broadcast_to(~mask[:, None], seq.shape))
+    for b, i in enumerate(idx):
+        rows = np.arange(end[i] - seq_len[i], end[i]) + 1
+        np.testing.assert_array_equal(seq[b][:, mask[b]], events[rows].T)
+
+
 def test_make_batches_counts():
     batches = D.make_batches(10, 4, shuffle=False)
     assert [len(b) for b in batches] == [4, 4, 2]
@@ -709,6 +732,8 @@ def _corrupt_train(splits, what):
         part.seq_len[3] = splits.max_len + 1
     elif what == "seq_len_negative":
         part.seq_len[3] = -1
+    elif what == "seq_len_zero":  # an empty history, which no model can pool
+        part.seq_len[3] = 0
     elif what == "end_past_table":
         part.end[3] = events.shape[0]
     elif what == "end_before_seq_len":
@@ -725,6 +750,7 @@ SNAPSHOT_DEFECTS = {
     "label_two": "label not 0 or 1",
     "seq_len_past_max": "seq_len outside",
     "seq_len_negative": "seq_len outside",
+    "seq_len_zero": "seq_len outside [1, ",
     "end_past_table": "end outside [seq_len, ",
     "end_before_seq_len": "end outside [seq_len, ",
 }

@@ -12,6 +12,7 @@ from missctr import interests as I
 from missctr.errors import ConfigError, ShapeError
 from missctr.gradcheck import check_gradients
 from oracles import (
+    front_mask,
     naive_feature_plan,
     naive_field_conv,
     naive_infonce,
@@ -121,13 +122,6 @@ def test_mie_rejects_wrong_rank():
     bank = make_bank(1, 0)
     with pytest.raises(ShapeError):
         I.mie_forward(ad.constant(np.zeros((2, 3, 4))), np.ones((2, 3)), bank)
-
-
-def front_mask(seq_lens, max_len):
-    mask = np.zeros((len(seq_lens), max_len))
-    for i, s in enumerate(seq_lens):
-        mask[i, max_len - s :] = 1.0
-    return mask
 
 
 def test_window_runs_are_the_oracle_masks_tail_run():
@@ -245,8 +239,9 @@ def test_feature_plan_slice_uniform_over_own_feasible_slices():
     mid, bank = bank_for_lengths([1, 4], 6, 2, seed=32)
     fine = I.mimfe_forward(mid, bank)
     plan = I.sample_feature_plan(mid, fine, 6000, np.random.default_rng(32))
-    assert np.all(plan.branch[:, 0] == 0)
-    counts = np.bincount(plan.branch[:, 1], minlength=2)
+    branch = np.array([bi for bi, _ in fine.usable])[plan.slice_idx]
+    assert np.all(branch[:, 0] == 0)
+    counts = np.bincount(branch[:, 1], minlength=2)
     assert chi_square(counts) < CHI2_CRIT[1], counts
 
 
@@ -292,8 +287,9 @@ def test_feature_plan_rows_distinct_and_slice_shared():
     assert np.all(plan.row_a != plan.row_b)
     for p in range(plan.n_pairs):
         for ci, b in enumerate(plan.rows):
-            assert valid[plan.branch[p, ci]][b, plan.anchor[p, ci]]
-            n_rows = fine.maps[(int(plan.branch[p, ci]), int(plan.depth[p, ci]))].shape[1]
+            key = fine.usable[plan.slice_idx[p, ci]]
+            assert valid[key[0]][b, plan.anchor[p, ci]]
+            n_rows = fine.maps[key].shape[1]
             assert plan.row_a[p, ci] < n_rows and plan.row_b[p, ci] < n_rows
 
 
@@ -318,7 +314,7 @@ def test_two_field_depth_two_slice_excluded():
     mid = I.mie_forward(C, mask, bank)
     fine = I.mimfe_forward(mid, bank)
     plan = I.sample_feature_plan(mid, fine, 100, np.random.default_rng(8))
-    assert set(plan.depth.reshape(-1).tolist()) == {0}
+    assert {fine.usable[s][1] for s in plan.slice_idx.reshape(-1)} == {0}
 
 
 @settings(max_examples=150, deadline=2000)
@@ -392,7 +388,7 @@ def test_gathered_feature_views_match_direct_indexing():
     assert views.shape == (2 * half, fine.maps[(0, 0)].shape[3])
     for p in range(plan.n_pairs):
         for ci, b in enumerate(plan.rows):
-            key = (int(plan.branch[p, ci]), int(plan.depth[p, ci]))
+            key = fine.usable[plan.slice_idx[p, ci]]
             l = plan.anchor[p, ci]
             m = fine.maps[key].data
             assert np.array_equal(views.data[p * n + ci], m[b, plan.row_a[p, ci], l, :])
@@ -557,7 +553,7 @@ def test_ssl_forward_gradients_match_finite_differences():
         )
         return ad.add(out.loss_interest, out.loss_feature)
 
-    params = {"C": C0, **bank.named(), **enc_i.named("enc_i"), **enc_f.named("enc_f")}
+    params = {"C": C0, **bank.named(), **enc_i.named(), **enc_f.named()}
     report = check_gradients(build, params)
     assert report.ok, "\n".join(report.lines())
 

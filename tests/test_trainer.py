@@ -352,6 +352,22 @@ def test_build_model_parameter_names():
     assert any(n.startswith("ssl:enc_feat") for n in names)
 
 
+def test_every_parameter_is_named_by_its_key():
+    # the name a parameter is made with is its checkpoint key, and the
+    # keys keep the checkpoint's record order
+    model = build_model(tiny_cfg(), make_toy_splits())
+    params = model.parameters()
+    assert all(t.name == key for key, t in params.items())
+    assert list(params) == [
+        "emb:user", "emb:item", "emb:attr_1",
+        "base:lau_w1", "base:lau_b1", "base:lau_w2", "base:lau_b2",
+        "base:mlp0_w", "base:mlp0_b", "base:mlp1_w", "base:mlp1_b",
+        "ssl:conv_g1", "ssl:conv_g2",
+        "ssl:conv_g1v1", "ssl:conv_g1v2", "ssl:conv_g2v1", "ssl:conv_g2v2",
+        "ssl:enc_int_w0", "ssl:enc_feat_w0",
+    ]
+
+
 def test_base_init_independent_of_ssl_tower():
     splits = make_toy_splits()
     a = build_model(tiny_cfg(model="din-miss"), splits)
