@@ -85,11 +85,6 @@ class Tensor:
             self._rows = None
         return self._grad
 
-    @grad.setter
-    def grad(self, value: np.ndarray | None) -> None:
-        self._grad = value
-        self._rows = None
-
     def grad_rows(self):
         """The gradient without densifying it: (rows, g) such that the
         dense gradient is zeros with g written at rows.  rows is an index

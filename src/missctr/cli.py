@@ -124,10 +124,21 @@ def resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
     return cfg.validate()
 
 
-def resolve_out_dir(args) -> str:
-    out = getattr(args, "out_dir", None) or os.environ.get(OUT_DIR_ENV) or "runs"
-    os.makedirs(out, exist_ok=True)
+def out_dir_arg(text: str) -> str:
+    """--out-dir's parse type: the flag, else $MISS_OUT_DIR, else runs,
+    refused before any work unless its nearest existing ancestor is a
+    writable directory."""
+    out = near = text or os.environ.get(OUT_DIR_ENV) or "runs"
+    while not os.path.exists(near):
+        near = os.path.dirname(os.path.abspath(near))
+    if not (os.path.isdir(near) and os.access(near, os.W_OK)):
+        raise ConfigError(f"--out-dir {out}: {near} is not a writable directory")
     return out
+
+
+def resolve_out_dir(args) -> str:
+    os.makedirs(args.out_dir, exist_ok=True)
+    return args.out_dir
 
 
 def _format_value(v) -> str:
@@ -410,7 +421,8 @@ def _dataset_verb(sub, name: str, help_text: str, func):
     config key, --dataset and --min-count."""
     sp = sub.add_parser(name, help=help_text)
     sp.add_argument("--config", help="flat key-value config file")
-    sp.add_argument("--out-dir", help=f"artifact directory (default ${OUT_DIR_ENV} or ./runs)")
+    sp.add_argument("--out-dir", type=out_dir_arg, default="",
+                    help=f"artifact directory (default ${OUT_DIR_ENV} or ./runs)")
     for key in CONFIG_KEYS:
         if _FIELD_TYPES[key] is bool:
             sp.add_argument(f"--{key.replace('_', '-')}", dest=key,
@@ -431,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("synth", parents=[], help="generate a clustered synthetic corpus")
     for key, default in SYNTH_DEFAULTS.items():
         sp.add_argument(f"--{key.replace('_', '-')}", type=int, default=default)
-    sp.add_argument("--out-dir")
+    sp.add_argument("--out-dir", type=out_dir_arg, default="")
     sp.set_defaults(func=cmd_synth)
 
     _dataset_verb(sub, "ingest", "build leave-last-out splits from a TSV log", cmd_ingest)

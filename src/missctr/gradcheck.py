@@ -162,6 +162,6 @@ def tiny_instance_check(
     rows = np.arange(batch)
 
     def build_loss() -> Tensor:
-        return step_loss(model, sample, rows, True, True, np.random.default_rng([seed, 9]))[0]
+        return step_loss(model, sample, rows, True, np.random.default_rng([seed, 9]))[0]
 
     return check_gradients(build_loss, model.parameters(), delta, rel_tol, abs_tol)

@@ -1,11 +1,13 @@
-"""Training loop: experiment configuration, Adam, and the joint /
-pretrain strategies over the base model plus contrastive auxiliaries.
+"""Training loop: experiment configuration, Adam, and one `train` for
+the joint and pretrain strategies over the base model plus contrastive
+auxiliaries.
 
 Total loss per step is  L = L_ll + a1 * L_int + a2 * L_feat.  The pair
-sampler draws from its own seeded stream, independent of batch
-shuffling, so turning the auxiliaries off (a1 = a2 = 0 or model "din")
-leaves the base trajectory bit-identical: the SSL graph is simply never
-built and no extra randomness is consumed.
+sampler draws from its own seeded plan stream, independent of batch
+shuffling, and a step runs the contrastive tower only when given that
+stream.  So turning the auxiliaries off (a1 = a2 = 0 or model "din")
+leaves the base trajectory bit-identical: no stream is made, no SSL
+graph built and no extra randomness consumed.
 """
 
 from __future__ import annotations
@@ -369,16 +371,16 @@ def step_loss(
     part: SampleSet,
     idx: np.ndarray,
     include_ll: bool,
-    include_ssl: bool,
     ssl_rng: np.random.Generator | None,
 ) -> tuple[Tensor | None, Tensor | None, it.SslOut | None]:
     """Tape the step objective L = L_ll + a1 * L_int + a2 * L_feat on one
     batch; returns (L, L_ll, SSL outputs), None for a part not built.
 
-    The sequence embeddings are looked up once, as the base tower's step
-    vectors v, and the contrastive tower reads its channel stack from v;
-    both towers read the batch's padding mask.  The SSL part draws its
-    plans from ssl_rng."""
+    The plan stream is the switch: the contrastive tower is built, with
+    its plans drawn from ssl_rng, only when ssl_rng is given and cfg
+    enables SSL.  The sequence embeddings are looked up once, as the base
+    tower's step vectors v, and the contrastive tower reads its channel
+    stack from v; both towers read the batch's padding mask."""
     cfg = model.cfg
     cat, seq, mask, cand, label = part.batch(idx)
     v = bm.behavior_matrix(model.tables, model.seq_fields, seq)
@@ -394,7 +396,7 @@ def step_loss(
         terms.append(ll)
 
     ssl = None
-    if include_ssl and cfg.ssl_enabled:
+    if ssl_rng is not None and cfg.ssl_enabled:
         ssl = it.ssl_forward(
             it.channel_stack(v, len(model.seq_fields)), mask,
             model.conv, model.enc_interest, model.enc_feature,
@@ -422,12 +424,11 @@ def train_step(
     params: dict[str, Tensor],
     step: int,
     include_ll: bool = True,
-    include_ssl: bool = True,
 ) -> StepRow:
     """One forward/backward/update over a batch; returns the telemetry row."""
     graph = ad.fresh_graph()
     ad.zero_grads(params.values())
-    total, ll, ssl = step_loss(model, part, idx, include_ll, include_ssl, ssl_rng)
+    total, ll, ssl = step_loss(model, part, idx, include_ll, ssl_rng)
     ssl = ssl or it.SslOut(None, None)  # defaults: NaN similarities, no counts
     stats = (ssl.sim_mean, ssl.sim_min, ssl.sim_max,
              ssl.n_infeasible_interest, ssl.n_infeasible_feature)
@@ -449,28 +450,23 @@ def train_step(
     return StepRow(step, *losses.values(), *stats)
 
 
-def _epoch_mean(rows: list[StepRow], attr: str) -> float:
-    vals = [getattr(r, attr) for r in rows]
-    return float(np.mean(vals)) if vals else 0.0
-
-
 def _run_epochs(
     model: MissModel,
     splits: Splits,
     params: dict[str, Tensor],
+    ssl_rng: np.random.Generator | None,
     *,
-    n_epochs: int,
     include_ll: bool,
-    include_ssl: bool,
     early_stop: bool,
     telemetry: list[StepRow],
     history: list[EpochRow],
 ) -> tuple[int, float]:
-    """Shared epoch loop, appending to telemetry and history; epochs and
-    steps are numbered on from the rows already there.  With early_stop
-    the loop stops after `patience` epochs without a better validation
-    AUC and restores the best epoch's parameters; without it nothing is
-    kept.  Returns (best_epoch, best_val_auc)."""
+    """Shared loop over cfg.epochs epochs, appending to telemetry and
+    history, numbered on from the rows already there; a step runs the
+    contrastive tower only when given the plan stream ssl_rng.  With
+    early_stop the loop stops after `patience` epochs without a better
+    validation AUC and restores the best epoch's parameters; without it
+    nothing is kept.  Returns (best_epoch, best_val_auc)."""
     cfg = model.cfg
     if splits.train.n < cfg.batch_size:
         raise DegenerateDatasetError(
@@ -478,29 +474,27 @@ def _run_epochs(
             "no full batch to train on"
         )
     optimizer = AdamState()
-    ssl_rng = np.random.default_rng([cfg.seed, 1]) if cfg.ssl_enabled else None
     best_auc = -np.inf
     best_epoch = -1
     best_state: dict[str, np.ndarray] | None = None
     wait = 0
     first_epoch = len(history)
-    for epoch in range(first_epoch, first_epoch + n_epochs):
+    for epoch in range(first_epoch, first_epoch + cfg.epochs):
         batches = make_batches(
             splits.train.n, cfg.batch_size,
             shuffle=True, seed=[cfg.seed, 2, epoch], drop_partial=True,
         )
         rows = []
         for idx in batches:
-            row = train_step(
-                model, splits.train, idx, ssl_rng, optimizer, params, len(telemetry),
-                include_ll=include_ll, include_ssl=include_ssl,
-            )
+            row = train_step(model, splits.train, idx, ssl_rng, optimizer, params,
+                             len(telemetry), include_ll=include_ll)
             rows.append(row)
             telemetry.append(row)
         scores = predict_scores(model, splits.valid, cfg.batch_size)
         val_auc = auc(scores, splits.valid.label)
         val_ll = logloss_value(scores, splits.valid.label)
-        means = [_epoch_mean(rows, a) for a in ("loss_ll", "loss_interest", "loss_feature")]
+        means = [float(np.mean([getattr(r, a) for r in rows]))
+                 for a in ("loss_ll", "loss_interest", "loss_feature")]
         history.append(EpochRow(epoch, *means, val_auc=val_auc, val_logloss=val_ll))
         log.info("epoch %d: ll=%.5f int=%.5f feat=%.5f val_auc=%.5f", epoch, *means, val_auc)
         if val_auc > best_auc:
@@ -520,44 +514,21 @@ def _run_epochs(
     return best_epoch, best_auc
 
 
-def train_joint(cfg: ExperimentConfig, splits: Splits) -> TrainResult:
-    """Single phase: every step optimizes the full decomposed loss."""
-    model = build_model(cfg, splits)
-    telemetry: list[StepRow] = []
-    history: list[EpochRow] = []
-    params = model.parameters() if cfg.ssl_enabled else model.base_parameters()
-    best_epoch, best_auc = _run_epochs(
-        model, splits, params,
-        n_epochs=cfg.epochs, include_ll=True, include_ssl=True,
-        early_stop=True, telemetry=telemetry, history=history,
-    )
-    return TrainResult(model, history, telemetry, best_epoch, best_auc)
-
-
-def train_pretrain(cfg: ExperimentConfig, splits: Splits) -> TrainResult:
-    """Phase 1 optimizes only the contrastive losses (embeddings,
-    kernels, encoders); phase 2 fine-tunes the click loss from the
-    phase-1 representations with a fresh optimizer."""
-    if not cfg.ssl_enabled:
-        raise ConfigError("pretrain strategy needs the SSL path enabled")
-    model = build_model(cfg, splits)
-    telemetry: list[StepRow] = []
-    history: list[EpochRow] = []
-    _run_epochs(
-        model, splits, model.ssl_parameters(),
-        n_epochs=cfg.epochs, include_ll=False, include_ssl=True,
-        early_stop=False, telemetry=telemetry, history=history,
-    )
-    best_epoch, best_auc = _run_epochs(
-        model, splits, model.base_parameters(),
-        n_epochs=cfg.epochs, include_ll=True, include_ssl=False,
-        early_stop=True, telemetry=telemetry, history=history,
-    )
-    return TrainResult(model, history, telemetry, best_epoch, best_auc)
-
-
 def train(cfg: ExperimentConfig, splits: Splits) -> TrainResult:
-    cfg.validate()
+    """Build (so validate) and train the model.  Joint: one phase on the
+    full loss, over every parameter and with the plan stream when SSL is
+    enabled, over the base parameters otherwise.  Pretrain with SSL
+    (else joint): a contrastive-only phase on the SSL parameters, then a
+    click-loss phase on the base ones, fresh optimizer, no plan stream."""
+    model = build_model(cfg, splits)
+    telemetry: list[StepRow] = []
+    history: list[EpochRow] = []
+    ssl_rng = np.random.default_rng([cfg.seed, 1]) if cfg.ssl_enabled else None
+    params = model.parameters() if cfg.ssl_enabled else model.base_parameters()
     if cfg.strategy == "pretrain" and cfg.ssl_enabled:
-        return train_pretrain(cfg, splits)
-    return train_joint(cfg, splits)
+        _run_epochs(model, splits, model.ssl_parameters(), ssl_rng, include_ll=False,
+                    early_stop=False, telemetry=telemetry, history=history)
+        params, ssl_rng = model.base_parameters(), None
+    best_epoch, best_auc = _run_epochs(model, splits, params, ssl_rng, include_ll=True,
+                                       early_stop=True, telemetry=telemetry, history=history)
+    return TrainResult(model, history, telemetry, best_epoch, best_auc)

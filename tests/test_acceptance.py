@@ -20,7 +20,7 @@ from missctr.data import build_splits, synth_generate
 from missctr.gradcheck import tiny_instance_check
 from missctr.harness import robustness_study, run_experiment
 from missctr.metrics import auc
-from missctr.trainer import ExperimentConfig, train_joint
+from missctr.trainer import ExperimentConfig, train
 from oracles import brute_force_auc, naive_field_conv, naive_infonce, naive_time_conv
 
 # shared configuration for the synthetic-corpus experiments; every value
@@ -180,8 +180,8 @@ def test_06_directional_synthetic_gap(synth_splits):
 def test_07_zero_weight_bitwise_equivalence(synth_splits):
     cfg_off = replace(SYNTH_CFG, alpha_interest=0.0, alpha_feature=0.0, epochs=3, seed=1)
     cfg_din = replace(SYNTH_CFG, model="din", epochs=3, seed=1)
-    a = train_joint(cfg_off, synth_splits)
-    b = train_joint(cfg_din, synth_splits)
+    a = train(cfg_off, synth_splits)
+    b = train(cfg_din, synth_splits)
     assert [r.total for r in a.telemetry] == [r.total for r in b.telemetry]
     assert [r.val_auc for r in a.history] == [r.val_auc for r in b.history]
     pa, pb = a.model.parameters(), b.model.parameters()
@@ -296,7 +296,7 @@ def test_09_robustness_grids(synth_splits):
 
 def test_10_similarity_telemetry(synth_splits):
     cfg = replace(SYNTH_CFG, epochs=3, patience=10)
-    result = train_joint(cfg, synth_splits)
+    result = train(cfg, synth_splits)
     assert len(result.history) == 3
     assert result.telemetry
     for row in result.telemetry:

@@ -72,11 +72,15 @@ def test_synth_rerun_byte_identical(tmp_path):
     assert open(a, "rb").read() != open(c, "rb").read()
 
 
-def readme_commands():
-    """Every `missctr ...` line inside a code block of the README."""
+def readme_text():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(path, encoding="utf-8") as fh:
-        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", fh.read(), flags=re.M | re.S)
+        return fh.read()
+
+
+def readme_commands():
+    """Every `missctr ...` line inside a code block of the README."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme_text(), flags=re.M | re.S)
     return [line for block in blocks for line in block.splitlines() if line.startswith("missctr ")]
 
 
@@ -86,6 +90,15 @@ def test_readme_commands_parse():
     for line in commands:
         args = build_parser().parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+def test_readme_config_keys_are_the_config_fields():
+    # the backticked keys after the paragraph's colon, value lists in
+    # parentheses left out, are CONFIG_KEYS in kebab-case and in order
+    para = re.search(r"^The config keys are exactly.*?(?=\n\n)", readme_text(),
+                     flags=re.M | re.S).group(0)
+    listed = re.sub(r"\([^)]*\)", "", para).split(":", 1)[1]
+    assert re.findall(r"`([^`]+)`", listed) == [k.replace("_", "-") for k in CONFIG_KEYS]
 
 
 def test_missing_config_exits_1_naming_path(tmp_path, capsys):
@@ -290,6 +303,41 @@ def test_a_failed_verb_leaves_no_out_dir(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == want_code and err.count("\n") == 1 and message in err, err
     assert not out.exists()
+
+
+# per verb, the flags that get it past its own checks
+VERB_FLAGS = {
+    "synth": [],
+    "ingest": [],
+    "train": [],
+    "eval": ["--checkpoint", os.path.abspath(__file__)],
+    "sweep": ["--axis", "temperature", "--grid", "0.1"],
+    "robustness": ["--kind", "sparsity", "--rates", "1.0"],
+}
+
+
+@pytest.mark.parametrize("verb", VERB_FLAGS)
+def test_unwritable_out_dir_exits_1_before_any_work(tmp_path, capsys, verb):
+    # a file where the out dir's parent should be is refused before synth
+    # generates its corpus or a dataset verb looks for its (missing) dataset
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    argv = [verb, "--out-dir", out, *VERB_FLAGS[verb]]
+    if verb != "synth":
+        argv += ["--dataset", str(tmp_path / "missing.tsv")]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1 and f"--out-dir {out}: " in err, err
+    assert sorted(os.listdir(tmp_path)) == ["file"]
+
+
+def test_unwritable_out_dir_env_default_exits_1(tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("MISS_OUT_DIR", str(blocker / "sub"))
+    assert run(["ingest", "--dataset", str(tmp_path / "missing.tsv")]) == 1
+    assert f"--out-dir {blocker / 'sub'}: " in capsys.readouterr().err
 
 
 def test_eval_matches_train_test_metrics(tmp_path, capsys):

@@ -24,8 +24,6 @@ from missctr.trainer import (
     predict_scores,
     save_checkpoint,
     train,
-    train_joint,
-    train_pretrain,
     train_step,
 )
 
@@ -120,7 +118,7 @@ def test_pair_count_defaults_follow_bank_shape():
 
 def test_adam_zero_gradient_leaves_params():
     p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-    p.grad = np.zeros(3)
+    p.accumulate(np.zeros(3))
     state = AdamState()
     adam_step({"p": p}, state, lr=0.1)
     assert np.array_equal(p.data, np.array([1.0, -2.0, 3.0]))
@@ -130,7 +128,7 @@ def test_adam_zero_gradient_leaves_params():
 def test_adam_skips_untouched_params():
     p = Tensor(np.array([5.0]), requires_grad=True)
     q = Tensor(np.array([1.0]), requires_grad=True)
-    q.grad = np.array([1.0])
+    q.accumulate(np.array([1.0]))
     state = AdamState()
     adam_step({"p": p, "q": q}, state, lr=0.1)
     assert p.data[0] == 5.0
@@ -141,7 +139,7 @@ def test_adam_skips_untouched_params():
 def test_adam_first_step_is_signed_lr():
     g = np.array([0.1, -0.2, 0.3, -4.0])
     p = Tensor(np.zeros(4), requires_grad=True)
-    p.grad = g.copy()
+    p.accumulate(g.copy())
     adam_step({"p": p}, AdamState(), lr=0.01)
     # bias correction makes the first update ~ -lr * sign(g)
     assert np.allclose(p.data, -0.01 * np.sign(g), atol=1e-8)
@@ -166,7 +164,8 @@ def test_adam_two_step_trace():
     p = Tensor(np.array(p0), requires_grad=True)
     state = AdamState()
     for t in (1, 2):
-        p.grad = np.array(grads[t - 1])
+        p.zero_grad()
+        p.accumulate(np.array(grads[t - 1]))
         adam_step({"p": p}, state, lr=lr)
     assert np.allclose(p.data, np.array(want), rtol=1e-14, atol=0)
     assert state.t == 2
@@ -193,7 +192,8 @@ def test_row_sparse_adam_is_the_textbook_dense_step(monkeypatch):
             graph.backward(ad.tsum(ad.mul(ad.gather_rows(sparse, idx), ad.constant(up))))
             np.testing.assert_array_equal(sparse.grad_rows()[0], np.unique(idx))
             g = dense_scatter_add(n, idx, up)
-            dense.grad = g.copy()
+            dense.zero_grad()
+            dense.accumulate(g.copy())
             adam_step({"p": sparse}, s_sparse, lr)
             adam_step({"p": dense}, s_dense, lr)
             want, m, v = textbook_adam(want, m, v, g, t, lr)
@@ -211,8 +211,10 @@ def test_adam_work_buffers_hold_at_most_one_block():
               "bias": Tensor(np.ones(3), requires_grad=True)}
     state = AdamState()
     for step in range(2):
-        params["table"].grad = np.full((n, 2), 0.5)
-        params["bias"].grad = np.full(3, 0.5)
+        params["table"].zero_grad()
+        params["table"].accumulate(np.full((n, 2), 0.5))
+        params["bias"].zero_grad()
+        params["bias"].accumulate(np.full(3, 0.5))
         adam_step(params, state, lr=0.1)
     assert {k: [b.shape for b in bufs] for k, bufs in state.work.items()} == {
         "table": [(trainer.ADAM_BLOCK, 2)] * 2, "bias": [(3,)] * 2}
@@ -416,14 +418,14 @@ def test_checkpoint_with_int64_record_rejected(tmp_path):
 def test_one_epoch_step_count():
     splits = make_toy_splits(n_train=256)
     cfg = tiny_cfg(batch_size=128, epochs=1, model="din")
-    result = train_joint(cfg, splits)
+    result = train(cfg, splits)
     assert len(result.telemetry) == 2
 
 
 def test_partial_batches_dropped_in_training():
     splits = make_toy_splits(n_train=70)
     cfg = tiny_cfg(batch_size=32, epochs=1, model="din")
-    result = train_joint(cfg, splits)
+    result = train(cfg, splits)
     assert len(result.telemetry) == 2  # 70 // 32
 
 
@@ -437,8 +439,8 @@ def test_fewer_rows_than_one_batch_rejected(strategy):
 def test_same_seed_bit_identical():
     splits = make_toy_splits()
     cfg = tiny_cfg(epochs=2)
-    a = train_joint(cfg, splits)
-    b = train_joint(tiny_cfg(epochs=2), splits)
+    a = train(cfg, splits)
+    b = train(tiny_cfg(epochs=2), splits)
     pa, pb = a.model.parameters(), b.model.parameters()
     for k in pa:
         assert np.array_equal(pa[k].data, pb[k].data), k
@@ -447,8 +449,8 @@ def test_same_seed_bit_identical():
 
 def test_different_seed_differs():
     splits = make_toy_splits()
-    a = train_joint(tiny_cfg(epochs=1), splits)
-    b = train_joint(tiny_cfg(epochs=1, seed=1), splits)
+    a = train(tiny_cfg(epochs=1), splits)
+    b = train(tiny_cfg(epochs=1, seed=1), splits)
     assert not np.array_equal(
         a.model.parameters()["base:mlp0_w"].data,
         b.model.parameters()["base:mlp0_w"].data,
@@ -457,8 +459,8 @@ def test_different_seed_differs():
 
 def test_zero_weights_match_base_only_trajectory():
     splits = make_toy_splits()
-    miss = train_joint(tiny_cfg(alpha_interest=0.0, alpha_feature=0.0, epochs=2), splits)
-    base = train_joint(tiny_cfg(model="din", epochs=2), splits)
+    miss = train(tiny_cfg(alpha_interest=0.0, alpha_feature=0.0, epochs=2), splits)
+    base = train(tiny_cfg(model="din", epochs=2), splits)
     pm, pb = miss.model.parameters(), base.model.parameters()
     for k in miss.model.base_parameters():
         assert np.array_equal(pm[k].data, pb[k].data), k
@@ -468,7 +470,7 @@ def test_zero_weights_match_base_only_trajectory():
 def test_loss_decomposition_every_step():
     splits = make_toy_splits()
     cfg = tiny_cfg(epochs=2, alpha_interest=0.3, alpha_feature=0.7)
-    result = train_joint(cfg, splits)
+    result = train(cfg, splits)
     assert result.telemetry
     for row in result.telemetry:
         want = row.loss_ll + cfg.alpha_interest * row.loss_interest \
@@ -478,14 +480,14 @@ def test_loss_decomposition_every_step():
 
 def test_ssl_terms_positive_when_enabled():
     splits = make_toy_splits()
-    result = train_joint(tiny_cfg(epochs=1), splits)
+    result = train(tiny_cfg(epochs=1), splits)
     assert any(r.loss_interest > 0 for r in result.telemetry)
     assert any(r.loss_feature > 0 for r in result.telemetry)
 
 
 def test_similarity_telemetry_bounded():
     splits = make_toy_splits()
-    result = train_joint(tiny_cfg(epochs=1), splits)
+    result = train(tiny_cfg(epochs=1), splits)
     for r in result.telemetry:
         for s in (r.sim_mean, r.sim_min, r.sim_max):
             assert np.isfinite(s)
@@ -528,6 +530,22 @@ def test_one_sequence_lookup_per_step(monkeypatch):
     assert sorted(calls) == [("attr_1", 1), ("attr_1", 2), ("item", 1), ("item", 2), ("user", 1)]
 
 
+def test_step_without_plan_stream_tapes_only_the_base_tower():
+    # the plan stream is the switch: a din-miss step given none tapes
+    # what a din step tapes, and a din step given one builds no tower
+    splits = make_toy_splits()
+    idx = np.arange(16)
+    taped = []
+    for cfg, ssl_rng in ((tiny_cfg(), None), (tiny_cfg(model="din"), None),
+                         (tiny_cfg(model="din"), np.random.default_rng(3))):
+        model = build_model(cfg, splits)
+        graph = ad.fresh_graph()
+        total, ll, ssl = trainer.step_loss(model, splits.train, idx, True, ssl_rng)
+        assert ssl is None and total is ll
+        taped.append(len(graph.nodes))
+    assert taped[0] == taped[1] == taped[2] > 0
+
+
 def test_phase_one_leaves_base_mlp_untouched():
     splits = make_toy_splits()
     model = build_model(tiny_cfg(), splits)
@@ -535,7 +553,7 @@ def test_phase_one_leaves_base_mlp_untouched():
     ad.zero_grads(model.parameters().values())
     train_step(
         model, splits.train, np.arange(16), np.random.default_rng(3),
-        AdamState(), ssl_params, step=0, include_ll=False, include_ssl=True,
+        AdamState(), ssl_params, step=0, include_ll=False,
     )
     for k, p in model.base_parameters().items():
         if k.startswith("base:"):
@@ -545,7 +563,7 @@ def test_phase_one_leaves_base_mlp_untouched():
 def test_pretrain_runs_two_phases():
     splits = make_toy_splits()
     cfg = tiny_cfg(epochs=2, strategy="pretrain")
-    result = train_pretrain(cfg, splits)
+    result = train(cfg, splits)
     epochs = [r.epoch for r in result.history]
     assert epochs == [0, 1, 2, 3]
     # phase 1 has no click loss; phase 2 has no auxiliary loss
@@ -554,6 +572,13 @@ def test_pretrain_runs_two_phases():
     assert all(r.loss_interest == 0.0 for r in result.history[2:])
     # step numbers run on across the phase boundary
     assert [r.step for r in result.telemetry] == list(range(len(result.telemetry)))
+    # phase 2 gets no plan stream, so its steps build no contrastive tower
+    half = len(result.telemetry) // 2
+    assert not any(math.isnan(r.sim_mean) for r in result.telemetry[:half])
+    for r in result.telemetry[half:]:
+        assert all(math.isnan(s) for s in (r.sim_mean, r.sim_min, r.sim_max))
+        assert r.loss_interest == r.loss_feature == 0.0
+        assert r.n_infeasible_interest == r.n_infeasible_feature == 0
 
 
 def test_joint_vs_pretrain_histories_differ():
@@ -570,14 +595,12 @@ def test_pretrain_without_ssl_falls_back_to_joint():
     pa, pb = a.model.parameters(), b.model.parameters()
     for k in pa:
         assert np.array_equal(pa[k].data, pb[k].data), k
-    with pytest.raises(ConfigError):
-        train_pretrain(tiny_cfg(model="din"), splits)
 
 
 def test_early_stop_restores_best_checkpoint():
     splits = make_toy_splits(n_train=96, seed=4)
     cfg = tiny_cfg(epochs=8, patience=2, lr=5e-2, model="din")
-    result = train_joint(cfg, splits)
+    result = train(cfg, splits)
     assert result.best_val_auc == max(r.val_auc for r in result.history)
     assert result.history[result.best_epoch].val_auc == result.best_val_auc
     # restored parameters reproduce the best validation score
@@ -590,7 +613,7 @@ def test_early_stop_restores_best_checkpoint():
 def test_early_stop_halts_before_epoch_cap():
     splits = make_toy_splits(n_train=96, seed=4)
     cfg = tiny_cfg(epochs=50, patience=1, lr=5e-2, model="din")
-    result = train_joint(cfg, splits)
+    result = train(cfg, splits)
     assert len(result.history) < 50
 
 
@@ -618,7 +641,7 @@ def test_degenerate_extractor_is_reported_once(caplog):
     log = replace(log, seq_fields=["item"], tokens=log.tokens[:1], codes=log.codes[:1])
     splits = build_splits(log, max_len=6, seed=0)
     with caplog.at_level("WARNING", logger="missctr"):
-        result = train_joint(tiny_cfg(epochs=1), splits)
+        result = train(tiny_cfg(epochs=1), splits)
     assert len(result.telemetry) > 1
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert warnings == [
@@ -630,7 +653,7 @@ def test_degenerate_extractor_is_reported_once(caplog):
 
 def test_pad_row_stays_zero_through_training():
     splits = make_toy_splits()
-    result = train_joint(tiny_cfg(epochs=1), splits)
+    result = train(tiny_cfg(epochs=1), splits)
     for name, t in result.model.tables.items():
         assert np.array_equal(t.data[0], np.zeros(t.data.shape[1])), name
 
