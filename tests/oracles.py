@@ -2,7 +2,8 @@
 contrastive-loss, ranking-metric, gather, optimizer, ingest, split and
 attention-pooling tests: scalar loops in the library's own tap order,
 so the extractor oracles can be compared bitwise, the dense textbook
-forms of the row-sparse gather gradient and of the Adam step, the
+forms of the row-sparse gather gradient and of the Adam step (one
+array, or a whole optimizer step over a parameter dict), the
 line-by-line TSV reader, the per-row split builder, the attention
 unit with its first layer applied to the concatenated [v; c; v*c; v-c]
 input, and the view-pair samplers over per-branch window masks.  log_events and make_log convert between a columnar
@@ -163,6 +164,20 @@ def textbook_adam(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):
     v = b2 * v + (1.0 - b2) * g * g
     p = p - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
     return p, m, v
+
+
+def dense_adam_step(params, state, lr):
+    """trainer.adam_step's stand-in: one textbook_adam step on every
+    parameter with a gradient, read dense through p.grad, with
+    whole-table moments in row order in state.m and state.v."""
+    state.t += 1
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
+        m = state.m.setdefault(name, np.zeros_like(p.data))
+        v = state.v.setdefault(name, np.zeros_like(p.data))
+        p.data, state.m[name], state.v[name] = textbook_adam(p.data, m, v, g, state.t, lr)
 
 
 class Event(NamedTuple):

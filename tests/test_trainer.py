@@ -7,7 +7,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import dense_scatter_add, pack_splits, random_windows, textbook_adam
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import (
+    dense_adam_step,
+    dense_scatter_add,
+    pack_splits,
+    random_windows,
+    textbook_adam,
+)
 
 from missctr import autodiff as ad
 from missctr import trainer
@@ -171,6 +179,21 @@ def test_adam_two_step_trace():
     assert state.t == 2
 
 
+def row_moments(state, name):
+    """A parameter's (m, v) in row order, read through the state's row
+    map while it is in slot order: zeros for rows that have no slot."""
+    if name not in state.slot:
+        return state.m[name], state.v[name]
+    slot = state.slot[name]
+    has = slot >= 0
+    out = []
+    for moments in (state.m, state.v):
+        by_row = np.zeros_like(moments[name])
+        by_row[has] = moments[name][slot[has]]
+        out.append(by_row)
+    return tuple(out)
+
+
 def test_row_sparse_adam_is_the_textbook_dense_step(monkeypatch):
     # a different touched row set each step, an empty one included;
     # rows 0, 4, 6 and 9-11 are never touched after init.  Blocks of 5
@@ -200,9 +223,90 @@ def test_row_sparse_adam_is_the_textbook_dense_step(monkeypatch):
             assert sparse.data.tobytes() == want.tobytes(), t
             assert dense.data.tobytes() == want.tobytes(), t
             for state in (s_sparse, s_dense):
-                np.testing.assert_array_equal(state.m["p"], m)
-                np.testing.assert_array_equal(state.v["p"], v)
+                got_m, got_v = row_moments(state, "p")
+                np.testing.assert_array_equal(got_m, m)
+                np.testing.assert_array_equal(got_v, v)
         np.testing.assert_array_equal(sparse.data[[0, 4, 6, 9, 10, 11]], init[[0, 4, 6, 9, 10, 11]])
+
+
+# a step's gradient: dense, every row gathered once, or a list of rows
+# (empty, or with repeats that gather_rows sums)
+ROW_SETS = st.one_of(st.just("dense"), st.just("all"), st.lists(st.integers(0, 39), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 40), k=st.integers(1, 3), steps=st.lists(ROW_SETS, min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=10, k=2, steps=[[1, 1, 2], "dense", [3]], seed=0)  # a dense gradient in slot order
+@example(n=20, k=1, steps=[[0], [1, 2, 2, 3], [4, 5, 6, 7, 8], [9]], seed=1)  # switches at step 3
+def test_live_row_adam_is_textbook_adam_after_every_step(n, k, steps, seed):
+    rng = np.random.default_rng(seed)
+    init = rng.uniform(-1.0, 1.0, (n, k))
+    init[rng.random((n, k)) < 0.3] = -0.0
+    p = Tensor(init.copy(), requires_grad=True)
+    state = AdamState()
+    want, m, v = init.copy(), np.zeros((n, k)), np.zeros((n, k))
+    seen: set[int] = set()
+    in_slots = steps[0] != "dense"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "ADAM_BLOCK", 5)
+        for t, rows in enumerate(steps, start=1):
+            p.zero_grad()
+            if rows == "dense":
+                g = rng.standard_normal((n, k))
+                p.accumulate(g.copy())
+                idx = np.arange(n)
+            else:
+                idx = np.arange(n) if rows == "all" else np.array(rows, dtype=np.int64) % n
+                up = rng.standard_normal((idx.size, k))
+                graph = ad.fresh_graph()
+                graph.backward(ad.tsum(ad.mul(ad.gather_rows(p, idx), ad.constant(up))))
+                g = dense_scatter_add(n, idx, up)
+            seen.update(idx.tolist())
+            adam_step({"p": p}, state, lr=0.05)
+            want, m, v = textbook_adam(want, m, v, g, t, 0.05)
+            assert p.data.tobytes() == want.tobytes(), t
+            got_m, got_v = row_moments(state, "p")
+            np.testing.assert_array_equal(got_m, m)
+            np.testing.assert_array_equal(got_v, v)
+            cold = np.setdiff1d(np.arange(n), sorted(seen))
+            assert p.data[cold].tobytes() == init[cold].tobytes(), t
+            in_slots = in_slots and rows != "dense" and len(seen) < trainer.LIVE_SHARE * n
+            if in_slots:
+                live = state.order["p"][: state.n_live["p"]]
+                assert state.n_live["p"] == len(seen) and set(live.tolist()) == seen
+                assert set(np.flatnonzero(state.slot["p"] >= 0).tolist()) == seen
+                np.testing.assert_array_equal(state.slot["p"][live], np.arange(len(seen)))
+            else:
+                assert "p" not in state.order and "p" not in state.slot and "p" not in state.n_live
+
+
+@pytest.mark.parametrize("over", [dict(model="din"), {}, dict(strategy="pretrain")],
+                         ids=["din", "din-miss", "pretrain"])
+def test_train_matches_a_dense_textbook_adam_run(monkeypatch, over):
+    # 200 user rows, 16 looked up a step: once the click loss trains it,
+    # the user table starts in slot order and passes LIVE_SHARE within
+    # an epoch
+    splits = make_toy_splits(n_train=256, n_items=60)
+    splits.train.cat[:, 0] = np.random.default_rng(1).integers(2, 200, size=splits.train.n)
+    splits.vocab_sizes["user"] = 200
+    cfg = tiny_cfg(epochs=3, patience=3, **over)
+    live_row_step, in_slots = trainer.adam_step, []
+
+    def watched(params, state, lr):
+        live_row_step(params, state, lr)
+        in_slots.append("emb:user" in state.slot)
+
+    monkeypatch.setattr(trainer, "adam_step", watched)
+    real = train(cfg, splits)
+    monkeypatch.setattr(trainer, "adam_step", dense_adam_step)
+    dense = train(cfg, splits)
+    assert any(in_slots) and not in_slots[-1]
+    for key, p in real.model.parameters().items():
+        assert p.data.tobytes() == dense.model.parameters()[key].data.tobytes(), key
+    assert repr(real.history) == repr(dense.history)
+    assert repr(real.telemetry) == repr(dense.telemetry)
+    assert (real.best_epoch, real.best_val_auc) == (dense.best_epoch, dense.best_val_auc)
 
 
 def test_adam_work_buffers_hold_at_most_one_block():
