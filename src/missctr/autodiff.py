@@ -17,8 +17,11 @@ and the tape cannot be swept again.
 
 A gradient array is owned, not copied: accumulate keeps the array it is
 given, and add, reshape and transpose pass g or a view of it on, so one
-array may be shared by several nodes.  No gradient is ever written in
-place; a second contribution is summed into a new array.
+array may be shared by several nodes.  So a backward may write into an
+array it allocated, or into a forward buffer that dies with its node,
+until it passes that array to accumulate; an array passed to accumulate
+is never written again, and a second contribution is summed into a new
+array.
 
 The gradient of a gathered leaf table is row-sparse: gather_rows leaves
 (sorted unique rows, one summed gradient row each) on its table, never
@@ -318,7 +321,9 @@ def logsumexp(x: Tensor, c: float) -> Tensor:
     out = Tensor(np.log(s) + shift[..., 0])
 
     def backward(g):
-        x.accumulate((e * (g / s)[..., None]) * c)
+        # e dies with this node: the gradient (e * (g / s)) * c is built in it
+        np.multiply(e, (g / s)[..., None], out=e)
+        x.accumulate(np.multiply(e, c, out=e))
 
     return _register(out, backward, x)
 
@@ -392,6 +397,19 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _register(out, backward, x)
 
 
+def take(x: Tensor, i: int) -> Tensor:
+    """x[i] along the first axis, as a view: no copy forward, and the
+    backward writes g into the slot of a zeroed gradient of x's shape."""
+    out = Tensor(x.data[i])
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[i] = g
+        x.accumulate(gx)
+
+    return _register(out, backward, x)
+
+
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Join parts along axis; a single part is returned as is, untaped."""
     if len(parts) == 1:
@@ -442,11 +460,11 @@ def conv1d(x: Tensor, kernel: Tensor, axis: int, relu: bool = False) -> Tensor:
 
     def backward(g):
         if live is not None:
-            g = g * live
+            g = g * live  # owned from here, so width 1 scales it in place
         if kernel.requires_grad:
             kernel.accumulate(np.array([np.vdot(g, x.data[t]) for t in taps]))
         if x.requires_grad and w == 1:
-            x.accumulate(g * k[0])
+            x.accumulate(g * k[0] if live is None else np.multiply(g, k[0], out=g))
         elif x.requires_grad:
             gx = np.zeros_like(x.data)
             tap = np.empty(g.shape)

@@ -17,7 +17,8 @@ is an array axis: the P slots of a loss share its n contributing rows,
 so each view side is one slot-major (P*n, D) stack (row p*n + i is slot
 p, contributor i).  Both sides of a loss come from one gather, stacked
 side after side, and pass once through a small weight-only MLP encoder;
-two row gathers of the encoded stack give the (P, n, d) sides.  One
+the encoded stack reshaped to (2, P, n, d) gives the two sides as
+views.  One
 InfoNCE call gives every slot its own softmax over its n rows, the
 positive included, and reads each positive as the dot product of its
 two normalized rows.  Samples whose sequences are too short to form a
@@ -140,14 +141,15 @@ class FineBank:
         return [k for k in sorted(self.maps) if self.maps[k].shape[1] >= 2]
 
 
-def mimfe_forward(bank: InterestBank, conv: ConvBank) -> FineBank:
+def mimfe_forward(bank: InterestBank, conv: ConvBank, min_rows: int = 1) -> FineBank:
     """Slide each branch's vertical kernels along the field axis; a
-    kernel wider than the field count is skipped."""
+    kernel that leaves fewer than min_rows field rows is skipped (with
+    the default 1, one wider than the field count)."""
     maps: dict[tuple[int, int], Tensor] = {}
     for bi, branch in enumerate(bank.branches):
         n_j = branch.shape[1]
         for di, g in enumerate(conv.vertical[bi]):
-            if g.shape[0] > n_j:
+            if n_j - g.shape[0] + 1 < min_rows:
                 continue
             maps[(bi, di)] = ad.conv1d(branch, g, axis=1, relu=True)
     return FineBank(maps)
@@ -356,10 +358,11 @@ def infonce(z1: Tensor, z2: Tensor, tau: float, *, cosines: list[np.ndarray] | N
 def _contrast(views: Tensor, enc: EncoderParams, n_pairs: int, tau: float,
               cosines: list[np.ndarray]) -> Tensor:
     """Encode the (2*P*n, D) stack of both view sides in one pass and
-    score all P slots in one InfoNCE on its (P, n, d) halves."""
+    score all P slots in one InfoNCE on its (P, n, d) halves, each a view
+    of the encoded stack."""
     z = encode(views, enc)
-    sides = np.arange(z.shape[0]).reshape(2, n_pairs, -1)
-    return infonce(ad.gather_rows(z, sides[0]), ad.gather_rows(z, sides[1]), tau, cosines=cosines)
+    sides = ad.reshape(z, (2, n_pairs, -1, z.shape[-1]))
+    return infonce(ad.take(sides, 0), ad.take(sides, 1), tau, cosines=cosines)
 
 
 @dataclass
@@ -391,9 +394,10 @@ def ssl_forward(
     """Extract, sample, encode, and score both contrastive losses for
     one batch.  The plans are a function of the padding mask, the map
     shapes and rng alone, never of parameter values, so a generator in
-    the same state draws the same plans."""
+    the same state draws the same plans.  Only the refined maps a
+    feature pair can use (>= 2 field rows) are built."""
     bank = mie_forward(C, mask, conv)
-    fine = mimfe_forward(bank, conv)
+    fine = mimfe_forward(bank, conv, min_rows=2)
     iplan = sample_interest_plan(bank, n_pairs_interest, max_offset, rng)
     fplan = sample_feature_plan(bank, fine, n_pairs_feature, rng)
 

@@ -274,7 +274,13 @@ class AdamState:
     first n_live slots are live.  Once n_live reaches LIVE_SHARE of the
     rows, or a dense gradient arrives, the moments go back to row order
     for good and order, slot and n_live are dropped.  Every other
-    parameter starts in row order."""
+    parameter starts in row order.
+
+    The parameters with a dense gradient and at most ADAM_BLOCK rows at
+    the first step (kernels, encoders, attention unit and MLP) form one
+    group.  Its moments and work buffers are each one flat array, flat =
+    (m, v, update, denom), and a member's m, v and work entries are views
+    of its span of them."""
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -282,6 +288,8 @@ class AdamState:
     order: dict[str, np.ndarray] = field(default_factory=dict)
     slot: dict[str, np.ndarray] = field(default_factory=dict)
     n_live: dict[str, int] = field(default_factory=dict)
+    group: list[str] = field(default_factory=list)
+    flat: tuple[np.ndarray, ...] = ()
     t: int = 0
 
 
@@ -308,6 +316,47 @@ def _live_slots(state: AdamState, name: str, rows):
     return rows, None
 
 
+def _form_group(params: dict[str, Tensor], held: dict, state: AdamState) -> None:
+    """Make the group of the parameters in `held` with a dense gradient
+    and at most ADAM_BLOCK rows, with their state as views of flat."""
+    state.group = [name for name, (rows, _) in held.items()
+                   if rows is ... and len(params[name].data) <= ADAM_BLOCK]
+    sizes = [params[name].data.size for name in state.group]
+    state.flat = tuple(np.zeros(sum(sizes)) for _ in range(4))
+    for name, hi, size in zip(state.group, np.cumsum(sizes), sizes):
+        m, v, update, denom = (a[hi - size : hi].reshape(params[name].shape) for a in state.flat)
+        state.m[name], state.v[name], state.work[name] = m, v, (update, denom)
+
+
+def _update(m: np.ndarray, v: np.ndarray, u: np.ndarray, d: np.ndarray,
+            lr: float, c1: float, c2: float) -> None:
+    """u = lr * (m / c1) / (sqrt(v / c2) + eps), with d as scratch."""
+    np.divide(m, c1, out=u)
+    u *= lr
+    np.divide(v, c2, out=d)
+    np.sqrt(d, out=d)
+    d += ADAM_EPS
+    u /= d
+
+
+def _flat_step(params: dict[str, Tensor], held: dict, state: AdamState, lr: float,
+               c1: float, c2: float) -> None:
+    """The per-parameter pass once over the group's flat arrays, which
+    hold the gradient terms first."""
+    m, v, u, d = state.flat
+    np.concatenate([held[name][1].reshape(-1) for name in state.group], out=u)
+    np.multiply(u, 1.0 - BETA2, out=d)
+    d *= u  # (1 - BETA2) * g * g
+    u *= 1.0 - BETA1
+    m *= BETA1
+    m += u
+    v *= BETA2
+    v += d
+    _update(m, v, u, d, lr, c1, c2)
+    for name in state.group:
+        params[name].data -= state.work[name][0]
+
+
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     """Bias-corrected Adam, in place.  Parameters whose grad is None (not
     touched by this step's graph) are left alone, moments included.
@@ -318,6 +367,11 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     rows at a time through the work buffers, so its passes stay in cache.
     Each value is the one the textbook dense expressions give, except
     that an untouched row's moment that decays to -0.0 keeps its sign.
+
+    The small parameters' group (see AdamState) runs as one flat pass in
+    a step where every member has a dense gradient; in any other step its
+    members run the per-parameter pass on their views.  Every update is
+    elementwise, so both give the same bits.
 
     Rows that have never had a gradient are skipped: their moments are
     +0.0, so their update is lr * (0 / c1) / (sqrt(0 / c2) + eps) = +0.0,
@@ -330,11 +384,17 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
     state.t += 1
     c1 = 1.0 - BETA1**state.t
     c2 = 1.0 - BETA2**state.t
-    for name, p in params.items():
-        held = p.grad_rows()
-        if held is None:
+    held = {name: h for name, p in params.items() if (h := p.grad_rows()) is not None}
+    if state.t == 1:
+        _form_group(params, held, state)
+    done = ()
+    if state.group and all(name in held and held[name][0] is ... for name in state.group):
+        _flat_step(params, held, state, lr, c1, c2)
+        done = set(state.group)
+    for name, (rows, g) in held.items():
+        if name in done:
             continue
-        rows, g = held
+        p = params[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -357,14 +417,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float) -> None:
         for lo in range(0, n, ADAM_BLOCK):
             at = slice(lo, lo + ADAM_BLOCK)
             m_at = m[at]
-            u, d = update[: len(m_at)], denom[: len(m_at)]
-            # u = lr * (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(m_at, c1, out=u)
-            u *= lr
-            np.divide(v[at], c2, out=d)
-            np.sqrt(d, out=d)
-            d += ADAM_EPS
-            u /= d
+            u = update[: len(m_at)]
+            _update(m_at, v[at], u, denom[: len(m_at)], lr, c1, c2)
             if order is None:
                 p.data[at] -= u
             else:

@@ -1,7 +1,9 @@
 """Naive reference implementations shared by the extractor,
 contrastive-loss, ranking-metric, gather, optimizer, ingest, split and
 attention-pooling tests: scalar loops in the library's own tap order,
-so the extractor oracles can be compared bitwise, the dense textbook
+so the extractor oracles can be compared bitwise, the expressions the
+in-place backwards of logsumexp and width-1 conv1d replace, the
+two-gather split of the encoded view stack, the dense textbook
 forms of the row-sparse gather gradient and of the Adam step (one
 array, or a whole optimizer step over a parameter dict), the
 line-by-line TSV reader, the per-row split builder, the attention
@@ -155,6 +157,35 @@ def dense_scatter_add(n_rows, idx, g):
     out = np.zeros((n_rows, k))
     np.add.at(out, np.asarray(idx).reshape(-1), g.reshape(-1, k))
     return out
+
+
+def logsumexp_grad(x, c, g):
+    """The gradient ad.logsumexp(x, c) passes on for upstream g, as the
+    expression its backward builds in place: (e * (g / s)) * c over the
+    shifted exponentials e and their row sums s."""
+    e = x * c
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    s = e.sum(axis=-1)
+    return (e * (g / s)[..., None]) * c
+
+
+def relu_width_one_conv_grad(x, k0, g):
+    """The input gradient of a width-1 ad.conv1d with relu for upstream g,
+    as the expression its backward builds in place: g masked where
+    x * k0 > 0, times k0."""
+    return (g * (x * k0 > 0.0)) * k0
+
+
+def two_gather_contrast(views, enc, n_pairs, tau, cosines):
+    """interests._contrast with the encoded stack split into its (P, n, d)
+    sides by two row gathers over the arange halves."""
+    from missctr import interests
+
+    z = interests.encode(views, enc)
+    sides = np.arange(z.shape[0]).reshape(2, n_pairs, -1)
+    return interests.infonce(ad.gather_rows(z, sides[0]), ad.gather_rows(z, sides[1]), tau,
+                             cosines=cosines)
 
 
 def textbook_adam(p, m, v, g, t, lr, b1=0.9, b2=0.999, eps=1e-8):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_scatter_add
+from oracles import dense_scatter_add, logsumexp_grad, relu_width_one_conv_grad
 
 from missctr import autodiff as ad
 from missctr.errors import ShapeError
@@ -173,6 +173,40 @@ def test_conv1d_relu_is_relu_of_conv1d_bitwise():
             assert fn == sn - 1
 
 
+def test_width_one_relu_conv1d_backward_is_the_expression_it_replaces_bitwise():
+    # the masked gradient is the op's own array, so it is scaled by the
+    # tap in place; zero signs and a negative tap included
+    rng = np.random.default_rng(6)
+    for axis in (0, 1, 2):
+        for tap in (-0.7, 1.3):
+            x0, up = _with_signed_zeros(rng, (3, 4, 5)), _with_signed_zeros(rng, (3, 4, 5))
+            x, k = ad.parameter(x0), ad.parameter([tap])
+            g = ad.fresh_graph()
+            g.backward(ad.tsum(ad.mul(ad.conv1d(x, k, axis, relu=True), ad.constant(up))))
+            assert x.grad.tobytes() == relu_width_one_conv_grad(x0, k.data[0], up).tobytes()
+
+
+def test_width_one_conv1d_without_relu_leaves_its_gradient_unwritten():
+    # tsum passes on a read-only broadcast; without relu conv1d does not
+    # own g, so writing it would raise
+    x0 = np.random.default_rng(7).normal(size=(2, 3))
+    x, k = ad.parameter(x0), ad.parameter([-1.5])
+    g = ad.fresh_graph()
+    g.backward(ad.tsum(ad.conv1d(x, k, 1)))
+    np.testing.assert_array_equal(x.grad, np.full((2, 3), -1.5))
+    np.testing.assert_array_equal(k.grad, [np.vdot(np.ones((2, 3)), x0)])
+
+
+def test_logsumexp_backward_is_the_expression_it_replaces_bitwise():
+    rng = np.random.default_rng(8)
+    for shape, c in (((3, 5), 10.0), ((2, 4, 6), -1.7), ((1, 1), 0.5)):
+        x0, up = rng.normal(size=shape), _with_signed_zeros(rng, shape[:-1])
+        x = ad.parameter(x0)
+        g = ad.fresh_graph()
+        g.backward(ad.tsum(ad.mul(ad.logsumexp(x, c), ad.constant(up))))
+        assert x.grad.tobytes() == logsumexp_grad(x0, c, up).tobytes(), shape
+
+
 def test_conv1d_kernel_wider_than_axis():
     x = ad.constant(np.zeros((2, 3)))
     with pytest.raises(ShapeError, match="width 4"):
@@ -331,6 +365,15 @@ def test_gather_rows_scatters_densely_into_an_op_output_table():
     fd_check(loss, {"leaf": leaf, "other": other})
 
 
+def test_take_is_a_view_and_two_takes_fill_their_slots():
+    x = ad.parameter(np.arange(12.0).reshape(2, 2, 3))
+    g = ad.fresh_graph()
+    a, b = ad.take(x, 0), ad.take(x, 1)
+    assert np.shares_memory(a.data, x.data) and np.shares_memory(b.data, x.data)
+    g.backward(ad.add(ad.tsum(a), ad.tsum(ad.scale(b, 3.0))))
+    np.testing.assert_array_equal(x.grad, np.stack([np.ones((2, 3)), np.full((2, 3), 3.0)]))
+
+
 def test_gather_rows_out_of_range():
     table = ad.parameter(np.zeros((4, 2)))
     with pytest.raises(IndexError, match="4 rows"):
@@ -373,6 +416,9 @@ OP_CASES = {
         ad.mul(ad.conv1d(p["a23"], p["b2"], 1), ad.transpose(ad.conv1d(p["a32"], p["b2"], 0), (1, 0)))
     ),
     "gather_rows": lambda p: ad.tsum(ad.gather_rows(p["a43"], np.array([0, 2, 2, 1]))),
+    "take": lambda p: ad.tsum(ad.mul(ad.add(ad.take(ad.reshape(p["a43"], (2, 2, 3)), 0),
+                                            ad.scale(ad.take(ad.reshape(p["a43"], (2, 2, 3)), 1), 2.0)),
+                                     p["a23"])),
     "clip_interior": lambda p: ad.tsum(ad.clip(p["unit"], 1e-12, 1.0 - 1e-12)),
     "normalize_rows": lambda p: ad.tsum(ad.mul(ad.normalize_rows(p["a23"]), p["a23b"])),
 }

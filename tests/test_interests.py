@@ -19,6 +19,7 @@ from oracles import (
     naive_interest_plan,
     naive_time_conv,
     naive_window_validity,
+    two_gather_contrast,
 )
 
 
@@ -571,9 +572,53 @@ def test_ssl_forward_replay_is_deterministic():
     assert float(out1.loss_feature.data) == float(out2.loss_feature.data)
 
 
+def test_contrast_splits_the_encoded_stack_bitwise_as_two_gathers():
+    # the sides are views of the encoded stack: the loss, the cosines and
+    # the gradients are those of two row gathers over its halves
+    rng = np.random.default_rng(44)
+    for n_pairs, n, dim in ((1, 3, 4), (2, 5, 6), (3, 2, 3)):
+        views0 = rng.normal(size=(2 * n_pairs * n, dim))
+        enc = I.init_encoder(dim, (5, 4), rng, "e")
+        runs = []
+        for contrast in (I._contrast, two_gather_contrast):
+            views, cosines = ad.parameter(views0), []
+            ad.zero_grads(enc.weights)
+            g = ad.fresh_graph()
+            loss = contrast(views, enc, n_pairs, 0.1, cosines)
+            g.backward(loss)
+            runs.append([a.tobytes() for a in (loss.data, views.grad, *cosines,
+                                               *(w.grad for w in enc.weights))])
+        assert runs[0] == runs[1], (n_pairs, n, dim)
+
+
+@pytest.mark.parametrize("n_j, built", [(2, [(0, 0), (1, 0)]), (3, [(0, 0), (0, 1), (1, 0), (1, 1)])])
+def test_ssl_forward_builds_only_the_maps_a_feature_pair_can_use(monkeypatch, n_j, built):
+    # 2 branches x 2 depths: at J = 2 a width-2 vertical kernel leaves one
+    # field row, which no feature pair can use, and its map is not built;
+    # at J = 3 it leaves two.  mimfe_forward alone still returns every map
+    rng = np.random.default_rng(45)
+    bank = make_bank(2, 2, seed=46)
+    C0 = ad.parameter(rng.normal(size=(4, n_j, 6, 3)))
+    enc_i = I.init_encoder(n_j * 3, (4,), rng, "enc_i")
+    enc_f = I.init_encoder(3, (4,), rng, "enc_f")
+    fines, mimfe = [], I.mimfe_forward
+    monkeypatch.setattr(I, "mimfe_forward", lambda *a, **kw: fines.append(mimfe(*a, **kw)) or fines[-1])
+    g = ad.fresh_graph()
+    out = I.ssl_forward(C0, np.ones((4, 6)), bank, enc_i, enc_f, 2, 4, 2, 0.1,
+                        rng=np.random.default_rng(47))
+    (fine,) = fines
+    assert sorted(fine.maps) == fine.usable == built
+    assert out.loss_feature is not None
+    # the batch-major 4-d nodes are the conv1d ones: one per branch and
+    # one per built map
+    assert sum(t.ndim == 4 and t.shape[0] == 4 for t in g.nodes) == 2 + len(built)
+    every = mimfe(I.mie_forward(C0, np.ones((4, 6)), bank), bank)
+    assert sorted(every.maps) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
 def test_ssl_tape_does_not_grow_with_pair_slots():
-    # each loss tapes 1 view gather, 1 encoder pass, 2 side gathers and
-    # 1 InfoNCE, however many pair slots it scores
+    # each loss tapes 1 view gather, 1 encoder pass, 1 reshape, 2 side
+    # views and 1 InfoNCE, however many pair slots it scores
     rng = np.random.default_rng(31)
     bank = make_bank(2, 2, seed=32)
     enc_i = I.init_encoder(6, (4, 4), np.random.default_rng(33), "enc_i")

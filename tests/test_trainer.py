@@ -281,6 +281,79 @@ def test_live_row_adam_is_textbook_adam_after_every_step(n, k, steps, seed):
                 assert "p" not in state.order and "p" not in state.slot and "p" not in state.n_live
 
 
+# a small parameter: (rows, columns), 0 columns for a 1-d one
+SMALL_SHAPES = st.lists(st.tuples(st.integers(1, 7), st.integers(0, 3)), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes=SMALL_SHAPES, block=st.sampled_from([3, 5, trainer.ADAM_BLOCK]),
+       steps=st.lists(st.tuples(st.lists(st.booleans(), min_size=6, max_size=6),
+                                st.lists(st.integers(0, 19), max_size=6)),
+                      min_size=1, max_size=6),
+       table=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(shapes=[(2, 3), (4, 0)], block=trainer.ADAM_BLOCK,
+         steps=[([True] * 6, []), ([False, True] + [True] * 4, [1]), ([True] * 6, [])], table=True,
+         seed=0)  # one flat step, one with a member lacking its gradient, one flat again
+def test_flat_group_adam_is_textbook_adam_after_every_step(shapes, block, steps, table, seed):
+    # small dense parameters (some wider than a monkeypatched ADAM_BLOCK,
+    # so outside the group) beside an optional slot-order table; each
+    # step gives a gradient to some of them.  Every parameter and moment
+    # must be the textbook value after every step, and one without a
+    # gradient keeps its bytes and moments (no decay)
+    rng = np.random.default_rng(seed)
+    lr = 0.05
+    inits = {}
+    for i, (rows, cols) in enumerate(shapes):
+        init = rng.uniform(-1.0, 1.0, (rows, cols) if cols else rows)
+        init[rng.random(init.shape) < 0.3] = -0.0
+        inits[f"p{i}"] = init
+    if table:
+        inits["table"] = rng.uniform(-1.0, 1.0, (20, 2))
+    params = {name: Tensor(init.copy(), requires_grad=True) for name, init in inits.items()}
+    want = {name: (init.copy(), np.zeros_like(init), np.zeros_like(init)) for name, init in inits.items()}
+    state = AdamState()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "ADAM_BLOCK", block)
+        for t, (has_grad, rows) in enumerate(steps, start=1):
+            grads = {}
+            for i, name in enumerate(n for n in params if n != "table"):
+                params[name].zero_grad()
+                if has_grad[i]:
+                    g = rng.standard_normal(inits[name].shape)
+                    g[rng.random(g.shape) < 0.2] = -0.0
+                    params[name].accumulate(g.copy())
+                    grads[name] = g
+            if table:
+                params["table"].zero_grad()
+                if rows:
+                    idx = np.array(rows, dtype=np.int64)
+                    up = rng.standard_normal((idx.size, 2))
+                    ad.fresh_graph().backward(
+                        ad.tsum(ad.mul(ad.gather_rows(params["table"], idx), ad.constant(up))))
+                    grads["table"] = dense_scatter_add(20, idx, up)
+            adam_step(params, state, lr)
+            if t == 1:
+                assert state.group == [n for n in grads if n != "table" and len(inits[n]) <= block]
+            for name, g in grads.items():
+                want[name] = textbook_adam(*want[name], g, t, lr)
+            for name, p in params.items():
+                assert p.data.tobytes() == want[name][0].tobytes(), (t, name)
+                if name in state.m:
+                    got_m, got_v = row_moments(state, name)
+                    assert got_m.tobytes() == want[name][1].tobytes(), (t, name)
+                    assert got_v.tobytes() == want[name][2].tobytes(), (t, name)
+    # a member's moments and work buffers are views of the group's spans
+    m, v, update, denom = state.flat
+    at = 0
+    for name in state.group:
+        size = inits[name].size
+        for whole, view in zip((m, v, update, denom), (state.m[name], state.v[name], *state.work[name])):
+            assert view.base is whole and view.shape == inits[name].shape
+            assert np.shares_memory(view, whole[at : at + size])
+        at += size
+    assert at == m.size
+
+
 @pytest.mark.parametrize("over", [dict(model="din"), {}, dict(strategy="pretrain")],
                          ids=["din", "din-miss", "pretrain"])
 def test_train_matches_a_dense_textbook_adam_run(monkeypatch, over):
