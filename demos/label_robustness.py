@@ -3,9 +3,11 @@
 The click losses of both models see degraded training labels; the
 contrastive losses never look at labels at all, so their supervision
 survives intact.  The study trains the base model and the full model at
-each degradation level and reports the relative improvement.
+each degradation level, pairs them seed by seed, and reports the
+relative improvement, each seed's AUC gap and how many seeds the full
+model won.
 
-Runs a deliberately small corpus; expect a couple of minutes.
+Runs a deliberately small corpus; expect about half a minute.
 Run from the repository root:  python3 demos/label_robustness.py
 """
 
@@ -30,23 +32,30 @@ cfg = ExperimentConfig(
 )
 cfg_base = replace(cfg, model="din")
 
+
+def print_rows(report, verb):
+    # the per-seed gaps show how far the mean can be trusted
+    for row in report.rows:
+        print(f"  {verb} {row.rate:.1f}: base {row.auc_base:.4f}  "
+              f"full {row.auc_miss:.4f}  improvement {row.ri * 100:+.2f}%")
+        gaps = "  ".join(f"{g:+.4f}" for g in row.gaps)
+        wins = sum(g > 0 for g in row.gaps)
+        print(f"           per-seed gaps {gaps}  (full model wins {wins}/{len(row.gaps)})")
+
+
 # ---------------------------------------------------------------------------
 # keep only a fraction of the training pairs
 
 print("label sparsity (fraction of training pairs kept):")
 report = robustness_study("sparsity", [1.0, 0.7, 0.4], cfg_base, cfg,
                           splits, seeds=[0, 1])
-for row in report.rows:
-    print(f"  keep {row.rate:.1f}: base {row.auc_base:.4f}  "
-          f"full {row.auc_miss:.4f}  improvement {row.ri * 100:+.2f}%")
+print_rows(report, "keep")
 
 # flip a fraction of the training labels
 print("label noise (fraction of training labels flipped):")
 report = robustness_study("noise", [0.0, 0.1, 0.2], cfg_base, cfg,
                           splits, seeds=[0, 1])
-for row in report.rows:
-    print(f"  flip {row.rate:.1f}: base {row.auc_base:.4f}  "
-          f"full {row.auc_miss:.4f}  improvement {row.ri * 100:+.2f}%")
+print_rows(report, "flip")
 
 # ---------------------------------------------------------------------------
 # the softmax temperature trades sharpness of the contrastive target

@@ -24,12 +24,12 @@ from .gradcheck import tiny_instance_check
 from .harness import (
     ROBUSTNESS_KINDS,
     SWEEP_AXES,
-    check_robustness,
     robustness_study,
     run_experiment,
     sweep,
     sweep_runs,
     write_robustness_report,
+    write_robustness_runs,
     write_rows,
     write_sweep_report,
 )
@@ -377,11 +377,13 @@ def cmd_sweep(args) -> int:
 def cmd_robustness(args) -> int:
     rates = _parse_list(args.rates, "--rates", float)
     seeds = _parse_list(args.seeds, "--seeds", int)
-    cfg, splits = load_dataset(args, lambda cfg: check_robustness(args.kind, rates, seeds, cfg))
-    cfgs = replace(cfg, model="din"), replace(cfg, model="din-miss")
-    report = robustness_study(args.kind, rates, *cfgs, splits, seeds)
+    models = lambda cfg: (replace(cfg, model="din"), replace(cfg, model="din-miss"))
+    cfg, splits = load_dataset(
+        args, lambda cfg: [sweep_runs(args.kind, rates, model, seeds) for model in models(cfg)])
+    report = robustness_study(args.kind, rates, *models(cfg), splits, seeds)
     out_dir = resolve_out_dir(args)
-    path = write_robustness_report(report, out_dir, dataset_tag(args))
+    paths = [write(report, out_dir, dataset_tag(args))
+             for write in (write_robustness_report, write_robustness_runs)]
     write_resolved_config(
         out_dir, cfg,
         _run_meta("robustness", args, kind=args.kind, rates=rates, seeds=seeds),
@@ -389,7 +391,9 @@ def cmd_robustness(args) -> int:
     for row in report.rows:
         print(f"rate={row.rate!r}: base={row.auc_base!r} miss={row.auc_miss!r} "
               f"ri={row.ri!r}")
-    print(f"wrote {path}")
+        n, wins = len(row.gaps), sum(g > 0 for g in row.gaps)
+        print(f"  mean gap={sum(row.gaps) / n!r} wins {wins}/{n}")
+    print("\n".join(f"wrote {path}" for path in paths))
     return 0
 
 

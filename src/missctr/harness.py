@@ -1,15 +1,14 @@
-"""Experiment protocols over the trainer: hyperparameter sweeps,
-label-sparsity and label-noise robustness studies, and plot-ready
-report tables.
+"""Experiment protocols over the trainer, and their report tables.
 
-Two tables dispatch the studies: SWEEP_AXES maps each sweep axis to the
-config fields its grid value sets, and ROBUSTNESS_KINDS maps each
-robustness kind to the function that degrades the training split.
+A sweep trains one model per (value, seed) along a config axis, which
+SWEEP_AXES maps to the config fields a value sets, or a robustness kind,
+which ROBUSTNESS_KINDS maps to the function that degrades the training
+labels at a rate.  A robustness study is two sweeps over a
+degraded-label axis, paired by seed.
 
-Every report is a delimiter-separated file with a one-line schema
-header.  File names encode the study axis and a caller-supplied dataset
-tag; content is byte-deterministic for fixed seeds, so a rerun can be
-diffed against its predecessor.
+Every report is a tab-separated file with a one-line header, named by
+its study axis and a dataset tag; its bytes are fixed for fixed seeds,
+so a rerun can be diffed against its predecessor.
 """
 
 from __future__ import annotations
@@ -33,15 +32,6 @@ def run_experiment(cfg: ExperimentConfig, splits: Splits) -> tuple[TrainResult, 
     result = train(cfg, splits)
     scores = predict_scores(result.model, splits.test, cfg.batch_size)
     return result, evaluate_scores(scores, splits.test.label)
-
-
-def _check_seeds(seeds: list[int], study: str, *cfgs: ExperimentConfig) -> None:
-    """Reject an empty or invalid seed list before the first run trains."""
-    if not seeds:
-        raise ConfigError(f"{study} needs at least one seed")
-    for cfg in cfgs:
-        for seed in seeds:
-            replace(cfg, seed=seed).validate()
 
 
 def _in_run(label: str, fn, *args):
@@ -80,20 +70,30 @@ class SweepRow:
 class SweepReport:
     axis: str
     seeds: list[int]
-    rows: list[SweepRow]  # sorted by grid value
+    rows: list[SweepRow]  # a config axis sorted by value, a kind's rates as given
 
 
 def sweep_runs(axis: str, grid: list[float], cfg: ExperimentConfig,
                seeds: list[int]) -> dict[tuple[float, int], ExperimentConfig]:
-    """Every (grid value, seed) run's config, in run order, each one
-    validated; needs no dataset, so a caller can check before reading one."""
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
-    if not grid:
-        raise ConfigError("sweep grid must be non-empty")
-    _check_seeds(seeds, "sweep", cfg)
-    runs = {(value, seed): replace(cfg, seed=seed, **dict.fromkeys(SWEEP_AXES[axis], value))
-            for value in sorted(grid) for seed in seeds}
+    """Every (value, seed) run's config in run order, each one validated;
+    needs no dataset.  A config axis's values are sorted and set its
+    fields; a robustness kind's rates keep their order."""
+    if axis not in SWEEP_AXES and axis not in ROBUSTNESS_KINDS:
+        raise ConfigError(f"sweep axis {axis!r} is none of {(*SWEEP_AXES, *ROBUSTNESS_KINDS)}")
+    if not grid or not seeds:
+        raise ConfigError(f"a {axis} sweep needs at least one value and one seed")
+    for seed in seeds:
+        replace(cfg, seed=seed).validate()
+    if axis in SWEEP_AXES and cfg.model == "din":
+        raise ConfigError(f"a {axis} sweep of din is a no-op: only the contrastive tower reads it")
+    if axis != "loss_weight" and cfg.model == "din-miss" and not cfg.ssl_enabled:
+        raise ConfigError(f"din-miss with both loss weights 0 is din: a {axis} study is a no-op")
+    for r in grid if axis in ROBUSTNESS_KINDS else ():
+        span = "(0, 1]" if axis == "sparsity" else "[0, 1)"
+        if not (0.0 < r <= 1.0 if axis == "sparsity" else 0.0 <= r < 1.0):
+            raise ConfigError(f"{axis} rate must lie in {span}, got {r}")
+    runs = {(value, seed): replace(cfg, seed=seed, **dict.fromkeys(SWEEP_AXES.get(axis, ()), value))
+            for value in (sorted(grid) if axis in SWEEP_AXES else grid) for seed in seeds}
     for (value, seed), run in runs.items():
         _in_run(f"{axis}={value} seed={seed}", run.validate)
     return runs
@@ -101,14 +101,16 @@ def sweep_runs(axis: str, grid: list[float], cfg: ExperimentConfig,
 
 def sweep(axis: str, grid: list[float], cfg: ExperimentConfig, splits: Splits,
           seeds: list[int]) -> SweepReport:
-    """Train one model per (grid value, seed); aggregate test metrics.
-    Every run's config is validated before the first run trains."""
+    """Train one model per (value, seed), a kind's on the split it degrades
+    by rate and seed; aggregate test metrics.  Validates every run first."""
     runs = sweep_runs(axis, grid, cfg, seeds)
-    reports = {(value, seed): _in_run(f"{axis}={value} seed={seed}", run_experiment, run, splits)[1]
+    degrade = ROBUSTNESS_KINDS.get(axis, lambda clean, rate, seed: clean)
+    reports = {(value, seed): _in_run(f"{axis}={value} seed={seed}", run_experiment, run,
+                                      degrade(splits, value, seed))[1]
                for (value, seed), run in runs.items()}
     rows = [SweepRow(value=value, auc_per_seed=[reports[value, s].auc for s in seeds],
                      logloss_per_seed=[reports[value, s].logloss for s in seeds])
-            for value in sorted(grid)]
+            for value in dict.fromkeys(value for value, _ in runs)]
     return SweepReport(axis=axis, seeds=list(seeds), rows=rows)
 
 
@@ -117,6 +119,7 @@ class RobustnessRow:
     rate: float
     auc_base: float
     auc_miss: float
+    gaps: list[float]  # per seed, the full model's test AUC less the base model's
 
     @property
     def ri(self) -> float:
@@ -129,49 +132,33 @@ class RobustnessReport:
     kind: str
     seeds: list[int]
     rows: list[RobustnessRow]
-
-
-def check_robustness(kind: str, rates: list[float], seeds: list[int], *cfgs: ExperimentConfig) -> None:
-    """Reject an unknown kind, an empty or out-of-range rate list and an
-    empty or invalid seed list; needs no dataset."""
-    if kind not in ROBUSTNESS_KINDS:
-        raise ConfigError(f"robustness kind must be one of {tuple(ROBUSTNESS_KINDS)}, got {kind!r}")
-    if not rates:
-        raise ConfigError("robustness study needs at least one rate")
-    _check_seeds(seeds, "robustness study", *cfgs)
-    for r in rates:
-        if kind == "sparsity" and not (0.0 < r <= 1.0):
-            raise ConfigError(f"sparsity rate must lie in (0, 1], got {r}")
-        if kind == "noise" and not (0.0 <= r < 1.0):
-            raise ConfigError(f"noise rate must lie in [0, 1), got {r}")
+    base: SweepReport  # the base model's sweep over the rates
+    miss: SweepReport  # the full model's, paired with base's by rate and seed
 
 
 def robustness_study(kind: str, rates: list[float], cfg_base: ExperimentConfig,
                      cfg_miss: ExperimentConfig, splits: Splits, seeds: list[int]) -> RobustnessReport:
-    """Degrade the training labels, train both models per seed, report
-    mean test AUC and the relative improvement at each rate."""
-    check_robustness(kind, rates, seeds, cfg_base, cfg_miss)
-    rows = []
-    for rate in rates:
-        aucs = ([], [])  # base, miss
-        for seed in seeds:
-            degraded = ROBUSTNESS_KINDS[kind](splits, rate, seed)
-            for cfg, sink in zip((cfg_base, cfg_miss), aucs):
-                run = (replace(cfg, seed=seed), degraded)
-                sink.append(_in_run(f"{kind}={rate} seed={seed}", run_experiment, *run)[1].auc)
-        rows.append(RobustnessRow(rate, *(float(np.mean(a)) for a in aucs)))
-    return RobustnessReport(kind=kind, seeds=list(seeds), rows=rows)
+    """Sweep both models over the degraded-label axis and pair them by
+    rate and seed: mean test AUCs, relative improvement, per-seed gaps."""
+    for cfg in (cfg_base, cfg_miss):  # every run of both, before the first trains
+        sweep_runs(kind, rates, cfg, seeds)
+    base, miss = (sweep(kind, rates, cfg, splits, seeds) for cfg in (cfg_base, cfg_miss))
+    rows = [RobustnessRow(b.value, b.auc_mean, m.auc_mean,
+                          [am - ab for ab, am in zip(b.auc_per_seed, m.auc_per_seed)])
+            for b, m in zip(base.rows, miss.rows)]
+    return RobustnessReport(kind=kind, seeds=list(seeds), rows=rows, base=base, miss=miss)
 
 
 # ---------------------------------------------------------------------------
 # report files
 
 
-def _write_tsv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_tsv(path: str, header: list[str], rows: list[list]) -> str:
     with open(path, "w", newline="\n") as fh:
         fh.write("\t".join(header) + "\n")
         for row in rows:
             fh.write("\t".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    return path
 
 
 def write_sweep_report(report: SweepReport, out_dir: str, tag: str) -> str:
@@ -180,16 +167,25 @@ def write_sweep_report(report: SweepReport, out_dir: str, tag: str) -> str:
     header += [f"auc_seed{s}" for s in report.seeds]
     rows = [[r.value, r.auc_mean, r.auc_std, r.logloss_mean, r.logloss_std, *r.auc_per_seed]
             for r in report.rows]
-    _write_tsv(path, header, rows)
-    return path
+    return _write_tsv(path, header, rows)
 
 
 def write_robustness_report(report: RobustnessReport, out_dir: str, tag: str) -> str:
     path = os.path.join(out_dir, f"robustness_{report.kind}_{tag}.tsv")
     header = ["rate", "auc_base", "auc_miss", "relative_improvement"]
     rows = [[r.rate, r.auc_base, r.auc_miss, r.ri] for r in report.rows]
-    _write_tsv(path, header, rows)
-    return path
+    return _write_tsv(path, header, rows)
+
+
+def write_robustness_runs(report: RobustnessReport, out_dir: str, tag: str) -> str:
+    """One row per (rate, seed), in study order."""
+    path = os.path.join(out_dir, f"robustness_runs_{report.kind}_{tag}.tsv")
+    header = ["rate", "seed", "auc_base", "auc_miss", "auc_gap", "logloss_base", "logloss_miss"]
+    rows = [[r.rate, seed, b.auc_per_seed[i], m.auc_per_seed[i], r.gaps[i],
+             b.logloss_per_seed[i], m.logloss_per_seed[i]]
+            for r, b, m in zip(report.rows, report.base.rows, report.miss.rows)
+            for i, seed in enumerate(report.seeds)]
+    return _write_tsv(path, header, rows)
 
 
 def write_rows(path: str, rows: list) -> None:

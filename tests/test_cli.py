@@ -259,6 +259,17 @@ BAD_VERB_FLAGS = {
                                     "temperature=7.0 seed=0: grid mode: tau=7.0 not in "),
     "robustness --rates 1.5": (["robustness", "--kind", "sparsity", "--rates", "1.5"],
                                "sparsity rate must lie in (0, 1], got 1.5"),
+    # studies that could vary nothing they train
+    "sweep of din": (["sweep", "--model", "din", "--axis", "temperature", "--grid", "0.1,5"],
+                     "a temperature sweep of din is a no-op"),
+    "temperature sweep without loss weights": (
+        ["sweep", "--alpha-interest", "0", "--alpha-feature", "0", "--axis", "temperature",
+         "--grid", "0.1,5"],
+        "din-miss with both loss weights 0 is din: a temperature study is a no-op"),
+    "robustness without loss weights": (
+        ["robustness", "--alpha-interest", "0", "--alpha-feature", "0", "--kind", "noise",
+         "--rates", "0.0,0.2"],
+        "din-miss with both loss weights 0 is din: a noise study is a no-op"),
 }
 
 
@@ -690,6 +701,34 @@ def test_robustness_report_and_identity_row(tmp_path):
     rate, ab, am, ri = (float(x) for x in lines[1].split("\t"))
     assert rate == 1.0
     assert abs(ri - (am - ab) / ab) <= 1e-15
+
+
+def test_robustness_writes_each_runs_pair_reproducibly(tmp_path, capsys):
+    corpus = synth_corpus(tmp_path)
+    argv = ["robustness", "--dataset", corpus, *TINY, "--kind", "noise", "--rates", "0.3,0.0",
+            "--seeds", "1,0"]
+    files = ["robustness_noise_synth.tsv", "robustness_runs_noise_synth.tsv"]
+    outs = [str(tmp_path / f"rb{i}") for i in (1, 2)]
+    for out in outs:
+        assert run([*argv, "--out-dir", out]) == 0
+    for f in files:
+        first, second = (open(os.path.join(out, f), "rb").read() for out in outs)
+        assert first == second, f
+    summary, runs = (open(os.path.join(outs[0], f)).read().splitlines() for f in files)
+    assert runs[0].split("\t") == ["rate", "seed", "auc_base", "auc_miss", "auc_gap",
+                                   "logloss_base", "logloss_miss"]
+    cells = [line.split("\t") for line in runs[1:]]
+    assert [(c[0], c[1]) for c in cells] == [("0.3", "1"), ("0.3", "0"), ("0.0", "1"), ("0.0", "0")]
+    for c in cells:
+        assert float(c[4]) == float(c[3]) - float(c[2])
+    for line, rate in zip(summary[1:], ("0.3", "0.0")):
+        per_seed = [c for c in cells if c[0] == rate]
+        rate_cell, auc_base, auc_miss, _ = line.split("\t")
+        assert rate_cell == rate
+        assert float(auc_base) == float(np.mean([float(c[2]) for c in per_seed]))
+        assert float(auc_miss) == float(np.mean([float(c[3]) for c in per_seed]))
+    out = capsys.readouterr().out
+    assert re.search(r"^  mean gap=\S+ wins [0-2]/2$", out, re.M), out
 
 
 def test_gradcheck_passes(capsys):

@@ -127,6 +127,29 @@ def test_robustness_ri_recomputable():
         assert abs(row.ri - (row.auc_miss - row.auc_base) / row.auc_base) <= 1e-12
 
 
+def test_robustness_rows_pair_the_two_sweeps_in_the_order_given():
+    splits = toy_splits()
+    cfg_base, cfg_miss = toy_cfg(model="din"), toy_cfg()
+    rates = [0.3, 0.0]
+    report = robustness_study("noise", rates, cfg_base, cfg_miss, splits, seeds=[1, 0])
+    base = sweep("noise", rates, cfg_base, splits, seeds=[1, 0])
+    miss = sweep("noise", rates, cfg_miss, splits, seeds=[1, 0])
+    assert report.base == base and report.miss == miss
+    assert [r.rate for r in report.rows] == rates
+    for row, b, m in zip(report.rows, base.rows, miss.rows):
+        assert (row.rate, row.auc_base, row.auc_miss) == (b.value, b.auc_mean, m.auc_mean)
+        assert row.gaps == [am - ab for ab, am in zip(b.auc_per_seed, m.auc_per_seed)]
+
+
+def test_robustness_validates_the_full_models_runs_before_any_run(monkeypatch):
+    calls = []
+    monkeypatch.setattr(missctr.harness, "run_experiment", lambda *args: calls.append(args))
+    cfg_miss = toy_cfg(grid_mode=True, lr=0.01, alpha_interest=0.1, alpha_feature=0.1, tau=7.0)
+    with pytest.raises(ConfigError, match=r"^grid mode: tau=7.0 not in"):
+        robustness_study("noise", [0.0], toy_cfg(model="din"), cfg_miss, toy_splits(), seeds=[0])
+    assert calls == []
+
+
 def test_robustness_rejects_bad_rates():
     splits = toy_splits()
     cb, cm = toy_cfg(model="din"), toy_cfg()
