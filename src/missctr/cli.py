@@ -136,11 +136,6 @@ def out_dir_arg(text: str) -> str:
     return out
 
 
-def resolve_out_dir(args) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
-    return args.out_dir
-
-
 def _format_value(v) -> str:
     if v is None:
         return "none"
@@ -167,14 +162,18 @@ def write_resolved_config(out_dir: str, cfg: ExperimentConfig | None, meta: dict
     return path
 
 
-def _run_meta(verb: str, args, **extra) -> dict:
-    meta = {"verb": verb}
+def open_run(args, cfg: ExperimentConfig | None, **extra) -> str:
+    """Make the run's out dir and write its config.txt: the verb, the dataset,
+    a min_count above 1 and `extra` as provenance comments.  A verb calls it
+    once its work is done, so a failed run leaves no out dir."""
+    os.makedirs(args.out_dir, exist_ok=True)
+    meta = {"verb": args.verb}
     if getattr(args, "dataset", None):
         meta["dataset"] = args.dataset
-    if getattr(args, "min_count", 1) not in (None, 1):
+    if getattr(args, "min_count", 1) > 1:
         meta["min_count"] = args.min_count
-    meta.update(extra)
-    return meta
+    write_resolved_config(args.out_dir, cfg, {**meta, **extra})
+    return args.out_dir
 
 
 def dataset_path(args) -> str:
@@ -215,6 +214,8 @@ def load_dataset(args, check=lambda cfg: None) -> tuple[ExperimentConfig, dt.Spl
         with open(path, "rb") as fh:
             is_snapshot = fh.read(len(MAGIC)) == MAGIC
         if is_snapshot:
+            if args.min_count != 1:  # the snapshot was filtered when it was ingested
+                raise ConfigError(f"--min-count {args.min_count} is for a raw log, not a snapshot")
             splits = dt.load_splits(path)
             cfg = resolve_config(args, {"max_len": splits.max_len})
             if cfg.max_len != splits.max_len:
@@ -229,10 +230,7 @@ def load_dataset(args, check=lambda cfg: None) -> tuple[ExperimentConfig, dt.Spl
 
 
 def dataset_tag(args) -> str:
-    path = getattr(args, "dataset", None)
-    if not path:
-        return "data"
-    return os.path.splitext(os.path.basename(path))[0]
+    return os.path.splitext(os.path.basename(args.dataset))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +269,9 @@ def cmd_synth(args) -> int:
         args.n_users, args.n_items, args.n_interests,
         (args.seq_len_min, args.seq_len_max), args.seed,
     )
-    out_dir = resolve_out_dir(args)
+    out_dir = open_run(args, None, **{k: getattr(args, k) for k in SYNTH_DEFAULTS})
     path = os.path.join(out_dir, "synth.tsv")
     dt.write_log_tsv(log, path)
-    meta = {k: getattr(args, k) for k in SYNTH_DEFAULTS}
-    write_resolved_config(out_dir, None, {"verb": "synth", **meta})
     print(f"wrote {log.n_records} interactions for {len(log.users)} users to {path}")
     return 0
 
@@ -292,10 +288,8 @@ def cmd_ingest(args) -> int:
             f"{stats.records_dropped} records"
         )
     splits = dt.build_splits(log, cfg.max_len, cfg.seed)
-    out_dir = resolve_out_dir(args)
-    path = os.path.join(out_dir, "splits.txt")
+    path = os.path.join(open_run(args, cfg), "splits.txt")
     dt.save_splits(splits, path)
-    write_resolved_config(out_dir, cfg, _run_meta("ingest", args))
     sizes = " ".join(f"{f}={splits.vocab_sizes[f]}" for f in splits.fields)
     print(f"read {n_raw} interactions ({log.n_skipped} lines skipped)")
     print(f"splits: train={splits.train.n} valid={splits.valid.n} test={splits.test.n} "
@@ -308,12 +302,11 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     cfg, splits = load_dataset(args)
     result, test_report = run_experiment(cfg, splits)
-    out_dir = resolve_out_dir(args)
+    out_dir = open_run(args, cfg)
     print(model_summary(result.model))
     write_rows(os.path.join(out_dir, "history.tsv"), result.history)
     write_rows(os.path.join(out_dir, "telemetry.tsv"), result.telemetry)
     save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), result.model)
-    write_resolved_config(out_dir, cfg, _run_meta("train", args))
     print(f"best epoch {result.best_epoch}: val_auc={result.best_val_auc!r}")
     print(f"test: auc={test_report.auc!r} logloss={test_report.logloss!r}")
     print(f"artifacts in {out_dir}")
@@ -331,11 +324,7 @@ def cmd_eval(args) -> int:
     part = getattr(splits, args.split)
     scores = predict_scores(model, part, cfg.batch_size)
     report = evaluate_scores(scores, part.label)
-    out_dir = resolve_out_dir(args)
-    write_resolved_config(
-        out_dir, cfg,
-        _run_meta("eval", args, checkpoint=args.checkpoint, split=args.split),
-    )
+    out_dir = open_run(args, cfg, checkpoint=args.checkpoint, split=args.split)
     with open(os.path.join(out_dir, "metrics.txt"), "w", newline="\n") as fh:
         for k, v in {"split": args.split, **asdict(report)}.items():
             fh.write(f"{k} = {_format_value(v)}\n")
@@ -362,12 +351,8 @@ def cmd_sweep(args) -> int:
     seeds = _parse_list(args.seeds, "--seeds", int)
     cfg, splits = load_dataset(args, lambda cfg: sweep_runs(args.axis, grid, cfg, seeds))
     report = sweep(args.axis, grid, cfg, splits, seeds)
-    out_dir = resolve_out_dir(args)
+    out_dir = open_run(args, cfg, axis=args.axis, grid=grid, seeds=seeds)
     path = write_sweep_report(report, out_dir, dataset_tag(args))
-    write_resolved_config(
-        out_dir, cfg,
-        _run_meta("sweep", args, axis=args.axis, grid=grid, seeds=seeds),
-    )
     for row in report.rows:
         print(f"{args.axis}={row.value!r}: auc={row.auc_mean!r} (+/- {row.auc_std!r})")
     print(f"wrote {path}")
@@ -377,17 +362,18 @@ def cmd_sweep(args) -> int:
 def cmd_robustness(args) -> int:
     rates = _parse_list(args.rates, "--rates", float)
     seeds = _parse_list(args.seeds, "--seeds", int)
-    models = lambda cfg: (replace(cfg, model="din"), replace(cfg, model="din-miss"))
-    cfg, splits = load_dataset(
-        args, lambda cfg: [sweep_runs(args.kind, rates, model, seeds) for model in models(cfg)])
-    report = robustness_study(args.kind, rates, *models(cfg), splits, seeds)
-    out_dir = resolve_out_dir(args)
+
+    def check(cfg):  # the config is the full model, and the base model is din
+        if cfg.model != "din-miss":
+            raise ConfigError(f"robustness compares din with din-miss: got model = {cfg.model}")
+        for model in (replace(cfg, model="din"), cfg):
+            sweep_runs(args.kind, rates, model, seeds)
+
+    cfg, splits = load_dataset(args, check)
+    report = robustness_study(args.kind, rates, replace(cfg, model="din"), cfg, splits, seeds)
+    out_dir = open_run(args, cfg, kind=args.kind, rates=rates, seeds=seeds)
     paths = [write(report, out_dir, dataset_tag(args))
              for write in (write_robustness_report, write_robustness_runs)]
-    write_resolved_config(
-        out_dir, cfg,
-        _run_meta("robustness", args, kind=args.kind, rates=rates, seeds=seeds),
-    )
     for row in report.rows:
         print(f"rate={row.rate!r}: base={row.auc_base!r} miss={row.auc_miss!r} "
               f"ri={row.ri!r}")

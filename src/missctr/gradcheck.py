@@ -126,16 +126,16 @@ def tiny_instance_check(
     seed: int = 0,
 ) -> GradReport:
     """Full-model gradient check on a small fixed problem: two profile
-    fields, two sequence channels, short histories, both contrastive
-    branches live.  The loss is the trainer's own step objective;
-    every evaluation re-seeds the plan stream, and plans never depend on
-    parameter values, so analytic and numerical sides evaluate the same
-    function."""
+    fields, three sequence channels (so a width-2 field-axis kernel can
+    be sampled), short histories, both contrastive branches live.  The
+    loss is the trainer's own step objective; every evaluation re-seeds
+    the plan stream, and plans never depend on parameter values, so
+    analytic and numerical sides evaluate the same function."""
     from .data import SampleSet, Splits
     from .trainer import ExperimentConfig, build_model, step_loss
 
     rng = np.random.default_rng(seed)
-    L, J, batch, vocab = 6, 2, 4, 7
+    L, J, batch, vocab = 6, 3, 4, 7
     seq_len = np.array([6, 5, 4, 3], dtype=np.int64)
     histories = [rng.integers(2, vocab, size=(J, s)).T for s in seq_len]  # row i's events
     sample = SampleSet(
@@ -150,8 +150,8 @@ def tiny_instance_check(
     splits = Splits(
         train=sample, valid=sample, test=sample,
         cat_fields=["user", "context"],
-        seq_fields=["item", "attr_1"],
-        vocab_sizes={"user": vocab, "context": vocab, "item": vocab, "attr_1": vocab},
+        seq_fields=["item", "attr_1", "attr_2"],
+        vocab_sizes={f: vocab for f in ("user", "context", "item", "attr_1", "attr_2")},
     )
     cfg = ExperimentConfig(
         emb_dim=4, batch_size=batch, mlp=(5, 1), enc_interest=(6,), enc_feature=(5,),

@@ -270,6 +270,9 @@ BAD_VERB_FLAGS = {
         ["robustness", "--alpha-interest", "0", "--alpha-feature", "0", "--kind", "noise",
          "--rates", "0.0,0.2"],
         "din-miss with both loss weights 0 is din: a noise study is a no-op"),
+    "robustness --model din": (
+        ["robustness", "--model", "din", "--kind", "noise", "--rates", "0.0", "--seeds", "0"],
+        "robustness compares din with din-miss: got model = din"),
 }
 
 
@@ -461,6 +464,27 @@ def test_min_count_below_one_exits_1(tmp_path, capsys, verb, min_count):
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"--min-count must be >= 1, got {min_count}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("min_count", ["50", "0"])
+def test_snapshot_with_a_min_count_exits_1_before_its_body_is_read(
+        tmp_path, capsys, monkeypatch, min_count):
+    # the snapshot was filtered when it was ingested; a min_count here
+    # would be recorded in config.txt and never applied
+    snapshot = ingest_snapshot(tmp_path, 8)
+    capsys.readouterr()
+
+    def no_load(path):
+        raise AssertionError("the snapshot was read before --min-count was checked")
+
+    monkeypatch.setattr(missctr.cli.dt, "load_splits", no_load)
+    out = tmp_path / "out"
+    code = run(["train", "--dataset", snapshot, "--out-dir", str(out), "--min-count", min_count,
+                *TINY])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1, err
+    assert f"--min-count {min_count} is for a raw log, not a snapshot" in err, err
     assert not out.exists()
 
 
@@ -736,6 +760,23 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "max-rel-error" in out
     assert "pass" in out
+
+
+def test_gradcheck_fails_when_vertical_kernels_get_no_gradient(capsys, monkeypatch):
+    # a mutant conv1d that treats every field-axis (axis 1) kernel as a
+    # constant: the width-2 vertical kernels, reachable with three
+    # sequence fields, must then fail the check
+    conv1d = missctr.autodiff.conv1d
+
+    def mutant(x, kernel, axis, relu=False):
+        if axis == 1:
+            kernel = missctr.autodiff.Tensor(kernel.data)
+        return conv1d(x, kernel, axis, relu)
+
+    monkeypatch.setattr(missctr.autodiff, "conv1d", mutant)
+    assert run(["gradcheck"]) == 3
+    bad = [line.split(":")[1] for line in capsys.readouterr().out.splitlines() if "BAD" in line]
+    assert bad == ["conv_g1v2", "conv_g2v2"]
 
 
 def test_out_dir_env_default(tmp_path, monkeypatch):
