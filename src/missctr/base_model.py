@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 LAU_HIDDEN = 16
 PROB_CLIP = 1e-12
@@ -55,9 +55,7 @@ def init_base_params(
 ) -> BaseParams:
     """x_dim: input width of the prediction MLP; step_dim: J*K width of
     one behavior step.  mlp_sizes lists every affine layer; the last
-    entry must be 1 (the sigmoid head)."""
-    if not mlp_sizes or mlp_sizes[-1] != 1:
-        raise ConfigError(f"mlp sizes must end in 1, got {mlp_sizes}")
+    entry is 1 (the sigmoid head)."""
     lau_in = 4 * step_dim
     params = BaseParams(
         lau_w1=ad.parameter(glorot(rng, lau_in, LAU_HIDDEN), name="base:lau_w1"),
@@ -108,8 +106,6 @@ def laup_pool(v: Tensor, mask: np.ndarray, cand: Tensor, params: BaseParams) -> 
     nb, nl, dim = v.shape
     if mask.shape != (nb, nl):
         raise DataError(f"mask shape {mask.shape} does not match sequence {(nb, nl)}")
-    if not mask.any(axis=1).all():
-        raise DataError("all-padding behavior sequence (empty history)")
     hidden = params.lau_w1.shape[1]
     step_sel, cand_sel = _fold_selectors(dim)
     w_step = ad.matmul(ad.constant(step_sel), params.lau_w1)

@@ -147,8 +147,6 @@ def filter_infrequent(
     """Drop users and items with fewer than min_count events, repeating
     until a fixpoint: removing an item can push a user below threshold
     and vice versa."""
-    if min_count < 1:
-        raise ConfigError(f"min_count must be >= 1, got {min_count}")
     n_users, items = len(interactions.users), interactions.codes[0]
     user = np.repeat(np.arange(n_users), interactions.counts)
     kept, live, stats = np.ones(items.size, dtype=bool), np.ones(n_users, dtype=bool), FilterStats()
@@ -252,8 +250,6 @@ def build_splits(interactions: InteractionLog, max_len: int, seed: int) -> Split
     Vocabulary encoding and negative sampling run in helpers whose
     event-sized temporaries die on return, before the rows are built.
     """
-    if max_len < 1:
-        raise ConfigError(f"max_len must be >= 1, got {max_len}")
     seq_fields = interactions.seq_fields
     eligible = interactions.counts >= MIN_BEHAVIORS
     n_events = interactions.counts[eligible]
@@ -344,8 +340,6 @@ def make_batches(
     """Index batches over n samples.  Training shuffles with its own
     seeded stream and drops a short final batch; evaluation keeps order
     and the tail."""
-    if batch_size < 2:
-        raise ConfigError(f"batch_size must be >= 2, got {batch_size}")
     order = np.arange(n)
     if shuffle:
         order = np.random.default_rng(seed).permutation(n)
@@ -420,8 +414,6 @@ def synth_generate(
 def downsample_train(splits: Splits, rate: float, seed: int) -> Splits:
     """Keep a uniform fraction of training positive/negative pairs.
     rate is the kept fraction; 1.0 returns the input split untouched."""
-    if not 0.0 < rate <= 1.0:
-        raise ConfigError(f"downsample rate must be in (0, 1], got {rate}")
     if rate == 1.0:
         return splits
     pair = np.cumsum(splits.train.label == 1) - 1  # a positive and the negative after it
@@ -437,8 +429,6 @@ def downsample_train(splits: Splits, rate: float, seed: int) -> Splits:
 def flip_labels(splits: Splits, rate: float, seed: int) -> Splits:
     """Flip the labels of a uniform fraction of training examples.
     rate 0.0 returns the input split untouched."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"flip rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return splits
     n = splits.train.n

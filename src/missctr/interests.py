@@ -37,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 KERNEL_INIT = 0.5
 
@@ -61,8 +61,6 @@ class ConvBank:
 
 
 def init_conv_bank(n_branches: int, n_depths: int, rng: np.random.Generator) -> ConvBank:
-    if n_branches < 1 or n_depths < 0:
-        raise ConfigError(f"need n_branches >= 1 and n_depths >= 0, got {n_branches}, {n_depths}")
     horizontal = [
         ad.parameter(rng.uniform(-KERNEL_INIT, KERNEL_INIT, size=m + 1), name=f"ssl:conv_g{m + 1}")
         for m in range(n_branches)
@@ -187,8 +185,6 @@ def sample_interest_plan(
 
     Draw order: the branches of all (P, n) slots, then all offsets, then
     all anchors, each one `rng.integers` call with per-element bounds."""
-    if max_offset < 1:
-        raise ConfigError(f"max_offset must be >= 1, got {max_offset}")
     counts, starts = bank.counts, bank.starts
     n_feasible = (counts >= 2).sum(axis=1)
     rows = np.flatnonzero(n_feasible)
@@ -338,8 +334,6 @@ def infonce(z1: Tensor, z2: Tensor, tau: float, *, cosines: list[np.ndarray] | N
     products of the normalized views; given a list, they are appended to
     it, (..., n).
     """
-    if tau <= 0.0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
     if z1.shape != z2.shape or z1.ndim < 2 or z1.shape[-2] < 2:
         raise ShapeError(f"need two equal view matrices with >= 2 rows, got {z1.shape} and {z2.shape}")
     flip = (*range(z1.ndim - 2), z1.ndim - 1, z1.ndim - 2)
@@ -403,9 +397,9 @@ def ssl_forward(
 
     cosines: list[np.ndarray] = []
     loss_i = loss_f = None
-    if iplan.rows.size >= 2 and iplan.n_pairs > 0:
+    if iplan.rows.size >= 2:
         loss_i = _contrast(gather_interest_views(bank, iplan), enc_interest, iplan.n_pairs, tau, cosines)
-    if fplan.rows.size >= 2 and fplan.n_pairs > 0:
+    if fplan.rows.size >= 2:
         loss_f = _contrast(gather_feature_views(fine, fplan), enc_feature, fplan.n_pairs, tau, cosines)
     sims = np.concatenate([c.reshape(-1) for c in cosines]) if cosines else np.full(1, np.nan)
     return SslOut(loss_i, loss_f, float(sims.mean()), float(sims.min()), float(sims.max()),

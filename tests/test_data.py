@@ -553,11 +553,6 @@ def test_make_batches_shuffle_determinism():
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
-def test_make_batches_rejects_tiny_batch():
-    with pytest.raises(ConfigError):
-        D.make_batches(10, 1, shuffle=False)
-
-
 # ---------------------------------------------------------------------------
 # synthetic corpus
 
@@ -647,13 +642,6 @@ def test_downsample_keeps_pairs():
     np.testing.assert_array_equal(out.test.cand, splits.test.cand)
 
 
-def test_downsample_rate_validation():
-    splits = make_synth_splits()
-    for bad in (0.0, -0.1, 1.5):
-        with pytest.raises(ConfigError):
-            D.downsample_train(splits, bad, seed=0)
-
-
 def test_flip_identity_at_zero():
     splits = make_synth_splits()
     assert D.flip_labels(splits, 0.0, seed=5) is splits
@@ -664,13 +652,6 @@ def test_flip_count_exact():
     out = D.flip_labels(splits, 0.25, seed=5)
     n_diff = int((out.train.label != splits.train.label).sum())
     assert n_diff == round(0.25 * splits.train.n)
-
-
-def test_flip_rate_validation():
-    splits = make_synth_splits()
-    for bad in (-0.1, 1.0):
-        with pytest.raises(ConfigError):
-            D.flip_labels(splits, bad, seed=0)
 
 
 # ---------------------------------------------------------------------------

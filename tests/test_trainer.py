@@ -78,6 +78,8 @@ def test_defaults_validate():
         dict(tau=-1.0),
         dict(n_branches=0),
         dict(max_offset=0),
+        dict(max_len=0),
+        dict(n_depths=-1),
         dict(epochs=0),
         dict(patience=0),
         dict(strategy="warmup"),
