@@ -435,8 +435,9 @@ def conv1d(x: Tensor, kernel: Tensor, axis: int, relu: bool = False) -> Tensor:
     to right, so a per-element replay of the same sum is bitwise equal.
     With relu the output is max(out, 0), in this node: the backward masks
     g where out > 0, bitwise as a separate relu() would.  The backward
-    reduces one kernel gradient per tap and writes the x gradient of
-    every tap through one scratch buffer."""
+    reduces one kernel gradient per tap, in einsum's own loop rather
+    than a BLAS dot whose sum order follows the thread count, and writes
+    the x gradient of every tap through one scratch buffer."""
     if kernel.ndim != 1:
         raise ShapeError(f"conv1d needs a 1-d kernel, got shape {kernel.shape}")
     w = kernel.shape[0]
@@ -462,7 +463,8 @@ def conv1d(x: Tensor, kernel: Tensor, axis: int, relu: bool = False) -> Tensor:
         if live is not None:
             g = g * live  # owned from here, so width 1 scales it in place
         if kernel.requires_grad:
-            kernel.accumulate(np.array([np.vdot(g, x.data[t]) for t in taps]))
+            dims = "abcdefghijklmnopqrstuvwxyz"[: g.ndim]  # einsum cannot sum "..." away
+            kernel.accumulate(np.array([np.einsum(f"{dims},{dims}->", g, x.data[t]) for t in taps]))
         if x.requires_grad and w == 1:
             x.accumulate(g * k[0] if live is None else np.multiply(g, k[0], out=g))
         elif x.requires_grad:

@@ -3,9 +3,9 @@
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 python tests/golden.py --write
 
 rewrites tests/golden.txt from the source tree this file sits in.
-Without --write the digests go to stdout; with --gate-din only the
-`din` run at the gate shapes (B = 128, L = 16, K = 10) is made and
-printed, which tests/test_golden.py runs at two BLAS threads.
+Without --write the digests go to stdout; with --gate only the `din`
+and `din-miss` runs at the gate shapes (B = 128, L = 16, K = 10) are
+made and printed, which tests/test_golden.py runs at two BLAS threads.
 
 The runs share one 120-user synthetic corpus and test 8's tiny widths,
 and are made with relative paths inside a temp dir, so that
@@ -42,11 +42,11 @@ SYNTH = ("synth", ["synth", "--n-users", "120", "--n-items", "40", "--n-interest
                    "--out-dir", "synth"],
          ["synth.tsv", "config.txt"])
 # gate shapes, from the raw log, so that the snapshot's max_len of 8 does not bind
-GATE_DIN = ("din-gate", ["train", "--dataset", "synth/synth.tsv", "--min-count", "2",
-                         "--model", "din", "--max-len", "16", "--emb-dim", "10",
-                         "--batch-size", "128", "--mlp", "40,40,40,1", "--epochs", "2",
-                         "--lr", "1e-2", "--out-dir", "din-gate"],
-            TRAIN_FILES)
+GATE_ARGS = ["train", "--dataset", "synth/synth.tsv", "--min-count", "2", "--max-len", "16",
+             "--emb-dim", "10", "--batch-size", "128", "--mlp", "40,40,40,1", "--epochs", "2",
+             "--lr", "1e-2"]
+GATE = [("din-gate", [*GATE_ARGS, "--model", "din", "--out-dir", "din-gate"], TRAIN_FILES),
+        ("miss-gate", [*GATE_ARGS, "--out-dir", "miss-gate"], TRAIN_FILES)]
 SNAPSHOT = ["--dataset", "ingest/splits.txt"]
 # (out dir, argv, files digested), in run order; "stdout" is the verb's stdout
 RUNS = [
@@ -68,7 +68,7 @@ RUNS = [
                     "--seeds", "1", "--out-dir", "robustness"],
      ["robustness_noise_splits.tsv", "robustness_runs_noise_splits.tsv", "config.txt"]),
     ("gradcheck", ["gradcheck"], ["stdout"]),
-    GATE_DIN,
+    *GATE,
 ]
 
 
@@ -131,11 +131,11 @@ def read(text: str) -> tuple[dict[str, str], dict[str, str]]:
 
 
 def main(argv: list[str]) -> int:
-    if argv not in ([], ["--write"], ["--gate-din"]):
+    if argv not in ([], ["--write"], ["--gate"]):
         print(__doc__, file=sys.stderr)
         return 1
-    if argv == ["--gate-din"]:
-        print("\n".join(digest_lines([SYNTH, GATE_DIN])))
+    if argv == ["--gate"]:
+        print("\n".join(digest_lines([SYNTH, *GATE])))
         return 0
     if argv == ["--write"] and any(os.environ.get(v) != "1" for v in THREAD_VARS):
         print(f"--write needs one BLAS thread: set {', '.join(THREAD_VARS)} to 1",

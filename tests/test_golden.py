@@ -1,6 +1,7 @@
 """Every verb's artifacts match the digests committed in tests/golden.txt,
-at one BLAS thread, and a `din` run at the gate shapes writes the same
-bytes at two threads, where OpenBLAS splits the step's products.
+at one BLAS thread, and a `din` and a `din-miss` run at the gate shapes
+write the same bytes at two threads, where OpenBLAS splits the step's
+products.
 
 A change that moves numerics on purpose rewrites the file with
 tests/golden.py --write and names each moved digest."""
@@ -28,5 +29,5 @@ def test_artifacts_match_the_committed_digests_at_one_and_two_blas_threads():
         pytest.skip(f"the digests are for {env}, this machine has {here}")
     got = _digests(1)
     assert {k for k in want.keys() | got.keys() if got.get(k) != want.get(k)} == set()
-    gate = _digests(2, "--gate-din")
+    gate = _digests(2, "--gate")
     assert {k for k, v in gate.items() if want.get(k) != v} == set()
