@@ -388,9 +388,11 @@ def cmd_gradcheck(args) -> int:
     for line in report.lines():
         print(line)
     n_components = sum(c.n for c in report.checks)
+    n_unchecked = sum(not c.checked for c in report.checks)
     status = "pass" if report.ok else "FAIL"
     print(f"gradcheck {status}: max-rel-error {report.worst_rel!r} "
-          f"over {n_components} components in {len(report.checks)} parameters")
+          f"over {n_components} components in {len(report.checks)} parameters, "
+          f"{n_unchecked} unchecked")
     if not report.ok:
         raise NumericalError("gradient check failed on the built-in instance")
     return 0

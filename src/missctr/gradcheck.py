@@ -26,6 +26,7 @@ class ParamCheck:
     max_abs_err: float
     max_rel_err: float
     n_bad: int
+    checked: bool  # some analytic component is above abs_tol; 0 against 0 is no evidence
 
 
 @dataclass
@@ -43,7 +44,7 @@ class GradReport:
     def lines(self) -> list[str]:
         out = []
         for c in self.checks:
-            status = "ok" if c.n_bad == 0 else f"BAD ({c.n_bad}/{c.n})"
+            status = f"BAD ({c.n_bad}/{c.n})" if c.n_bad else "ok" if c.checked else "unchecked"
             out.append(
                 f"{c.name}: max_rel={c.max_rel_err:.3e} max_abs={c.max_abs_err:.3e} {status}"
             )
@@ -77,7 +78,9 @@ def check_gradients(
     """Compare tape gradients of build_loss() against central differences.
 
     A component passes when its relative error is below rel_tol or,
-    near zero, its absolute error is below abs_tol.
+    near zero, its absolute error is below abs_tol.  A parameter with no
+    analytic component above abs_tol is reported unchecked: it passes,
+    but only as zero against zero.
     """
     ad.fresh_graph()
     loss = build_loss()
@@ -113,6 +116,7 @@ def check_gradients(
                 max_abs_err=float(abs_err.max()) if a.size else 0.0,
                 max_rel_err=float(meaningful.max()) if meaningful.size else 0.0,
                 n_bad=int(bad.sum()),
+                checked=bool((np.abs(a) > abs_tol).any()),
             )
         )
     ad.fresh_graph()

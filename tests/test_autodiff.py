@@ -502,3 +502,13 @@ def test_second_backward_on_a_swept_tape_raises():
     assert "\n" not in str(err.value)
     for p, before in zip(leaves, grads):
         assert np.array_equal(p.grad, before)
+
+
+def test_gradcheck_reports_a_parameter_outside_the_loss_unchecked():
+    # its gradient is 0 on both sides, which passes but proves nothing
+    rng = np.random.default_rng(10)
+    used, unused = ad.parameter(rng.normal(size=(2, 3))), ad.parameter(rng.normal(size=3))
+    report = check_gradients(lambda: ad.tsum(ad.mul(used, used)), {"used": used, "unused": unused})
+    assert report.ok
+    assert [c.checked for c in report.checks] == [True, False]
+    assert [line.rsplit(" ", 1)[1] for line in report.lines()] == ["ok", "unchecked"]
