@@ -572,17 +572,17 @@ def _run_epochs(
     params: dict[str, Tensor],
     ssl_rng: np.random.Generator | None,
     *,
-    include_ll: bool,
-    early_stop: bool,
+    click: bool,
     telemetry: list[StepRow],
     history: list[EpochRow],
 ) -> tuple[int, float]:
     """Shared loop over cfg.epochs epochs, appending to telemetry and
     history, numbered on from the rows already there; a step runs the
-    contrastive tower only when given the plan stream ssl_rng.  With
-    early_stop the loop stops after `patience` epochs without a better
-    validation AUC and restores the best epoch's parameters; without it
-    nothing is kept.  Returns (best_epoch, best_val_auc)."""
+    contrastive tower only when given the plan stream ssl_rng.  A click
+    phase adds the click loss to each step, stops after `patience`
+    epochs without a better validation AUC and restores the best epoch's
+    parameters; pretrain's contrastive phase does none of these.
+    Returns (best_epoch, best_val_auc)."""
     cfg = model.cfg
     if splits.train.n < cfg.batch_size:
         raise DegenerateDatasetError(
@@ -603,7 +603,7 @@ def _run_epochs(
         rows = []
         for idx in batches:
             row = train_step(model, splits.train, idx, ssl_rng, optimizer, params,
-                             len(telemetry), include_ll=include_ll)
+                             len(telemetry), include_ll=click)
             rows.append(row)
             telemetry.append(row)
         scores = predict_scores(model, splits.valid, cfg.batch_size)
@@ -616,12 +616,12 @@ def _run_epochs(
         if val_auc > best_auc:
             best_auc = val_auc
             best_epoch = epoch
-            if early_stop:
+            if click:
                 best_state = {k: p.data.copy() for k, p in params.items()}
             wait = 0
         else:
             wait += 1
-            if early_stop and wait >= cfg.patience:
+            if click and wait >= cfg.patience:
                 log.info("early stop after epoch %d", epoch)
                 break
     if best_state is not None:
@@ -642,9 +642,9 @@ def train(cfg: ExperimentConfig, splits: Splits) -> TrainResult:
     ssl_rng = np.random.default_rng([cfg.seed, 1]) if cfg.ssl_enabled else None
     params = model.parameters() if cfg.ssl_enabled else model.base_parameters()
     if cfg.strategy == "pretrain" and cfg.ssl_enabled:
-        _run_epochs(model, splits, model.ssl_parameters(), ssl_rng, include_ll=False,
-                    early_stop=False, telemetry=telemetry, history=history)
+        _run_epochs(model, splits, model.ssl_parameters(), ssl_rng, click=False,
+                    telemetry=telemetry, history=history)
         params, ssl_rng = model.base_parameters(), None
-    best_epoch, best_auc = _run_epochs(model, splits, params, ssl_rng, include_ll=True,
-                                       early_stop=True, telemetry=telemetry, history=history)
+    best_epoch, best_auc = _run_epochs(model, splits, params, ssl_rng, click=True,
+                                       telemetry=telemetry, history=history)
     return TrainResult(model, history, telemetry, best_epoch, best_auc)
