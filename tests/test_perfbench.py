@@ -29,10 +29,12 @@ def test_tiny_miss_gate_traced_equals_untraced(tmp_path):
     for k, a in plain.state.items():
         assert a.shape == traced.state[k].shape and a.tobytes() == traced.state[k].tobytes(), k
     layer = tr.layer_metrics()
-    # one conv1d node per kernel, its ReLU included (6 kernels at 2
-    # branches x 2 depths), and per contrastive loss 1 view gather, 1
-    # encoder pass, 2 side gathers and 1 InfoNCE whatever its pair-slot
-    # count; the feature table holds only the 2 slices with 2 rows
+    # one conv1d node per built map, its ReLU included: 4 at 2 branches
+    # x 2 depths, since the width-2 vertical maps have one field row at
+    # J = 2 and are not built; per contrastive loss 1 view gather, 1
+    # encoder pass, 1 reshape and 2 takes of the encoded sides, and 1
+    # InfoNCE whatever its pair-slot count; the feature table holds only
+    # the 2 slices with 2 rows
     assert layer["autodiff.tape_nodes_per_step"] == 101
 
 
