@@ -429,15 +429,15 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _register(out, backward, *parts)
 
 
-def conv1d(x: Tensor, kernel: Tensor, axis: int, relu: bool = False) -> Tensor:
-    """Valid cross-correlation of a width-w kernel along one axis, stride
-    1: out[.., l, ..] = sum_i x[.., l+i, ..] * kernel[i].  Taps add left
-    to right, so a per-element replay of the same sum is bitwise equal.
-    With relu the output is max(out, 0), in this node: the backward masks
-    g where out > 0, bitwise as a separate relu() would.  The backward
-    reduces one kernel gradient per tap, in einsum's own loop rather
-    than a BLAS dot whose sum order follows the thread count, and writes
-    the x gradient of every tap through one scratch buffer."""
+def conv1d(x: Tensor, kernel: Tensor, axis: int) -> Tensor:
+    """ReLU'd valid cross-correlation of a width-w kernel along one axis,
+    stride 1: out[.., l, ..] = max(sum_i x[.., l+i, ..] * kernel[i], 0).
+    Taps add left to right, so a per-element replay of the same sum is
+    bitwise equal.  The backward masks g where the sum is > 0, bitwise
+    as a separate relu() would, reduces one kernel gradient per tap, in
+    einsum's own loop rather than a BLAS dot whose sum order follows the
+    thread count, and writes the x gradient of every tap through one
+    scratch buffer."""
     if kernel.ndim != 1:
         raise ShapeError(f"conv1d needs a 1-d kernel, got shape {kernel.shape}")
     w = kernel.shape[0]
@@ -454,19 +454,17 @@ def conv1d(x: Tensor, kernel: Tensor, axis: int, relu: bool = False) -> Tensor:
     acc = x.data[taps[0]] * k[0]
     for i in range(1, w):
         acc += x.data[taps[i]] * k[i]
-    live = acc > 0.0 if relu else None
-    if relu:
-        np.maximum(acc, 0.0, out=acc)
+    live = acc > 0.0
+    np.maximum(acc, 0.0, out=acc)
     out = Tensor(acc)
 
     def backward(g):
-        if live is not None:
-            g = g * live  # owned from here, so width 1 scales it in place
+        g = g * live  # owned from here, so width 1 scales it in place
         if kernel.requires_grad:
             dims = "abcdefghijklmnopqrstuvwxyz"[: g.ndim]  # einsum cannot sum "..." away
             kernel.accumulate(np.array([np.einsum(f"{dims},{dims}->", g, x.data[t]) for t in taps]))
         if x.requires_grad and w == 1:
-            x.accumulate(g * k[0] if live is None else np.multiply(g, k[0], out=g))
+            x.accumulate(np.multiply(g, k[0], out=g))
         elif x.requires_grad:
             gx = np.zeros_like(x.data)
             tap = np.empty(g.shape)
@@ -522,17 +520,17 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     return _register(out, backward, table)
 
 
-def normalize_rows(x: Tensor, eps: float = COSINE_EPS) -> Tensor:
+def normalize_rows(x: Tensor) -> Tensor:
     """Divide each row (vector along the last axis) by max(its L2 norm,
-    eps); leading axes are a batch of matrices.  Row products of two
+    COSINE_EPS); leading axes are a batch of matrices.  Row products of two
     normalized matrices are then exactly the floored cosine values."""
     if x.ndim < 2:
         raise ShapeError(f"normalize_rows needs a matrix, got shape {x.shape}")
     norms = np.linalg.norm(x.data, axis=-1)
-    r = np.maximum(norms, eps)[..., None]
+    r = np.maximum(norms, COSINE_EPS)[..., None]
     y = x.data / r
     out = Tensor(y)
-    live = (norms > eps)[..., None]
+    live = (norms > COSINE_EPS)[..., None]
 
     def backward(g):
         # d(x/r)/dx with r = ||x||: (g - y (y.g)) / r; below the floor r is constant.

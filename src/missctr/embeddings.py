@@ -1,9 +1,11 @@
 """Per-field embedding tables over the shared autodiff core.
 
 Table rows follow the id protocol from the data module: row 0 is the
-padding vector and is pinned to zero (re-zeroed after every optimizer
-step), and row 1 is reserved: no split emits id 1, so that row gets
-no gradient and keeps its initial value.
+padding vector, zero at init, and no gradient reaches it: attention
+weights a padded step by a zero mask and no view window covers
+padding, so every term its lookups add is +-0 and sums to +0.0.  Row 1
+is reserved: no split emits id 1, so that row gets no gradient and
+keeps its initial value.
 """
 
 from __future__ import annotations
@@ -40,10 +42,4 @@ def embed(tables: dict[str, Tensor], field: str, ids: np.ndarray) -> Tensor:
     except IndexError:
         bad = int(idx.min()) if idx.min() < 0 else int(idx.max())
         raise IndexError(f"field {field!r}: id {bad} out of range [0, {table.shape[0]})") from None
-
-
-def zero_pad_rows(tables: dict[str, Tensor]) -> None:
-    """Pin the padding row back to zero (call after each optimizer step)."""
-    for t in tables.values():
-        t.data[0] = 0.0
 

@@ -122,7 +122,7 @@ def mie_forward(C: Tensor, mask: np.ndarray, bank: ConvBank) -> InterestBank:
     widths = np.array([g.shape[0] for g in kernels], dtype=np.int64)
     counts = np.maximum(seq_len - widths + 1, 0)
     starts = np.where(counts > 0, n_l - seq_len, 0)
-    branches = [ad.conv1d(C, g, axis=2, relu=True) for g in kernels]
+    branches = [ad.conv1d(C, g, axis=2) for g in kernels]
     return InterestBank(branches, counts, starts)
 
 
@@ -149,7 +149,7 @@ def mimfe_forward(bank: InterestBank, conv: ConvBank, min_rows: int = 1) -> Fine
         for di, g in enumerate(conv.vertical[bi]):
             if n_j - g.shape[0] + 1 < min_rows:
                 continue
-            maps[(bi, di)] = ad.conv1d(branch, g, axis=1, relu=True)
+            maps[(bi, di)] = ad.conv1d(branch, g, axis=1)
     return FineBank(maps)
 
 

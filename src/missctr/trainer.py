@@ -24,7 +24,7 @@ from . import base_model as bm
 from . import interests as it
 from .autodiff import Tensor
 from .data import Splits, make_batches, SampleSet
-from .embeddings import init_tables, zero_pad_rows
+from .embeddings import init_tables
 from .errors import ConfigError, DegenerateDatasetError, FormatError, NumericalError
 from .metrics import auc, logloss_value
 from .serialize import load_arrays, save_arrays
@@ -562,7 +562,6 @@ def train_step(
 
     graph.backward(total)
     adam_step(params, optimizer, model.cfg.lr)
-    zero_pad_rows(model.tables)
     return StepRow(step, *losses.values(), *stats)
 
 

@@ -2,8 +2,9 @@
 contrastive-loss, ranking-metric, gather, optimizer, ingest, split and
 attention-pooling tests: scalar loops in the library's own tap order,
 so the extractor oracles can be compared bitwise, the expressions the
-in-place backwards of logsumexp and width-1 conv1d replace, the
-two-gather split of the encoded view stack, the dense textbook
+in-place backwards of logsumexp and width-1 conv1d replace, conv1d as
+a masked tap sum with both its gradients, the two-gather split of the
+encoded view stack, the dense textbook
 forms of the row-sparse gather gradient and of the Adam step (one
 array, or a whole optimizer step over a parameter dict), the
 line-by-line TSV reader, the per-row split builder, the attention
@@ -171,10 +172,50 @@ def logsumexp_grad(x, c, g):
 
 
 def relu_width_one_conv_grad(x, k0, g):
-    """The input gradient of a width-1 ad.conv1d with relu for upstream g,
-    as the expression its backward builds in place: g masked where
-    x * k0 > 0, times k0."""
+    """The input gradient of a width-1 ad.conv1d for upstream g, as the
+    expression its backward builds in place: g masked where x * k0 > 0,
+    times k0."""
     return (g * (x * k0 > 0.0)) * k0
+
+
+def masked_tap_sum_conv(x, k, axis, g):
+    """ad.conv1d and its backward for upstream g, one element at a time:
+    returns (out, x grad, kernel grad).  Each sum adds its taps left to
+    right and is then ReLU'd; g is masked where that sum is > 0.  An x
+    gradient element adds the masked g times each tap that covers it, in
+    tap order from +0.0, except at width 1, where it is the masked g
+    times the tap.  Each kernel gradient is one einsum reduction over
+    the masked g and its tap's slice of x, the sum order the op names."""
+    xm, gm = np.moveaxis(x, axis, 0), np.moveaxis(g, axis, 0)
+    w = len(k)
+    n = xm.shape[0] - w + 1
+    out, masked = np.zeros(gm.shape), np.zeros(gm.shape)
+    for l in range(n):
+        for pos in np.ndindex(*xm.shape[1:]):
+            s = xm[(l,) + pos] * k[0]
+            for i in range(1, w):
+                s = s + xm[(l + i,) + pos] * k[i]
+            out[(l,) + pos] = np.maximum(s, 0.0)
+            masked[(l,) + pos] = gm[(l,) + pos] * (s > 0.0)
+    if w == 1:
+        gx = masked * k[0]
+    else:
+        gx = np.zeros(xm.shape)
+        for p in range(xm.shape[0]):
+            for pos in np.ndindex(*xm.shape[1:]):
+                for i in range(w):
+                    if 0 <= p - i < n:
+                        gx[(p,) + pos] += masked[(p - i,) + pos] * k[i]
+    # the reduction runs over the op's own layouts: masked g contiguous
+    # in x's axis order, each tap a view of x
+    masked = np.ascontiguousarray(np.moveaxis(masked, 0, axis))
+    dims = "abcdefghijklmnopqrstuvwxyz"[: x.ndim]
+    gk = []
+    for i in range(w):
+        tap = [slice(None)] * x.ndim
+        tap[axis] = slice(i, i + n)
+        gk.append(np.einsum(f"{dims},{dims}->", masked, x[tuple(tap)]))
+    return np.moveaxis(out, 0, axis), np.moveaxis(gx, 0, axis), np.array(gk)
 
 
 def two_gather_contrast(views, enc, n_pairs, tau, cosines):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_scatter_add, logsumexp_grad, relu_width_one_conv_grad
+from oracles import dense_scatter_add, logsumexp_grad, masked_tap_sum_conv, relu_width_one_conv_grad
 
 from missctr import autodiff as ad
 from missctr.errors import ShapeError
@@ -122,7 +122,7 @@ def test_conv1d_forward_is_left_to_right_tap_sum():
             x = rng.normal(size=(2, 5, 6, 3))
             k = rng.normal(size=w)
             out = ad.conv1d(ad.constant(x), ad.constant(k), axis)
-            assert np.array_equal(out.data, naive_conv1d(x, k, axis)), (axis, w)
+            assert np.array_equal(out.data, np.maximum(naive_conv1d(x, k, axis), 0.0)), (axis, w)
 
 
 def test_conv1d_grad_counts_window_coverage():
@@ -153,24 +153,20 @@ def test_concat_of_one_part_is_that_part_untaped():
 
 
 def test_conv1d_relu_is_relu_of_conv1d_bitwise():
-    # the fused ReLU must give the values and gradients of a separate
-    # relu node, zero signs included
+    # the ReLU inside the op must give the values and gradients of a
+    # masked tap sum, zero signs included
     rng = np.random.default_rng(5)
     for axis in (0, 1):
         for w in (1, 2, 3):
-            x0, k0, up = rng.normal(size=(4, 5)), rng.normal(size=w), rng.normal(size=(4, 5))
-            runs = []
-            for fused in (True, False):
-                x, k = ad.parameter(x0), ad.parameter(k0)
-                g = ad.fresh_graph()
-                out = ad.conv1d(x, k, axis, relu=True) if fused else ad.relu(ad.conv1d(x, k, axis))
-                shape = out.shape
-                g.backward(ad.tsum(ad.mul(out, ad.constant(up[: shape[0], : shape[1]]))))
-                runs.append((out.data, x.grad, k.grad, len(g.nodes)))
-            (fo, fx, fk, fn), (so, sx, sk, sn) = runs
-            for a, b in ((fo, so), (fx, sx), (fk, sk)):
-                assert a.tobytes() == b.tobytes(), (axis, w)
-            assert fn == sn - 1
+            x0, k0 = _with_signed_zeros(rng, (4, 5)), rng.normal(size=w)
+            x, k = ad.parameter(x0), ad.parameter(k0)
+            g = ad.fresh_graph()
+            out = ad.conv1d(x, k, axis)
+            up = _with_signed_zeros(rng, out.shape)
+            g.backward(ad.tsum(ad.mul(out, ad.constant(up))))
+            want = masked_tap_sum_conv(x0, k0, axis, up)
+            for got, ref in zip((out.data, x.grad, k.grad), want):
+                assert got.tobytes() == ref.tobytes(), (axis, w)
 
 
 def test_width_one_relu_conv1d_backward_is_the_expression_it_replaces_bitwise():
@@ -182,19 +178,20 @@ def test_width_one_relu_conv1d_backward_is_the_expression_it_replaces_bitwise():
             x0, up = _with_signed_zeros(rng, (3, 4, 5)), _with_signed_zeros(rng, (3, 4, 5))
             x, k = ad.parameter(x0), ad.parameter([tap])
             g = ad.fresh_graph()
-            g.backward(ad.tsum(ad.mul(ad.conv1d(x, k, axis, relu=True), ad.constant(up))))
+            g.backward(ad.tsum(ad.mul(ad.conv1d(x, k, axis), ad.constant(up))))
             assert x.grad.tobytes() == relu_width_one_conv_grad(x0, k.data[0], up).tobytes()
 
 
-def test_width_one_conv1d_without_relu_leaves_its_gradient_unwritten():
-    # tsum passes on a read-only broadcast; without relu conv1d does not
-    # own g, so writing it would raise
+def test_width_one_conv1d_masks_a_read_only_upstream_gradient():
+    # tsum passes on a read-only broadcast; conv1d masks it into an array
+    # of its own before scaling that in place
     x0 = np.random.default_rng(7).normal(size=(2, 3))
     x, k = ad.parameter(x0), ad.parameter([-1.5])
     g = ad.fresh_graph()
     g.backward(ad.tsum(ad.conv1d(x, k, 1)))
-    np.testing.assert_array_equal(x.grad, np.full((2, 3), -1.5))
-    np.testing.assert_array_equal(k.grad, [np.einsum("ab,ab->", np.ones((2, 3)), x0)])
+    ones = np.ones((2, 3))
+    assert x.grad.tobytes() == relu_width_one_conv_grad(x0, -1.5, ones).tobytes()
+    np.testing.assert_array_equal(k.grad, [np.einsum("ab,ab->", ones * (x0 * -1.5 > 0.0), x0)])
 
 
 def test_logsumexp_backward_is_the_expression_it_replaces_bitwise():

@@ -768,10 +768,10 @@ def test_gradcheck_fails_when_vertical_kernels_get_no_gradient(capsys, monkeypat
     # sequence fields, must then fail the check
     conv1d = missctr.autodiff.conv1d
 
-    def mutant(x, kernel, axis, relu=False):
+    def mutant(x, kernel, axis):
         if axis == 1:
             kernel = missctr.autodiff.Tensor(kernel.data)
-        return conv1d(x, kernel, axis, relu)
+        return conv1d(x, kernel, axis)
 
     monkeypatch.setattr(missctr.autodiff, "conv1d", mutant)
     assert run(["gradcheck"]) == 3

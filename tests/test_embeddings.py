@@ -64,10 +64,3 @@ def test_nd_lookup_shape():
     ids = np.array([[1, 2, 3], [3, 2, 1]])
     assert E.embed(tables, "attr_1", ids).shape == (2, 3, 5)
 
-
-def test_zero_pad_rows_after_mutation():
-    tables = fresh_tables()
-    tables["user"].data[0] = 3.14
-    E.zero_pad_rows(tables)
-    np.testing.assert_array_equal(tables["user"].data[0], np.zeros(5))
-

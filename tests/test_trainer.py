@@ -518,6 +518,28 @@ def test_gate_step_peaks_below_20_mb(gate_splits):
     assert peak[0] <= 20e6, f"{peak[0] / 1e6:.1f} MB"
 
 
+@pytest.mark.parametrize("model_name", ["din-miss", "din"])
+def test_step_gives_the_padding_row_a_zero_gradient(gate_splits, model_name):
+    # attention weighs a padded step by a zero mask and no view window
+    # covers padding, so every term row 0 gathers is +-0 and their sum is
+    # +0.0; Adam then leaves the row at its init zeros
+    cfg = ExperimentConfig(
+        emb_dim=10, batch_size=128, lr=1e-2, tau=0.1, n_branches=2, n_depths=2,
+        max_offset=2, max_len=16, seed=0, model=model_name,
+    )
+    model = build_model(cfg, gate_splits)
+    train_step(model, gate_splits.train, np.arange(128), np.random.default_rng(1),
+               AdamState(), model.parameters(), step=0)
+    gathered = []
+    for name, table in model.tables.items():
+        held = table.grad_rows()  # not .grad, which densifies
+        if held is not None and 0 in held[0]:
+            gathered.append(name)
+            row0 = held[1][held[0] == 0]
+            assert row0.tobytes() == np.zeros_like(row0).tobytes(), name
+    assert sorted(gathered) == sorted(gate_splits.seq_fields)
+
+
 # ---------------------------------------------------------------------------
 # model assembly
 
