@@ -486,11 +486,12 @@ def step_loss(
     model: MissModel,
     part: SampleSet,
     idx: np.ndarray,
-    include_ll: bool,
+    click: bool,
     ssl_rng: np.random.Generator | None,
 ) -> tuple[Tensor | None, Tensor | None, it.SslOut | None]:
     """Tape the step objective L = L_ll + a1 * L_int + a2 * L_feat on one
     batch; returns (L, L_ll, SSL outputs), None for a part not built.
+    The click loss L_ll is built only when click is set.
 
     The plan stream is the switch: the contrastive tower is built, with
     its plans drawn from ssl_rng, only when ssl_rng is given and cfg
@@ -503,7 +504,7 @@ def step_loss(
 
     terms: list[Tensor] = []
     ll = None
-    if include_ll:
+    if click:
         preds = bm.predict_batch(
             model.tables, model.cat_fields, model.seq_fields, model.base,
             cat, v, mask, cand,
@@ -539,12 +540,12 @@ def train_step(
     optimizer: AdamState,
     params: dict[str, Tensor],
     step: int,
-    include_ll: bool = True,
+    click: bool = True,
 ) -> StepRow:
     """One forward/backward/update over a batch; returns the telemetry row."""
     graph = ad.fresh_graph()
     ad.zero_grads(params.values())
-    total, ll, ssl = step_loss(model, part, idx, include_ll, ssl_rng)
+    total, ll, ssl = step_loss(model, part, idx, click, ssl_rng)
     ssl = ssl or it.SslOut(None, None)  # defaults: NaN similarities, no counts
     stats = (ssl.sim_mean, ssl.sim_min, ssl.sim_max,
              ssl.n_infeasible_interest, ssl.n_infeasible_feature)
@@ -602,7 +603,7 @@ def _run_epochs(
         rows = []
         for idx in batches:
             row = train_step(model, splits.train, idx, ssl_rng, optimizer, params,
-                             len(telemetry), include_ll=click)
+                             len(telemetry), click=click)
             rows.append(row)
             telemetry.append(row)
         scores = predict_scores(model, splits.valid, cfg.batch_size)

@@ -710,6 +710,46 @@ def test_gradient_reaches_ssl_tower():
     assert any(g is not None and np.any(g != 0) for g in enc_grads)
 
 
+@settings(max_examples=150, deadline=None)
+@given(n_j=st.integers(2, 3), n_branches=st.integers(1, 3), n_depths=st.integers(0, 2),
+       n_l=st.integers(3, 6), seq_len=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+       alphas=st.sampled_from([(0.3, 0.0), (0.0, 0.3), (0.3, 0.3)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_contrastive_gradient_is_orthogonal_to_every_ssl_parameter(
+    n_j, n_branches, n_depths, n_l, seq_len, alphas, seed
+):
+    # the contrastive losses read every map through bias-free ReLU
+    # encoders and normalize_rows, so they are invariant to scaling any
+    # one ssl: parameter, and <grad w, w> = d/ds L(e^s w) is 0.  That
+    # derivative is in the loss's own units whatever the scale of w, so
+    # its bound is absolute: relative to the step's gradient norms it
+    # fails where every true gradient is 0 and the computed ones are
+    # roundoff (a width-1 kernel always; every parameter when the loss is
+    # flat, as with two rows and one dead view)
+    rng = np.random.default_rng(seed)
+    n = len(seq_len)
+    lens = np.minimum(seq_len, n_l)
+    seq = np.zeros((n, n_j, n_l), dtype=np.int64)
+    for i, s in enumerate(lens):
+        seq[i, :, n_l - s:] = rng.integers(2, 30, size=(n_j, s))
+    part = dict(cat=rng.integers(2, 10, size=(n, 1)), seq=seq, seq_len=lens,
+                cand=rng.integers(2, 30, size=(n, n_j)), label=np.arange(n) % 2)
+    fields = ["item"] + [f"attr_{j}" for j in range(1, n_j)]
+    splits = pack_splits([part] * 3, cat_fields=["user"], seq_fields=fields,
+                         vocab_sizes={"user": 10, **{f: 30 for f in fields}}, max_len=n_l)
+    cfg = tiny_cfg(batch_size=n, n_branches=n_branches, n_depths=n_depths, max_len=n_l,
+                   alpha_interest=alphas[0], alpha_feature=alphas[1], seed=seed)
+    model = build_model(cfg, splits)
+    graph = ad.fresh_graph()
+    total, _, _ = trainer.step_loss(model, splits.train, np.arange(n), False,
+                                    np.random.default_rng(seed))
+    if total is not None:
+        graph.backward(total)
+    for name, p in model.parameters().items():
+        if name.startswith("ssl:") and p.grad_rows() is not None:
+            assert abs(np.vdot(p.grad, p.data)) <= 1e-12, name
+
+
 def test_one_sequence_lookup_per_step(monkeypatch):
     # user, the two candidate fields and the two sequence fields: the
     # contrastive tower reads the base tower's sequence lookup
@@ -754,7 +794,7 @@ def test_phase_one_leaves_base_mlp_untouched():
     ad.zero_grads(model.parameters().values())
     train_step(
         model, splits.train, np.arange(16), np.random.default_rng(3),
-        AdamState(), ssl_params, step=0, include_ll=False,
+        AdamState(), ssl_params, step=0, click=False,
     )
     for k, p in model.base_parameters().items():
         if k.startswith("base:"):
