@@ -23,13 +23,15 @@ until it passes that array to accumulate; an array passed to accumulate
 is never written again, and a second contribution is summed into a new
 array.
 
-The gradient of a gathered leaf table is row-sparse: gather_rows leaves
-(sorted unique rows, one summed gradient row each) on its table, never
-a table-sized array, and a second gather into the same table merges
-rows.  .grad still reads dense (it is built on first read), and every
-sum is the one a dense scatter-add into zeros would make, so sparse and
-dense gradients are bitwise equal.  A gathered op output takes that
-dense scatter-add directly, since the sweep reads its gradient dense.
+A gather into a leaf table with more rows than it has indices leaves a
+row-sparse gradient: (sorted unique rows, one summed gradient row each)
+on its table, never a table-sized array, and a second such gather
+merges rows.  .grad still reads dense (it is built on first read).
+Every other gather takes the dense scatter-add, one bincount and no
+sort: a leaf table no larger than its gather, and an op output, whose
+gradient the sweep reads dense.  Both forms sum each row's terms in
+input order from +0.0, and accumulate mixes them exactly, so sparse and
+dense gradients are bitwise equal.
 """
 
 from __future__ import annotations
@@ -497,8 +499,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     """Row lookup table[indices]; backward scatter-adds, so repeated
-    indices sum their gradients.  A leaf table's gradient is row-sparse,
-    only the rows looked up; an op output's is the dense scatter-add."""
+    indices sum their gradients.  A leaf table with more rows than
+    indices gets a row-sparse gradient, only the rows looked up; any
+    other table the dense scatter-add."""
     idx = np.asarray(indices)
     if table.ndim != 2:
         raise ShapeError(f"gather_rows needs a 2-d table, got shape {table.shape}")
@@ -508,7 +511,7 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
             f"min={idx.min()}, max={idx.max()}"
         )
     out = Tensor(table.data[idx])
-    dense = table._backward is not None
+    dense = table._backward is not None or table.shape[0] <= idx.size
 
     def backward(g):
         flat, rows = idx.reshape(-1), g.reshape(-1, table.shape[1])

@@ -1,11 +1,13 @@
 """Per-field embedding tables over the shared autodiff core.
 
 Table rows follow the id protocol from the data module: row 0 is the
-padding vector, zero at init, and no gradient reaches it: attention
-weights a padded step by a zero mask and no view window covers
-padding, so every term its lookups add is +-0 and sums to +0.0.  Row 1
-is reserved: no split emits id 1, so that row gets no gradient and
-keeps its initial value.
+padding vector, zero at init, and its gradient is +0.0: attention
+weighs a padded step by a zero mask and no view window covers padding,
+so every term its lookups add is +-0 and sums to +0.0.  Row 1 is
+reserved: no split emits id 1, so no lookup reaches it.  A table no
+larger than a gather into it takes a dense gradient (see autodiff),
+which holds +0.0 at both rows; Adam's update there is +0.0, so row 0
+stays zero and row 1 keeps its initial value.
 """
 
 from __future__ import annotations

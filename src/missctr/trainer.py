@@ -268,19 +268,21 @@ class AdamState:
     all kept across steps.
 
     Moments are whole-table arrays, kept in row order or in slot order.
-    A parameter whose first gradient is row-sparse (a table) starts in
-    slot order: slot i holds row order[i], a row takes the next free slot
-    the first time it has a gradient, and slot[row] is -1 until then; the
-    first n_live slots are live.  Once n_live reaches LIVE_SHARE of the
-    rows, or a dense gradient arrives, the moments go back to row order
-    for good and order, slot and n_live are dropped.  Every other
-    parameter starts in row order.
+    A parameter whose first gradient is row-sparse (a table with more
+    rows than each of its gathers has indices) starts in slot order:
+    slot i holds row order[i], a row takes the next free slot the first
+    time it has a gradient, and slot[row] is -1 until then; the first
+    n_live slots are live.  Once n_live reaches LIVE_SHARE of the rows,
+    or a dense gradient arrives, the moments go back to row order for
+    good and order, slot and n_live are dropped.  Every other parameter
+    starts in row order.
 
     The parameters with a dense gradient and at most ADAM_BLOCK rows at
-    the first step (kernels, encoders, attention unit and MLP) form one
-    group.  Its moments and work buffers are each one flat array, flat =
-    (m, v, update, denom), and a member's m, v and work entries are views
-    of its span of them."""
+    the first step (kernels, encoders, attention unit, MLP, and the
+    tables no larger than a gather into them) form one group.  Its
+    moments and work buffers are each one flat array, flat = (m, v,
+    update, denom), and a member's m, v and work entries are views of
+    its span of them."""
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)

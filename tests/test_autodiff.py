@@ -5,7 +5,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import dense_scatter_add, logsumexp_grad, masked_tap_sum_conv, relu_width_one_conv_grad
 
@@ -315,10 +315,13 @@ def test_gather_rows_backward_matches_dense_scatter_add(
         dense_term()
     graph.backward(reduce(ad.add, terms))
 
-    if dense == "none":  # held as the rows looked up, before .grad densifies
+    if dense == "none":  # read before .grad densifies
         rows, held = table.grad_rows()
-        np.testing.assert_array_equal(rows, np.unique(np.concatenate(looked_up)))
-        assert held.shape == (rows.size, k)
+        if all(i.size < n_rows for i in looked_up):  # held as the rows looked up
+            np.testing.assert_array_equal(rows, np.unique(np.concatenate(looked_up)))
+            assert held.shape == (rows.size, k)
+        else:  # a gather with no fewer indices than rows scatters densely
+            assert rows is ... and held.shape == (n_rows, k)
     # the sweep runs the tape backwards: the last part arrives first
     want = parts[-1].copy()
     for part in reversed(parts[:-1]):
@@ -342,9 +345,10 @@ def test_gather_rows_gradient_holds_only_the_rows_looked_up():
 def test_gather_rows_scatters_densely_into_an_op_output_table():
     # an op output's own backward reads its gradient dense, so a gather
     # from it leaves the dense scatter-add, byte for byte np.add.at into
-    # zeros; a leaf table gathered beside it stays row-sparse
+    # zeros; a leaf table gathered beside it, with more rows than the 6
+    # indices, stays row-sparse
     rng = np.random.default_rng(7)
-    leaf, other = ad.parameter(rng.standard_normal((6, 3))), ad.parameter(rng.standard_normal((6, 3)))
+    leaf, other = ad.parameter(rng.standard_normal((7, 3))), ad.parameter(rng.standard_normal((6, 3)))
     idx = np.array([[4, 1], [4, 0], [1, 4]])
     up = _with_signed_zeros(rng, (3, 2, 3))
     table = ad.scale(other, 2.0)
@@ -360,6 +364,50 @@ def test_gather_rows_scatters_densely_into_an_op_output_table():
     graph.backward(loss())
     np.testing.assert_array_equal(leaf.grad_rows()[0], [0, 1, 4])
     fd_check(loss, {"leaf": leaf, "other": other})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_rows=st.integers(1, 40),
+    k=st.integers(1, 3),
+    gathers=st.lists(st.tuples(st.integers(-4, 4), st.booleans()), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_rows=5, k=2, gathers=[(-1, False), (0, False), (-5, False)], seed=0)  # sparse, dense, empty
+@example(n_rows=5, k=2, gathers=[(-2, False), (-1, True)], seed=1)  # sparse beside an op output
+def test_gather_rows_is_row_sparse_exactly_while_the_table_outnumbers_its_gathers(
+    n_rows, k, gathers, seed
+):
+    # each gather takes n_rows + offset indices (at least 0), from the
+    # leaf table or from an op output of it; the gradient must be the
+    # dense scatter-adds summed in the order the sweep delivers them,
+    # byte for byte, and held row-sparse exactly when every gather read
+    # the leaf itself with fewer indices than it has rows
+    rng = np.random.default_rng(seed)
+    leaf = ad.parameter(rng.standard_normal((n_rows, k)))
+    graph = ad.fresh_graph()
+    op_table = ad.reshape(leaf, leaf.shape)
+    terms, leaf_parts, op_parts, looked_up = [], [], [], []
+    for offset, via_op in gathers:
+        idx = rng.integers(0, n_rows, size=max(n_rows + offset, 0))
+        up = _with_signed_zeros(rng, (idx.size, k))
+        terms.append(ad.tsum(ad.mul(ad.gather_rows(op_table if via_op else leaf, idx), ad.constant(up))))
+        (op_parts if via_op else leaf_parts).append(dense_scatter_add(n_rows, idx, up))
+        looked_up.append(idx)
+    graph.backward(reduce(ad.add, terms))
+
+    def swept(parts):  # the sweep runs the tape backwards: the last part arrives first
+        return reduce(lambda acc, part: acc + part, reversed(parts[:-1]), parts[-1])
+
+    # the reshape node precedes every gather, so its sum arrives last
+    want = swept(leaf_parts) + swept(op_parts) if leaf_parts and op_parts else swept(leaf_parts or op_parts)
+    rows, held = leaf.grad_rows()  # before .grad densifies
+    if all(not via_op and i.size < n_rows for (_, via_op), i in zip(gathers, looked_up)):
+        np.testing.assert_array_equal(rows, np.unique(np.concatenate(looked_up)))
+        assert held.shape == (rows.size, k)
+    else:
+        assert rows is ... and held.shape == (n_rows, k)
+    assert leaf.grad.tobytes() == want.tobytes()
 
 
 def test_take_is_a_view_and_two_takes_fill_their_slots():

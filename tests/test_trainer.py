@@ -241,6 +241,7 @@ ROW_SETS = st.one_of(st.just("dense"), st.just("all"), st.lists(st.integers(0, 3
        seed=st.integers(0, 2**32 - 1))
 @example(n=10, k=2, steps=[[1, 1, 2], "dense", [3]], seed=0)  # a dense gradient in slot order
 @example(n=20, k=1, steps=[[0], [1, 2, 2, 3], [4, 5, 6, 7, 8], [9]], seed=1)  # switches at step 3
+@example(n=10, k=1, steps=[[3] * 10], seed=0)  # one row, but as many indices as rows: dense
 def test_live_row_adam_is_textbook_adam_after_every_step(n, k, steps, seed):
     rng = np.random.default_rng(seed)
     init = rng.uniform(-1.0, 1.0, (n, k))
@@ -273,7 +274,9 @@ def test_live_row_adam_is_textbook_adam_after_every_step(n, k, steps, seed):
             np.testing.assert_array_equal(got_v, v)
             cold = np.setdiff1d(np.arange(n), sorted(seen))
             assert p.data[cold].tobytes() == init[cold].tobytes(), t
-            in_slots = in_slots and rows != "dense" and len(seen) < trainer.LIVE_SHARE * n
+            # a gather with no fewer indices than rows gives a dense gradient
+            in_slots = (in_slots and rows != "dense" and idx.size < n
+                        and len(seen) < trainer.LIVE_SHARE * n)
             if in_slots:
                 live = state.order["p"][: state.n_live["p"]]
                 assert state.n_live["p"] == len(seen) and set(live.tolist()) == seen
@@ -533,11 +536,67 @@ def test_step_gives_the_padding_row_a_zero_gradient(gate_splits, model_name):
     gathered = []
     for name, table in model.tables.items():
         held = table.grad_rows()  # not .grad, which densifies
-        if held is not None and 0 in held[0]:
-            gathered.append(name)
-            row0 = held[1][held[0] == 0]
-            assert row0.tobytes() == np.zeros_like(row0).tobytes(), name
+        if held is None:
+            continue
+        rows, g = held
+        if rows is ...:  # a dense gradient holds every row, 0 included
+            row0 = g[:1]
+        elif 0 in rows:
+            row0 = g[rows == 0]
+        else:
+            continue
+        gathered.append(name)
+        assert row0.tobytes() == np.zeros_like(row0).tobytes(), name
     assert sorted(gathered) == sorted(gate_splits.seq_fields)
+
+
+@pytest.mark.parametrize("model_name", ["din-miss", "din"])
+def test_gate_step_sorts_only_the_gathers_smaller_than_their_table(gate_splits, model_name,
+                                                                    monkeypatch):
+    # the 502-row item and 7-row attr_1 tables are no larger than their
+    # 2,048-index history gathers, so they take dense gradients and join
+    # Adam's flat group; np.unique runs only in a gather with fewer
+    # indices than its leaf table has rows: the 128 users of 2,002, and
+    # the 128 candidate items of 502, which the history's dense gradient
+    # then absorbs without a sort
+    cfg = ExperimentConfig(
+        emb_dim=10, batch_size=128, lr=1e-2, tau=0.1, n_branches=2, n_depths=2,
+        max_offset=2, max_len=16, seed=0, model=model_name,
+    )
+    model = build_model(cfg, gate_splits)
+    real_gather, real_unique, unique_calls, sorts = ad.gather_rows, np.unique, [], []
+
+    def counted_unique(*args, **kwargs):
+        unique_calls.append(1)
+        return real_unique(*args, **kwargs)
+
+    def gather(table, indices):
+        out = real_gather(table, indices)
+        backward, n = out._backward, np.asarray(indices).size
+
+        def counted(g):
+            before = len(unique_calls)
+            backward(g)
+            sorts.append((table.name, n, table.shape[0], len(unique_calls) - before))
+
+        out._backward = counted
+        return out
+
+    monkeypatch.setattr(ad, "gather_rows", gather)
+    monkeypatch.setattr(np, "unique", counted_unique)
+    state = AdamState()
+    train_step(model, gate_splits.train, np.arange(128), np.random.default_rng(1), state,
+               model.parameters(), step=0)
+    monkeypatch.undo()
+    assert len(unique_calls) == sum(s[3] for s in sorts)
+    for name, n, n_rows, calls in sorts:
+        assert calls == (name.startswith("emb:") and n < n_rows), (name, n, n_rows)
+    assert sorted((name, n) for name, n, _, calls in sorts if calls) == [("emb:item", 128),
+                                                                        ("emb:user", 128)]
+    for field, sparse in (("user", True), ("item", False), ("attr_1", False)):
+        assert (model.tables[field].grad_rows()[0] is not ...) == sparse, field
+    assert {"emb:item", "emb:attr_1"} <= set(state.group) and "emb:user" not in state.group
+    assert list(state.slot) == ["emb:user"]
 
 
 # ---------------------------------------------------------------------------
