@@ -396,11 +396,11 @@ def test_gather_rows_is_row_sparse_exactly_while_the_table_outnumbers_its_gather
         looked_up.append(idx)
     graph.backward(reduce(ad.add, terms))
 
-    def swept(parts):  # the sweep runs the tape backwards: the last part arrives first
-        return reduce(lambda acc, part: acc + part, reversed(parts[:-1]), parts[-1])
-
-    # the reshape node precedes every gather, so its sum arrives last
-    want = swept(leaf_parts) + swept(op_parts) if leaf_parts and op_parts else swept(leaf_parts or op_parts)
+    # the sweep runs the tape backwards: a table takes the last gather's
+    # part first, and the reshape, which precedes every gather, hands the
+    # op output's sum to the leaf last
+    op_sum = [reduce(np.add, op_parts[::-1])] if op_parts else []
+    want = reduce(np.add, leaf_parts[::-1] + op_sum)
     rows, held = leaf.grad_rows()  # before .grad densifies
     if all(not via_op and i.size < n_rows for (_, via_op), i in zip(gathers, looked_up)):
         np.testing.assert_array_equal(rows, np.unique(np.concatenate(looked_up)))
