@@ -61,17 +61,17 @@ class ConvBank:
 
 
 def init_conv_bank(n_branches: int, n_depths: int, rng: np.random.Generator) -> ConvBank:
-    horizontal = [
-        ad.parameter(rng.uniform(-KERNEL_INIT, KERNEL_INIT, size=m + 1), name=f"ssl:conv_g{m + 1}")
-        for m in range(n_branches)
-    ]
-    vertical = [
-        [
-            ad.parameter(rng.uniform(-KERNEL_INIT, KERNEL_INIT, size=n + 1), name=f"ssl:conv_g{m + 1}v{n + 1}")
-            for n in range(n_depths)
-        ]
-        for m in range(n_branches)
-    ]
+    """Draw order: the horizontal kernels by width, then each branch's
+    vertical kernels by width, each one uniform draw of its width.  A
+    width-1 kernel scales a map in front of a ReLU, which the cosines of
+    both losses cannot see, so it is the constant sign of its draw."""
+    def kernel(width: int, name: str) -> Tensor:
+        draw = rng.uniform(-KERNEL_INIT, KERNEL_INIT, size=width)
+        return ad.parameter(draw, name=name) if width > 1 else ad.constant(np.sign(draw), name=name)
+
+    horizontal = [kernel(m + 1, f"ssl:conv_g{m + 1}") for m in range(n_branches)]
+    vertical = [[kernel(n + 1, f"ssl:conv_g{m + 1}v{n + 1}") for n in range(n_depths)]
+                for m in range(n_branches)]
     return ConvBank(horizontal, vertical)
 
 

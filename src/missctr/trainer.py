@@ -172,10 +172,10 @@ class MissModel:
 
     def parameters(self) -> dict[str, Tensor]:
         """Every parameter keyed by its own name, which is its checkpoint
-        key: tables, base model, kernels, interest and feature encoders."""
-        tables = {t.name: t for t in self.tables.values()}
-        return (tables | self.base.named() | self.conv.named() | self.enc_interest.named()
-                | self.enc_feature.named())
+        key: tables, base model, the kernels wider than 1, encoders."""
+        kernels = {k: g for k, g in self.conv.named().items() if g.requires_grad}
+        return ({t.name: t for t in self.tables.values()} | self.base.named() | kernels
+                | self.enc_interest.named() | self.enc_feature.named())
 
     def ssl_parameters(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.parameters().items() if not k.startswith("base:")}

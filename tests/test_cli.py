@@ -405,6 +405,24 @@ def test_eval_on_diverged_checkpoint_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1 and "checkpoint record 'base:mlp1_b' is not finite" in err
 
 
+def test_eval_on_checkpoint_with_width_one_kernels_exits_1(tmp_path, capsys):
+    # a checkpoint written while the width-1 kernels were parameters
+    # holds a record for each; the model no longer has one to load it into
+    corpus = synth_corpus(tmp_path)
+    out = str(tmp_path / "t")
+    assert run(["train", "--dataset", corpus, "--out-dir", out, *TINY]) == 0
+    ckpt = os.path.join(out, "checkpoint.bin")
+    old = ["ssl:conv_g1", "ssl:conv_g1v1", "ssl:conv_g2v1"]
+    save_arrays(ckpt, load_arrays(ckpt) | {name: np.full(1, 0.25) for name in old})
+    capsys.readouterr()
+    code = run(["eval", "--dataset", corpus, "--out-dir", str(tmp_path / "e"),
+                "--checkpoint", ckpt, *TINY])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1, err
+    assert f"checkpoint/model mismatch: missing [], unexpected {old}" in err
+    assert not (tmp_path / "e").exists()
+
+
 @pytest.mark.parametrize("record, index, value", [
     ("ssl:enc_int_w0", (0, 0), np.nan),  # feeds no score, so scoring cannot catch it
     ("emb:user", (1, 0), np.inf),  # a row no sample looks up
@@ -760,6 +778,9 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "max-rel-error" in out
     assert "pass" in out
+    # the width-1 kernels, whose exact gradient is 0, are constants, so
+    # every parameter left has a gradient to check
+    assert re.search(r" in 18 parameters, 0 unchecked$", out, re.M), out
 
 
 def test_gradcheck_fails_when_vertical_kernels_get_no_gradient(capsys, monkeypatch):
@@ -810,7 +831,9 @@ def summary_splits():
 
 
 def test_summary_conv_examples():
-    for n_branches, n_depths, want in ((4, 2, "22"), (1, 1, "2")):
+    # only the kernels wider than 1 are parameters: 4x2 counts widths
+    # 2-4 horizontal and one width 2 vertical per branch, 1x1 none
+    for n_branches, n_depths, want in ((4, 2, "17"), (1, 1, "0")):
         model = build_model(ExperimentConfig(n_branches=n_branches, n_depths=n_depths),
                             summary_splits())
         text = model_summary(model)
@@ -842,7 +865,7 @@ def test_summary_matches_built_model():
         "prediction mlp": sum(
             t.data.size for k, t in model.base.named().items() if k.startswith("base:mlp")
         ),
-        "conv bank": sum(g.data.size for g in model.conv.named().values()),
+        "conv bank": sum(g.data.size for g in model.conv.named().values() if g.requires_grad),
         "interest encoder": sum(w.data.size for w in model.enc_interest.weights),
         "feature encoder": sum(w.data.size for w in model.enc_feature.weights),
     }

@@ -18,6 +18,7 @@ from oracles import (
 )
 
 from missctr import autodiff as ad
+from missctr import interests as it
 from missctr import trainer
 from missctr.autodiff import Tensor
 from missctr.errors import ConfigError, DegenerateDatasetError, FormatError, NumericalError
@@ -499,7 +500,9 @@ def test_gate_step_leaves_the_one_row_slices_untrained(gate_splits):
     params = gate_step(gate_splits)
     for name in ("ssl:conv_g1v2", "ssl:conv_g2v2"):
         assert params[name].grad_rows() is None, name
-    assert params["ssl:conv_g1v1"].grad_rows() is not None
+    # a width-1 kernel is a constant sign, not a parameter
+    assert [k for k in params if k.startswith("ssl:conv_")] == [
+        "ssl:conv_g2", "ssl:conv_g1v2", "ssl:conv_g2v2"]
 
 
 def test_gate_step_peaks_below_20_mb(gate_splits):
@@ -609,7 +612,8 @@ def test_build_model_parameter_names():
     names = set(model.parameters())
     assert "emb:user" in names and "emb:item" in names
     assert "base:lau_w1" in names and "base:mlp0_w" in names
-    assert "ssl:conv_g1" in names and "ssl:conv_g2v2" in names
+    assert "ssl:conv_g2" in names and "ssl:conv_g2v2" in names
+    assert "ssl:conv_g1" not in names and "ssl:conv_g2v1" not in names
     assert any(n.startswith("ssl:enc_int") for n in names)
     assert any(n.startswith("ssl:enc_feat") for n in names)
 
@@ -624,8 +628,7 @@ def test_every_parameter_is_named_by_its_key():
         "emb:user", "emb:item", "emb:attr_1",
         "base:lau_w1", "base:lau_b1", "base:lau_w2", "base:lau_b2",
         "base:mlp0_w", "base:mlp0_b", "base:mlp1_w", "base:mlp1_b",
-        "ssl:conv_g1", "ssl:conv_g2",
-        "ssl:conv_g1v1", "ssl:conv_g1v2", "ssl:conv_g2v1", "ssl:conv_g2v2",
+        "ssl:conv_g2", "ssl:conv_g1v2", "ssl:conv_g2v2",
         "ssl:enc_int_w0", "ssl:enc_feat_w0",
     ]
 
@@ -807,6 +810,81 @@ def test_contrastive_gradient_is_orthogonal_to_every_ssl_parameter(
     for name, p in model.parameters().items():
         if name.startswith("ssl:") and p.grad_rows() is not None:
             assert abs(np.vdot(p.grad, p.data)) <= 1e-12, name
+
+
+def contrastive_instance(n_j, n_branches, n_depths, n_l, seq_len, alphas, seed):
+    """The model and splits of the orthogonality law test's instances:
+    one user field, n_j sequence fields, and one row per seq_len."""
+    rng = np.random.default_rng(seed)
+    n = len(seq_len)
+    lens = np.minimum(seq_len, n_l)
+    seq = np.zeros((n, n_j, n_l), dtype=np.int64)
+    for i, s in enumerate(lens):
+        seq[i, :, n_l - s:] = rng.integers(2, 30, size=(n_j, s))
+    part = dict(cat=rng.integers(2, 10, size=(n, 1)), seq=seq, seq_len=lens,
+                cand=rng.integers(2, 30, size=(n, n_j)), label=np.arange(n) % 2)
+    fields = ["item"] + [f"attr_{j}" for j in range(1, n_j)]
+    splits = pack_splits([part] * 3, cat_fields=["user"], seq_fields=fields,
+                         vocab_sizes={"user": 10, **{f: 30 for f in fields}}, max_len=n_l)
+    cfg = tiny_cfg(batch_size=n, n_branches=n_branches, n_depths=n_depths, max_len=n_l,
+                   alpha_interest=alphas[0], alpha_feature=alphas[1], seed=seed)
+    return build_model(cfg, splits), splits
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_j=st.integers(2, 3), n_branches=st.integers(1, 3), n_depths=st.integers(0, 2),
+       n_l=st.integers(3, 6), seq_len=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+       alphas=st.sampled_from([(0.3, 0.0), (0.0, 0.3), (0.3, 0.3)]),
+       seed=st.integers(0, 2**32 - 1), c=st.floats(0.5, 2.0))
+def test_contrastive_loss_ignores_the_scale_of_every_width_one_kernel(
+    n_j, n_branches, n_depths, n_l, seq_len, alphas, seed, c
+):
+    # a width-1 kernel scales a ReLU'd map that reaches the losses only
+    # through bias-free ReLU encoders and normalize_rows, so only its
+    # sign can matter: scaling it moves the loss by roundoff alone
+    model, splits = contrastive_instance(n_j, n_branches, n_depths, n_l, seq_len, alphas, seed)
+    rows = np.arange(len(seq_len))
+
+    def loss():
+        ad.fresh_graph()
+        total = trainer.step_loss(model, splits.train, rows, False, np.random.default_rng(seed))[0]
+        return None if total is None else float(total.data)
+
+    before = loss()
+    for g in model.conv.named().values():
+        if g.shape == (1,):
+            g.data = g.data * c
+    after = loss()
+    assert (before is None) == (after is None)
+    if before is not None:
+        assert abs(after - before) <= 1e-12, (before, after)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_branches=st.integers(1, 3), n_depths=st.integers(0, 2), n_j=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_only_the_kernels_wider_than_one_are_parameters(n_branches, n_depths, n_j, seed):
+    # replay init_conv_bank's draw order from a second generator: the
+    # horizontal kernels by width, then each branch's vertical ones
+    bank = it.init_conv_bank(n_branches, n_depths, np.random.default_rng(seed))
+    replay = np.random.default_rng(seed)
+    branches = range(1, n_branches + 1)
+    widths = {f"ssl:conv_g{m}": m for m in branches}
+    widths |= {f"ssl:conv_g{m}v{n}": n for m in branches for n in range(1, n_depths + 1)}
+    named = bank.named()
+    assert list(named) == list(widths)
+    for name, width in widths.items():
+        draw = replay.uniform(-it.KERNEL_INIT, it.KERNEL_INIT, size=width)
+        g = named[name]
+        if width == 1:
+            assert not g.requires_grad and g.data.tobytes() == np.sign(draw).tobytes(), name
+        else:
+            assert g.requires_grad and g.data.tobytes() == draw.tobytes(), name
+    model, _ = contrastive_instance(n_j, n_branches, n_depths, 6, [6, 4], (0.3, 0.3), seed)
+    params = model.parameters()
+    assert [k for k in params if k.startswith("ssl:conv_")] == [k for k, w in widths.items() if w > 1]
+    assert all(t.requires_grad for t in params.values())
+    assert all(params[k] is t for k, t in model.conv.named().items() if k in params)
 
 
 def test_one_sequence_lookup_per_step(monkeypatch):
