@@ -130,21 +130,14 @@ def mlp_predict(x: Tensor, params: BaseParams) -> Tensor:
 
 
 def field_concat(tables: dict[str, Tensor], fields: list[str], ids: np.ndarray) -> Tensor:
-    """ids (B, F) -> (B, F*K): per-field lookups concatenated in order."""
+    """ids (B, F) or (B, F, L) -> (B, F*K) or (B, L, F*K): per-field
+    lookups concatenated in order on the last axis.  On a batch's
+    history ids it gives the step vectors, the step's only sequence
+    lookup: the contrastive tower reads its channel stack from them."""
     from .embeddings import embed
 
     parts = [embed(tables, f, ids[:, j]) for j, f in enumerate(fields)]
-    return ad.concat(parts, axis=1)
-
-
-def behavior_matrix(tables: dict[str, Tensor], seq_fields: list[str], seq_ids: np.ndarray) -> Tensor:
-    """ids (B, J, L) -> step vectors (B, L, J*K), fields side by side.
-    This is the step's only sequence lookup: the contrastive tower
-    reads its channel stack from the same tensor."""
-    from .embeddings import embed
-
-    parts = [embed(tables, f, seq_ids[:, j, :]) for j, f in enumerate(seq_fields)]
-    return ad.concat(parts, axis=2)
+    return ad.concat(parts, axis=-1)
 
 
 def predict_batch(
@@ -158,7 +151,7 @@ def predict_batch(
     cand_ids: np.ndarray,
 ) -> Tensor:
     """Full base-model forward for one batch over the step vectors v
-    (B, L, J*K) from behavior_matrix and the batch's (B, L) mask of real
+    (B, L, J*K) from field_concat and the batch's (B, L) mask of real
     events (`SampleSet.batch`); returns (B,) probabilities."""
     cand = field_concat(tables, seq_fields, cand_ids)
     cats = field_concat(tables, cat_fields, cat_ids)

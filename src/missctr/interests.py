@@ -111,8 +111,8 @@ def mie_forward(C: Tensor, mask: np.ndarray, bank: ConvBank) -> InterestBank:
     and size each sample's window runs from its front-padded mask (B, L).
 
     A branch wider than the sequence is skipped, not an error:
-    downstream sampling simply never picks it (`trainer.build_model`
-    reports such a configuration once).
+    downstream sampling never picks it.  Only direct callers reach
+    this; every verb trains at a max_len >= n_branches.
     """
     if C.ndim != 4:
         raise ShapeError(f"channel stack must be (B, J, L, K), got {C.shape}")

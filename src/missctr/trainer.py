@@ -171,8 +171,8 @@ class MissModel:
     enc_feature: it.EncoderParams
 
     def parameters(self) -> dict[str, Tensor]:
-        """Every parameter keyed by its own name, which is its checkpoint
-        key: tables, base model, the kernels wider than 1, encoders."""
+        """Every parameter keyed by its own name, its checkpoint key:
+        tables, base model, then the kernels wider than 1 and encoders, if built."""
         kernels = {k: g for k, g in self.conv.named().items() if g.requires_grad}
         return ({t.name: t for t in self.tables.values()} | self.base.named() | kernels
                 | self.enc_interest.named() | self.enc_feature.named())
@@ -187,11 +187,11 @@ class MissModel:
 def build_model(cfg: ExperimentConfig, splits: Splits) -> MissModel:
     """Deterministic construction: one init stream, fixed draw order
     (tables, attention unit + MLP, kernels, encoders), so the base
-    model's parameters do not depend on whether the SSL tower exists.
-    Kernels wider than the sequence or the field count are warned about
-    here, once; the extractors skip them at every step.  So is a field
-    count that leaves every vertical kernel one field row or none, since
-    no feature pair can then be formed."""
+    model's parameters do not depend on whether cfg enables SSL, the
+    only case that draws the kernels and encoders.  Vertical kernels
+    wider than the field count are warned about here, once; the
+    extractors skip them at every step.  So is a field count that leaves
+    every vertical kernel one field row or none: no feature pair forms."""
     cfg.validate()
     rng = np.random.default_rng([cfg.seed, 0])
     ordered_sizes = {f: splits.vocab_sizes[f] for f in splits.cat_fields + splits.seq_fields}
@@ -201,17 +201,17 @@ def build_model(cfg: ExperimentConfig, splits: Splits) -> MissModel:
     step_dim = n_seq * cfg.emb_dim
     x_dim = n_cat * cfg.emb_dim + 2 * step_dim
     base = bm.init_base_params(x_dim, step_dim, tuple(cfg.mlp), rng)
-    conv = it.init_conv_bank(cfg.n_branches, cfg.n_depths, rng)
-    enc_i = it.init_encoder(step_dim, tuple(cfg.enc_interest), rng, "enc_int")
-    enc_f = it.init_encoder(cfg.emb_dim, tuple(cfg.enc_feature), rng, "enc_feat")
-    for kind, widest, size, axis in (("branch", cfg.n_branches, splits.max_len, "sequence length"),
-                                     ("vertical", cfg.n_depths, n_seq, "field count")):
-        if cfg.ssl_enabled and widest > size:
-            log.warning("%s width %d exceeds %s %d: the extractor skips the kernels wider than %d",
-                        kind, widest, axis, size, size)
-    if cfg.ssl_enabled and cfg.n_depths and n_seq < 2:
-        log.warning("field count %d leaves no vertical kernel 2 field rows: "
-                    "the feature loss never forms a pair, so its kernels never train", n_seq)
+    conv, enc_i, enc_f = it.ConvBank([], []), it.EncoderParams([]), it.EncoderParams([])
+    if cfg.ssl_enabled:
+        conv = it.init_conv_bank(cfg.n_branches, cfg.n_depths, rng)
+        enc_i = it.init_encoder(step_dim, tuple(cfg.enc_interest), rng, "enc_int")
+        enc_f = it.init_encoder(cfg.emb_dim, tuple(cfg.enc_feature), rng, "enc_feat")
+        if cfg.n_depths > n_seq:
+            log.warning("vertical width %d exceeds field count %d: "
+                        "the extractor skips the kernels wider than %d", cfg.n_depths, n_seq, n_seq)
+        if cfg.n_depths and n_seq < 2:
+            log.warning("field count %d leaves no vertical kernel 2 field rows: "
+                        "the feature loss never forms a pair, so its kernels never train", n_seq)
     return MissModel(
         cfg=cfg,
         cat_fields=list(splits.cat_fields),
@@ -470,7 +470,7 @@ def predict_scores(model: MissModel, part: SampleSet, batch_size: int) -> np.nda
     with ad.no_grad():
         for idx in make_batches(part.n, batch_size, shuffle=False):
             cat, seq, mask, cand, _ = part.batch(idx)
-            v = bm.behavior_matrix(model.tables, model.seq_fields, seq)
+            v = bm.field_concat(model.tables, model.seq_fields, seq)
             preds = bm.predict_batch(
                 model.tables, model.cat_fields, model.seq_fields, model.base,
                 cat, v, mask, cand,
@@ -502,7 +502,7 @@ def step_loss(
     stack from v; both towers read the batch's padding mask."""
     cfg = model.cfg
     cat, seq, mask, cand, label = part.batch(idx)
-    v = bm.behavior_matrix(model.tables, model.seq_fields, seq)
+    v = bm.field_concat(model.tables, model.seq_fields, seq)
 
     terms: list[Tensor] = []
     ll = None
@@ -634,15 +634,15 @@ def _run_epochs(
 
 def train(cfg: ExperimentConfig, splits: Splits) -> TrainResult:
     """Build (so validate) and train the model.  Joint: one phase on the
-    full loss, over every parameter and with the plan stream when SSL is
-    enabled, over the base parameters otherwise.  Pretrain with SSL
-    (else joint): a contrastive-only phase on the SSL parameters, then a
-    click-loss phase on the base ones, fresh optimizer, no plan stream."""
+    full loss over every parameter the model holds, with the plan stream
+    when SSL is enabled.  Pretrain with SSL (else joint): a
+    contrastive-only phase on the SSL parameters, then a click-loss phase
+    on the base ones, fresh optimizer, no plan stream."""
     model = build_model(cfg, splits)
     telemetry: list[StepRow] = []
     history: list[EpochRow] = []
     ssl_rng = np.random.default_rng([cfg.seed, 1]) if cfg.ssl_enabled else None
-    params = model.parameters() if cfg.ssl_enabled else model.base_parameters()
+    params = model.parameters()
     if cfg.strategy == "pretrain" and cfg.ssl_enabled:
         _run_epochs(model, splits, model.ssl_parameters(), ssl_rng, click=False,
                     telemetry=telemetry, history=history)

@@ -166,7 +166,7 @@ def test_full_chain_gradients_match_finite_differences():
     mask = front_mask(seq_len, n_l)
 
     def build():
-        v = bm.behavior_matrix(tables, seq_fields, seq)
+        v = bm.field_concat(tables, seq_fields, seq)
         preds = bm.predict_batch(tables, cat_fields, seq_fields, base, cat, v, mask, cand)
         return bm.logloss(preds, labels)
 

@@ -423,6 +423,24 @@ def test_eval_on_checkpoint_with_width_one_kernels_exits_1(tmp_path, capsys):
     assert not (tmp_path / "e").exists()
 
 
+def test_eval_din_on_checkpoint_with_ssl_records_exits_1(tmp_path, capsys):
+    # a din model holds no ssl: parameter, so a checkpoint with ssl:
+    # records, here a din-miss run's, does not load into it
+    corpus = synth_corpus(tmp_path)
+    out = str(tmp_path / "t")
+    assert run(["train", "--dataset", corpus, "--out-dir", out, *TINY]) == 0
+    ckpt = os.path.join(out, "checkpoint.bin")
+    ssl = sorted(k for k in load_arrays(ckpt) if k.startswith("ssl:"))
+    assert ssl
+    capsys.readouterr()
+    code = run(["eval", "--dataset", corpus, "--out-dir", str(tmp_path / "e"),
+                "--checkpoint", ckpt, "--model", "din", *TINY])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1, err
+    assert f"checkpoint/model mismatch: missing [], unexpected {ssl}" in err
+    assert not (tmp_path / "e").exists()
+
+
 @pytest.mark.parametrize("record, index, value", [
     ("ssl:enc_int_w0", (0, 0), np.nan),  # feeds no score, so scoring cannot catch it
     ("emb:user", (1, 0), np.inf),  # a row no sample looks up

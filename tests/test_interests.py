@@ -35,7 +35,7 @@ def test_channel_stack_is_the_field_table_rows():
     fields = ["item", "attr_1", "attr_2"]
     tables = E.init_tables({f: 9 for f in fields}, 4, rng)
     seq = rng.integers(0, 9, size=(3, len(fields), 5))
-    C = I.channel_stack(bm.behavior_matrix(tables, fields, seq), len(fields))
+    C = I.channel_stack(bm.field_concat(tables, fields, seq), len(fields))
     assert C.shape == (3, 3, 5, 4)
     for j, f in enumerate(fields):
         assert np.array_equal(C.data[:, j], tables[f].data[seq[:, j]])

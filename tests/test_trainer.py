@@ -22,7 +22,7 @@ from missctr import interests as it
 from missctr import trainer
 from missctr.autodiff import Tensor
 from missctr.errors import ConfigError, DegenerateDatasetError, FormatError, NumericalError
-from missctr.serialize import save_arrays
+from missctr.serialize import load_arrays, save_arrays
 from missctr.trainer import (
     AdamState,
     ExperimentConfig,
@@ -641,6 +641,17 @@ def test_base_init_independent_of_ssl_tower():
         assert np.array_equal(a.parameters()[k].data, b.parameters()[k].data), k
 
 
+@pytest.mark.parametrize("over", [dict(model="din"), dict(alpha_interest=0.0, alpha_feature=0.0)])
+def test_a_model_without_ssl_holds_and_saves_only_the_base_model(tmp_path, over):
+    model = build_model(tiny_cfg(**over), make_toy_splits())
+    params = model.parameters()
+    assert {k.split(":")[0] for k in params} == {"emb", "base"}
+    assert params == model.base_parameters()
+    path = str(tmp_path / "ckpt.bin")
+    save_checkpoint(path, model)
+    assert not [k for k in load_arrays(path) if k.startswith("ssl:")]
+
+
 def test_checkpoint_round_trip(tmp_path):
     splits = make_toy_splits()
     model = build_model(tiny_cfg(), splits)
@@ -788,20 +799,8 @@ def test_contrastive_gradient_is_orthogonal_to_every_ssl_parameter(
     # fails where every true gradient is 0 and the computed ones are
     # roundoff (a width-1 kernel always; every parameter when the loss is
     # flat, as with two rows and one dead view)
-    rng = np.random.default_rng(seed)
+    model, splits = contrastive_instance(n_j, n_branches, n_depths, n_l, seq_len, alphas, seed)
     n = len(seq_len)
-    lens = np.minimum(seq_len, n_l)
-    seq = np.zeros((n, n_j, n_l), dtype=np.int64)
-    for i, s in enumerate(lens):
-        seq[i, :, n_l - s:] = rng.integers(2, 30, size=(n_j, s))
-    part = dict(cat=rng.integers(2, 10, size=(n, 1)), seq=seq, seq_len=lens,
-                cand=rng.integers(2, 30, size=(n, n_j)), label=np.arange(n) % 2)
-    fields = ["item"] + [f"attr_{j}" for j in range(1, n_j)]
-    splits = pack_splits([part] * 3, cat_fields=["user"], seq_fields=fields,
-                         vocab_sizes={"user": 10, **{f: 30 for f in fields}}, max_len=n_l)
-    cfg = tiny_cfg(batch_size=n, n_branches=n_branches, n_depths=n_depths, max_len=n_l,
-                   alpha_interest=alphas[0], alpha_feature=alphas[1], seed=seed)
-    model = build_model(cfg, splits)
     graph = ad.fresh_graph()
     total, _, _ = trainer.step_loss(model, splits.train, np.arange(n), False,
                                     np.random.default_rng(seed))
