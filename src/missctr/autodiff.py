@@ -36,7 +36,6 @@ dense gradients are bitwise equal.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -189,7 +188,6 @@ class Graph:
 
 
 _ACTIVE = Graph()
-_GRAD_ENABLED = True
 
 
 def active_graph() -> Graph:
@@ -203,20 +201,8 @@ def fresh_graph() -> Graph:
     return _ACTIVE
 
 
-@contextmanager
-def no_grad():
-    """Run forwards without taping; numerics are unchanged."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
-
-
 def _register(out: Tensor, backward: Callable[[np.ndarray], None], *parents: Tensor) -> Tensor:
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._backward = backward
         _ACTIVE.append(out)
@@ -298,10 +284,14 @@ def relu(x: Tensor) -> Tensor:
     return _register(out, backward, x)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Stable logistic of an array, exp only ever of -|x|: sigmoid's forward."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic: exp is only ever taken of -|x|."""
-    z = np.exp(-np.abs(x.data))
-    val = np.where(x.data >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+    val = logistic(x.data)
     out = Tensor(val)
 
     def backward(g):

@@ -18,6 +18,8 @@ import sys
 from dataclasses import asdict, fields, replace
 from typing import get_type_hints
 
+import numpy as np
+
 from . import data as dt
 from .errors import ConfigError, DataError, MetricError, NumericalError
 from .gradcheck import tiny_instance_check
@@ -466,7 +468,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a failure prints its error line alone
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

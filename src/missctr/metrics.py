@@ -40,8 +40,7 @@ def auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def logloss_value(scores: np.ndarray, labels: np.ndarray) -> float:
     """Same clipped binary cross-entropy the trainer optimizes."""
-    with ad.no_grad():
-        return float(_logloss_op(ad.constant(np.asarray(scores, dtype=np.float64)), labels).data)
+    return float(_logloss_op(ad.constant(np.asarray(scores, dtype=np.float64)), labels).data)
 
 
 @dataclass

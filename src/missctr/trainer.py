@@ -465,17 +465,18 @@ class TrainResult:
 
 
 def predict_scores(model: MissModel, part: SampleSet, batch_size: int) -> np.ndarray:
-    """Ordered, full-coverage predictions (partial tail batch kept)."""
+    """Ordered, full-coverage predictions (partial tail batch kept), by
+    the untaped `bm.score_batch` with the unit folded once per call:
+    bitwise the taped training forward's, and no tape node or .grad is
+    touched, so a call may sit between a step's forward and backward."""
     out = np.zeros(part.n)
-    with ad.no_grad():
-        for idx in make_batches(part.n, batch_size, shuffle=False):
-            cat, seq, mask, cand, _ = part.batch(idx)
-            v = bm.field_concat(model.tables, model.seq_fields, seq)
-            preds = bm.predict_batch(
-                model.tables, model.cat_fields, model.seq_fields, model.base,
-                cat, v, mask, cand,
-            )
-            out[idx] = preds.data
+    folded = bm.fold_unit(model.base)
+    for idx in make_batches(part.n, batch_size, shuffle=False):
+        cat, seq, mask, cand, _ = part.batch(idx)
+        out[idx] = bm.score_batch(
+            model.tables, model.cat_fields, model.seq_fields, model.base, folded,
+            cat, seq, mask, cand,
+        )
     return out
 
 

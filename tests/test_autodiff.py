@@ -243,15 +243,6 @@ def test_forward_deterministic():
     assert np.array_equal(r1, r2)
 
 
-def test_no_grad_skips_tape():
-    x = ad.parameter([1.0, 2.0])
-    g = ad.fresh_graph()
-    with ad.no_grad():
-        out = ad.relu(x)
-    assert not out.requires_grad
-    assert len(g.nodes) == 0
-
-
 def test_gather_rows_scatter_add():
     table = ad.parameter(np.arange(10.0).reshape(5, 2))
     g = ad.fresh_graph()

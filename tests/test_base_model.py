@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import concat_laup_pool, front_mask
 
 from missctr import autodiff as ad
@@ -173,3 +175,40 @@ def test_full_chain_gradients_match_finite_differences():
     params = {**{f"emb_{k}": v for k, v in tables.items()}, **base.named()}
     report = check_gradients(build, params)
     assert report.ok, "\n".join(report.lines())
+
+
+# ---------------------------------------------------------------------------
+# the untaped scorer
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_seq=st.integers(1, 3), n_cat=st.integers(1, 2), dim=st.integers(1, 6),
+    n_hidden=st.integers(0, 2), n_l=st.integers(1, 8), n_b=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_score_batch_is_bitwise_predict_batch(n_seq, n_cat, dim, n_hidden, n_l, n_b, seed):
+    rng = np.random.default_rng(seed)
+    cat_fields = [f"cat{j}" for j in range(n_cat)]
+    seq_fields = [f"seq{j}" for j in range(n_seq)]
+    sizes = {f: int(rng.integers(3, 12)) for f in cat_fields + seq_fields}
+    tables = E.init_tables(sizes, dim, rng)
+    mlp = (*rng.integers(1, 9, size=n_hidden).tolist(), 1)
+    base = bm.init_base_params((n_cat + 2 * n_seq) * dim, n_seq * dim, mlp, rng)
+    for t in [*tables.values(), *base.named().values()]:  # off init: biases and pad rows too
+        t.data += rng.normal(size=t.shape) * rng.uniform(0.1, 3.0)
+
+    def ids(fields, *shape):  # real ids start at 2 (0 pads, 1 is reserved)
+        return np.stack([rng.integers(2, sizes[f], size=shape) for f in fields], axis=1)
+
+    seq_len = rng.integers(0, n_l + 1, size=n_b)
+    mask = np.arange(n_l) >= (n_l - seq_len)[:, None]  # front-padded, as SampleSet.batch
+    seq = np.where(mask[:, None, :], ids(seq_fields, n_b, n_l), 0)
+    cat, cand = ids(cat_fields, n_b), ids(seq_fields, n_b)
+
+    v = bm.field_concat(tables, seq_fields, seq)
+    want = bm.predict_batch(tables, cat_fields, seq_fields, base, cat, v, mask, cand).data
+    got = bm.score_batch(tables, cat_fields, seq_fields, base, bm.fold_unit(base),
+                         cat, seq, mask, cand)
+    assert got.shape == want.shape == (n_b,) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()

@@ -704,6 +704,22 @@ def test_train_on_a_per_row_window_snapshot_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and snapshot in err and "rerun `missctr ingest`" in err
 
 
+def test_numerical_failure_exits_3_in_one_line(tmp_path):
+    # in a child process, where numpy's floating-point warnings would reach
+    # stderr as they do for a user, rather than pytest's warning capture
+    corpus = synth_corpus(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(missctr.__file__)),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "missctr.cli", "train", "--dataset", corpus,
+         "--out-dir", str(tmp_path / "t"), *TINY, "--tau", "5e-324", "--epochs", "1"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: non-finite "), proc.stderr
+    assert not (tmp_path / "t").exists()
+
+
 MEMORY_CAP = 1536 << 20  # bytes of address space for the child: numpy starts, no huge array fits
 
 

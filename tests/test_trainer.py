@@ -1042,3 +1042,28 @@ def test_predict_scores_covers_tail_batch():
     want = predict_scores(model, splits.valid, 16)
     assert np.allclose(got, want, rtol=0, atol=1e-15)
     assert np.all(got > 0) and np.all(got < 1)
+
+
+def test_predict_scores_between_forward_and_backward_leaves_the_tape_alone():
+    # scoring runs off the tape: mid-step it appends no node and writes
+    # no gradient, and the step's backward is the one it has without it
+    splits = make_toy_splits()
+    model = build_model(tiny_cfg(), splits)
+    params = model.parameters()
+    alone = predict_scores(model, splits.valid, 4)
+
+    def step_grads(score_mid_step):
+        ad.zero_grads(params.values())
+        graph = ad.fresh_graph()
+        loss, _, _ = trainer.step_loss(model, splits.train, np.arange(16), True,
+                                       np.random.default_rng(0))
+        n_nodes = len(graph.nodes)
+        if score_mid_step:
+            scores = predict_scores(model, splits.valid, 4)
+            assert scores.tobytes() == alone.tobytes()
+            assert ad.active_graph() is graph and len(graph.nodes) == n_nodes
+            assert all(p.grad is None for p in params.values())
+        graph.backward(loss)
+        return {k: None if p.grad is None else p.grad.tobytes() for k, p in params.items()}
+
+    assert step_grads(True) == step_grads(False)
