@@ -7,7 +7,9 @@ Reading one time column across all fields gives an interest vector of
 width J*K; a second bank of vertical kernels (width n along the field
 axis, separate per horizontal branch) refines each branch into
 fine-grained maps (B, J-n+1, L-m+1, K) whose rows are K-wide feature
-views.
+views.  A feature pair reads two distinct rows, so a model holds only
+the vertical kernels of width n <= J-1 (ConvBank.for_fields); the
+extractors convolve every kernel of the bank they are given.
 
 Two InfoNCE losses sit on top.  The interest loss draws, per pair slot,
 a branch, a time offset h, and an anchor column, and treats columns l
@@ -18,11 +20,11 @@ so each view side is one slot-major (P*n, D) stack (row p*n + i is slot
 p, contributor i).  Both sides of a loss come from one gather, stacked
 side after side, and pass once through a small weight-only MLP encoder;
 the encoded stack reshaped to (2, P, n, d) gives the two sides as
-views.  One
-InfoNCE call gives every slot its own softmax over its n rows, the
-positive included, and reads each positive as the dot product of its
-two normalized rows.  Samples whose sequences are too short to form a
-view pair drop out of the loss and are counted, never imputed.
+views.  One InfoNCE call gives every slot its own softmax over its n
+rows, the positive included, and reads each positive as the dot
+product of its two normalized rows.  Samples whose sequences are too
+short to form a view pair drop out of the loss and are counted, never
+imputed.
 
 Histories are front-padded and kernel widths grow with the branch
 index, so a sample's all-real windows in a branch are one run at its
@@ -58,6 +60,13 @@ class ConvBank:
         """Each kernel under its own name: the horizontal ones, then the
         vertical ones branch by branch."""
         return {g.name: g for g in self.horizontal + [g for row in self.vertical for g in row]}
+
+    def for_fields(self, n_fields: int) -> ConvBank:
+        """The kernels a loss can reach over n_fields field rows.  A
+        feature pair reads two distinct rows of one refined map, so only
+        the vertical kernels of width <= n_fields - 1 are kept."""
+        return ConvBank(self.horizontal,
+                        [[g for g in row if g.shape[0] < n_fields] for row in self.vertical])
 
 
 def init_conv_bank(n_branches: int, n_depths: int, rng: np.random.Generator) -> ConvBank:
@@ -108,21 +117,14 @@ class InterestBank:
 
 def mie_forward(C: Tensor, mask: np.ndarray, bank: ConvBank) -> InterestBank:
     """Run every horizontal branch over the time axis of C (B, J, L, K)
-    and size each sample's window runs from its front-padded mask (B, L).
-
-    A branch wider than the sequence is skipped, not an error:
-    downstream sampling never picks it.  Only direct callers reach
-    this; every verb trains at a max_len >= n_branches.
-    """
+    and size each sample's window runs from its front-padded mask (B, L)."""
     if C.ndim != 4:
         raise ShapeError(f"channel stack must be (B, J, L, K), got {C.shape}")
-    n_l = C.shape[2]
-    kernels = [g for g in bank.horizontal if g.shape[0] <= n_l]
     seq_len = np.count_nonzero(mask, axis=1)[:, None]
-    widths = np.array([g.shape[0] for g in kernels], dtype=np.int64)
+    widths = np.array([g.shape[0] for g in bank.horizontal], dtype=np.int64)
     counts = np.maximum(seq_len - widths + 1, 0)
-    starts = np.where(counts > 0, n_l - seq_len, 0)
-    branches = [ad.conv1d(C, g, axis=2) for g in kernels]
+    starts = np.where(counts > 0, C.shape[2] - seq_len, 0)
+    branches = [ad.conv1d(C, g, axis=2) for g in bank.horizontal]
     return InterestBank(branches, counts, starts)
 
 
@@ -131,26 +133,14 @@ class FineBank:
     """Vertically refined maps per (branch, depth): (B, J-n+1, L-m+1, K).
     Time validity is inherited from the horizontal branch."""
 
-    maps: dict[tuple[int, int], Tensor]  # keyed by (branch index, depth index)
-
-    @property
-    def usable(self) -> list[tuple[int, int]]:
-        """The keys of the slices a feature pair can use (>= 2 rows), sorted."""
-        return [k for k in sorted(self.maps) if self.maps[k].shape[1] >= 2]
+    maps: dict[tuple[int, int], Tensor]  # keyed by (branch index, depth index), in key order
 
 
-def mimfe_forward(bank: InterestBank, conv: ConvBank, min_rows: int = 1) -> FineBank:
-    """Slide each branch's vertical kernels along the field axis; a
-    kernel that leaves fewer than min_rows field rows is skipped (with
-    the default 1, one wider than the field count)."""
-    maps: dict[tuple[int, int], Tensor] = {}
-    for bi, branch in enumerate(bank.branches):
-        n_j = branch.shape[1]
-        for di, g in enumerate(conv.vertical[bi]):
-            if n_j - g.shape[0] + 1 < min_rows:
-                continue
-            maps[(bi, di)] = ad.conv1d(branch, g, axis=1)
-    return FineBank(maps)
+def mimfe_forward(bank: InterestBank, conv: ConvBank) -> FineBank:
+    """Slide each branch's vertical kernels along the field axis."""
+    return FineBank({(bi, di): ad.conv1d(branch, g, axis=1)
+                     for bi, branch in enumerate(bank.branches)
+                     for di, g in enumerate(conv.vertical[bi])})
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +191,7 @@ def sample_interest_plan(
 @dataclass
 class FeaturePlan:
     """Chosen (refined slice, anchor column, two distinct rows) per pair
-    slot and contributor; slice_idx indexes FineBank.usable."""
+    slot and contributor; slice_idx indexes FineBank.maps in key order."""
 
     rows: np.ndarray
     slice_idx: np.ndarray
@@ -218,19 +208,19 @@ class FeaturePlan:
 def sample_feature_plan(
     bank: InterestBank, fine: FineBank, n_pairs: int, rng: np.random.Generator
 ) -> FeaturePlan:
-    """Uniform over feasible (branch, depth) slices: the slice must keep
-    >= 2 rows and the sample >= 1 valid time column in that branch.
-    Both views share the slice and column; rows are drawn distinct, an
-    ordered pair uniform over the slice's distinct rows.  The usable
-    slices are sorted by branch, so the feasible ones are a prefix too.
+    """Uniform over feasible (branch, depth) slices: the sample must
+    keep >= 1 valid time column in that branch.  Both views share the
+    slice and column; rows are drawn distinct, an ordered pair uniform
+    over the slice's distinct rows, so every slice needs >= 2 rows (see
+    ConvBank.for_fields).  The slices are keyed by branch first, so the
+    feasible ones are a prefix too.
 
     Draw order: the slices of all (P, n) slots, then all columns, then
     all first rows, then all second rows, each one `rng.integers` call
     with per-element bounds."""
     counts, starts = bank.counts, bank.starts
-    usable = fine.usable
-    slice_branch = np.array([bi for bi, _ in usable], dtype=np.int64)
-    slice_rows = np.array([fine.maps[k].shape[1] for k in usable], dtype=np.int64)
+    slice_branch = np.array([bi for bi, _ in fine.maps], dtype=np.int64)
+    slice_rows = np.array([m.shape[1] for m in fine.maps.values()], dtype=np.int64)
     n_feasible = (counts[:, slice_branch] >= 1).sum(axis=1)
     rows = np.flatnonzero(n_feasible)
     s = rng.integers(0, n_feasible[rows], size=(n_pairs, rows.size))
@@ -272,9 +262,9 @@ def gather_interest_views(bank: InterestBank, plan: InterestPlan) -> Tensor:
 def gather_feature_views(fine: FineBank, plan: FeaturePlan) -> Tensor:
     """Both (P*n, K) view sides in one (2*P*n, K) stack: first every
     slot's row_a, then every slot's row_b, at the same slice and column.
-    Only the slices a plan can sample are flattened into the table, so
-    the whole plan turns into table rows at once through slice_idx."""
-    maps = [fine.maps[k] for k in fine.usable]
+    Every slice is flattened into the table, so the whole plan turns
+    into table rows at once through slice_idx."""
+    maps = list(fine.maps.values())
     table, offs = _row_table(maps)
     nj, nl = np.array([m.shape[1:3] for m in maps]).T
     s = plan.slice_idx
@@ -388,10 +378,11 @@ def ssl_forward(
     """Extract, sample, encode, and score both contrastive losses for
     one batch.  The plans are a function of the padding mask, the map
     shapes and rng alone, never of parameter values, so a generator in
-    the same state draws the same plans.  Only the refined maps a
-    feature pair can use (>= 2 field rows) are built."""
+    the same state draws the same plans.  conv holds only the kernels
+    a loss can reach (ConvBank.for_fields), so every refined map it
+    builds has the >= 2 field rows a feature pair reads."""
     bank = mie_forward(C, mask, conv)
-    fine = mimfe_forward(bank, conv, min_rows=2)
+    fine = mimfe_forward(bank, conv)
     iplan = sample_interest_plan(bank, n_pairs_interest, max_offset, rng)
     fplan = sample_feature_plan(bank, fine, n_pairs_feature, rng)
 

@@ -188,10 +188,10 @@ def build_model(cfg: ExperimentConfig, splits: Splits) -> MissModel:
     """Deterministic construction: one init stream, fixed draw order
     (tables, attention unit + MLP, kernels, encoders), so the base
     model's parameters do not depend on whether cfg enables SSL, the
-    only case that draws the kernels and encoders.  Vertical kernels
-    wider than the field count are warned about here, once; the
-    extractors skip them at every step.  So is a field count that leaves
-    every vertical kernel one field row or none: no feature pair forms."""
+    only case that draws the kernels and encoders.  Every kernel is
+    drawn, then the model keeps only those a loss can reach
+    (ConvBank.for_fields); a field count that leaves no vertical kernel
+    is warned about here, once: no feature pair forms."""
     cfg.validate()
     rng = np.random.default_rng([cfg.seed, 0])
     ordered_sizes = {f: splits.vocab_sizes[f] for f in splits.cat_fields + splits.seq_fields}
@@ -203,15 +203,12 @@ def build_model(cfg: ExperimentConfig, splits: Splits) -> MissModel:
     base = bm.init_base_params(x_dim, step_dim, tuple(cfg.mlp), rng)
     conv, enc_i, enc_f = it.ConvBank([], []), it.EncoderParams([]), it.EncoderParams([])
     if cfg.ssl_enabled:
-        conv = it.init_conv_bank(cfg.n_branches, cfg.n_depths, rng)
+        conv = it.init_conv_bank(cfg.n_branches, cfg.n_depths, rng).for_fields(n_seq)
         enc_i = it.init_encoder(step_dim, tuple(cfg.enc_interest), rng, "enc_int")
         enc_f = it.init_encoder(cfg.emb_dim, tuple(cfg.enc_feature), rng, "enc_feat")
-        if cfg.n_depths > n_seq:
-            log.warning("vertical width %d exceeds field count %d: "
-                        "the extractor skips the kernels wider than %d", cfg.n_depths, n_seq, n_seq)
-        if cfg.n_depths and n_seq < 2:
-            log.warning("field count %d leaves no vertical kernel 2 field rows: "
-                        "the feature loss never forms a pair, so its kernels never train", n_seq)
+        if cfg.n_depths and not any(conv.vertical):
+            log.warning("field count %d keeps no vertical kernel: the feature loss "
+                        "never forms a pair, so its encoder never trains", n_seq)
     return MissModel(
         cfg=cfg,
         cat_fields=list(splits.cat_fields),

@@ -110,8 +110,9 @@ def naive_feature_plan(valid, fine, n_pairs, rng):
     assumption on which slices are feasible: (rows, slice_idx, anchor,
     row_a, row_b)."""
     counts, starts = _window_runs(valid)
-    slice_branch = np.array([bi for bi, _ in fine.usable], dtype=np.int64)
-    slice_rows = np.array([fine.maps[k].shape[1] for k in fine.usable], dtype=np.int64)
+    keys = list(fine.maps)
+    slice_branch = np.array([bi for bi, _ in keys], dtype=np.int64)
+    slice_rows = np.array([fine.maps[k].shape[1] for k in keys], dtype=np.int64)
     feas = counts[:, slice_branch] >= 1
     rows = np.flatnonzero(feas.any(axis=1))
     s = naive_pick_feasible(feas[rows], n_pairs, rng)

@@ -423,6 +423,25 @@ def test_eval_on_checkpoint_with_width_one_kernels_exits_1(tmp_path, capsys):
     assert not (tmp_path / "e").exists()
 
 
+def test_eval_on_checkpoint_with_one_row_vertical_kernels_exits_1(tmp_path, capsys):
+    # a two-field din-miss checkpoint written while the model still held
+    # the width-2 vertical kernels, which leave one field row and so
+    # never train, holds a record for each; the model no longer has them
+    corpus = synth_corpus(tmp_path)
+    out = str(tmp_path / "t")
+    assert run(["train", "--dataset", corpus, "--out-dir", out, *TINY]) == 0
+    ckpt = os.path.join(out, "checkpoint.bin")
+    old = ["ssl:conv_g1v2", "ssl:conv_g2v2"]
+    save_arrays(ckpt, load_arrays(ckpt) | {name: np.full(2, 0.25) for name in old})
+    capsys.readouterr()
+    code = run(["eval", "--dataset", corpus, "--out-dir", str(tmp_path / "e"),
+                "--checkpoint", ckpt, *TINY])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1, err
+    assert err.startswith("error: ") and f"missing [], unexpected {old}" in err
+    assert not (tmp_path / "e").exists()
+
+
 def test_eval_din_on_checkpoint_with_ssl_records_exits_1(tmp_path, capsys):
     # a din model holds no ssl: parameter, so a checkpoint with ssl:
     # records, here a din-miss run's, does not load into it
@@ -865,9 +884,10 @@ def summary_splits():
 
 
 def test_summary_conv_examples():
-    # only the kernels wider than 1 are parameters: 4x2 counts widths
-    # 2-4 horizontal and one width 2 vertical per branch, 1x1 none
-    for n_branches, n_depths, want in ((4, 2, "17"), (1, 1, "0")):
+    # only the kernels wider than 1 are parameters, and over two fields
+    # only the vertical ones of width 1 are kept: 4x2 counts the widths
+    # 2 + 3 + 4 = 9 horizontal and no vertical value, 1x1 none
+    for n_branches, n_depths, want in ((4, 2, "9"), (1, 1, "0")):
         model = build_model(ExperimentConfig(n_branches=n_branches, n_depths=n_depths),
                             summary_splits())
         text = model_summary(model)

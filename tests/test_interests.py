@@ -23,8 +23,11 @@ from oracles import (
 )
 
 
-def make_bank(n_branches, n_depths, seed=0):
-    return I.init_conv_bank(n_branches, n_depths, np.random.default_rng(seed))
+def make_bank(n_branches, n_depths, seed=0, n_fields=None):
+    """A full bank, or with n_fields the kernels a model over that many
+    fields holds."""
+    bank = I.init_conv_bank(n_branches, n_depths, np.random.default_rng(seed))
+    return bank if n_fields is None else bank.for_fields(n_fields)
 
 
 def test_channel_stack_is_the_field_table_rows():
@@ -104,14 +107,6 @@ def test_row_count_example():
     assert sum(t.shape[1] for t in fine.maps.values()) == 5
 
 
-def test_branch_wider_than_sequence_skipped():
-    bank = make_bank(4, 0)
-    C = ad.constant(np.random.default_rng(4).normal(size=(1, 2, 3, 2)))
-    out = I.mie_forward(C, np.ones((1, 3)), bank)
-    assert [3 - b.shape[2] + 1 for b in out.branches] == [1, 2, 3]
-    assert out.counts.shape == out.starts.shape == (1, 3)
-
-
 def test_param_count_law():
     for n_m, n_n in [(1, 1), (2, 2), (4, 2), (3, 0)]:
         bank = make_bank(n_m, n_n)
@@ -128,13 +123,11 @@ def test_mie_rejects_wrong_rank():
 def test_window_runs_are_the_oracle_masks_tail_run():
     # every buffer length L, history length s and kernel width w: the
     # all-real windows of the oracle mask are counts[s, w-1] columns from
-    # starts[s, w-1] (0 when none), and the width L+1 kernel makes no branch
+    # starts[s, w-1] (0 when none)
     for n_l in range(1, 9):
         mask = front_mask(range(n_l + 1), n_l)
-        out = I.mie_forward(ad.constant(np.zeros((n_l + 1, 1, n_l, 1))), mask, make_bank(n_l + 1, 0))
-        assert len(out.branches) == n_l
+        out = I.mie_forward(ad.constant(np.zeros((n_l + 1, 1, n_l, 1))), mask, make_bank(n_l, 0))
         assert out.counts.shape == out.starts.shape == (n_l + 1, n_l)
-        assert naive_window_validity(mask, n_l + 1).shape == (n_l + 1, 0)
         assert np.all(out.starts[out.counts == 0] == 0)
         for w in range(1, n_l + 1):
             cols = np.arange(n_l - w + 1)
@@ -240,7 +233,7 @@ def test_feature_plan_slice_uniform_over_own_feasible_slices():
     mid, bank = bank_for_lengths([1, 4], 6, 2, seed=32)
     fine = I.mimfe_forward(mid, bank)
     plan = I.sample_feature_plan(mid, fine, 6000, np.random.default_rng(32))
-    branch = np.array([bi for bi, _ in fine.usable])[plan.slice_idx]
+    branch = np.array([bi for bi, _ in fine.maps])[plan.slice_idx]
     assert np.all(branch[:, 0] == 0)
     counts = np.bincount(branch[:, 1], minlength=2)
     assert chi_square(counts) < CHI2_CRIT[1], counts
@@ -288,7 +281,7 @@ def test_feature_plan_rows_distinct_and_slice_shared():
     assert np.all(plan.row_a != plan.row_b)
     for p in range(plan.n_pairs):
         for ci, b in enumerate(plan.rows):
-            key = fine.usable[plan.slice_idx[p, ci]]
+            key = list(fine.maps)[plan.slice_idx[p, ci]]
             assert valid[key[0]][b, plan.anchor[p, ci]]
             n_rows = fine.maps[key].shape[1]
             assert plan.row_a[p, ci] < n_rows and plan.row_b[p, ci] < n_rows
@@ -307,15 +300,17 @@ def test_feature_plan_short_sequence_still_feasible():
 
 
 def test_two_field_depth_two_slice_excluded():
-    # J=2 with a width-2 vertical kernel leaves one row; that slice can
-    # never serve a two-row pair
+    # J=2 with a width-2 vertical kernel leaves one row, which can never
+    # serve a two-row pair, so a two-field bank does not hold that kernel
     mask = np.ones((2, 6))
-    bank = make_bank(1, 2, seed=8)
+    bank = make_bank(1, 2, seed=8, n_fields=2)
+    assert [g.name for g in bank.named().values()] == ["ssl:conv_g1", "ssl:conv_g1v1"]
     C = ad.constant(np.random.default_rng(8).normal(size=(2, 2, 6, 3)))
     mid = I.mie_forward(C, mask, bank)
     fine = I.mimfe_forward(mid, bank)
     plan = I.sample_feature_plan(mid, fine, 100, np.random.default_rng(8))
-    assert {fine.usable[s][1] for s in plan.slice_idx.reshape(-1)} == {0}
+    assert list(fine.maps) == [(0, 0)]
+    assert np.all(plan.slice_idx == 0)
 
 
 @settings(max_examples=150, deadline=2000)
@@ -323,22 +318,23 @@ def test_two_field_depth_two_slice_excluded():
     data=st.data(),
     max_len=st.integers(1, 8),
     n_fields=st.integers(1, 4),
-    n_branches=st.integers(1, 4),
     n_depths=st.integers(0, 3),
     n_pairs=st.integers(0, 4),
     max_offset=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_plans_equal_the_mask_based_oracle_draws(data, max_len, n_fields, n_branches, n_depths,
+def test_plans_equal_the_mask_based_oracle_draws(data, max_len, n_fields, n_depths,
                                                  n_pairs, max_offset, seed):
     # prefix draws from the window runs give the same plans as the
-    # (k+1)-th-true picks over the window masks, from the same stream
+    # (k+1)-th-true picks over the window masks, from the same stream;
+    # n_branches <= max_len, as ExperimentConfig.validate requires
+    n_branches = data.draw(st.integers(1, min(4, max_len)))
     seq_lens = data.draw(st.lists(st.integers(0, max_len), min_size=1, max_size=6))
-    bank = make_bank(n_branches, n_depths)
+    bank = make_bank(n_branches, n_depths, n_fields=n_fields)
     C = ad.constant(np.zeros((len(seq_lens), n_fields, max_len, 2)))
     mid = I.mie_forward(C, front_mask(seq_lens, max_len), bank)
     fine = I.mimfe_forward(mid, bank)
-    valid = oracle_valid(seq_lens, max_len, len(mid.branches))
+    valid = oracle_valid(seq_lens, max_len, n_branches)
     ip = I.sample_interest_plan(mid, n_pairs, max_offset, np.random.default_rng(seed))
     fp = I.sample_feature_plan(mid, fine, n_pairs, np.random.default_rng(seed))
     want_i = naive_interest_plan(valid, n_pairs, max_offset, np.random.default_rng(seed))
@@ -383,7 +379,7 @@ def test_gathered_feature_views_match_direct_indexing():
     assert views.shape == (2 * half, fine.maps[(0, 0)].shape[3])
     for p in range(plan.n_pairs):
         for ci, b in enumerate(plan.rows):
-            key = fine.usable[plan.slice_idx[p, ci]]
+            key = list(fine.maps)[plan.slice_idx[p, ci]]
             l = plan.anchor[p, ci]
             m = fine.maps[key].data
             assert np.array_equal(views.data[p * n + ci], m[b, plan.row_a[p, ci], l, :])
@@ -526,7 +522,7 @@ def test_similarity_stats_bounds():
 def test_ssl_forward_gradients_match_finite_differences():
     rng = np.random.default_rng(18)
     n_b, n_j, n_l, n_k = 3, 2, 6, 3
-    bank = make_bank(2, 2, seed=19)
+    bank = make_bank(2, 2, seed=19, n_fields=n_j)
     enc_i = I.init_encoder(n_j * n_k, (5, 5), np.random.default_rng(20), "enc_i")
     enc_f = I.init_encoder(n_k, (4, 4), np.random.default_rng(21), "enc_f")
     C0 = ad.parameter(rng.normal(size=(n_b, n_j, n_l, n_k)))
@@ -582,10 +578,11 @@ def test_contrast_splits_the_encoded_stack_bitwise_as_two_gathers():
 @pytest.mark.parametrize("n_j, built", [(2, [(0, 0), (1, 0)]), (3, [(0, 0), (0, 1), (1, 0), (1, 1)])])
 def test_ssl_forward_builds_only_the_maps_a_feature_pair_can_use(monkeypatch, n_j, built):
     # 2 branches x 2 depths: at J = 2 a width-2 vertical kernel leaves one
-    # field row, which no feature pair can use, and its map is not built;
-    # at J = 3 it leaves two.  mimfe_forward alone still returns every map
+    # field row, which no feature pair can use, so the J = 2 bank does not
+    # hold it and its map is not built; at J = 3 it leaves two.
+    # mimfe_forward over the full bank still returns every map
     rng = np.random.default_rng(45)
-    bank = make_bank(2, 2, seed=46)
+    bank = make_bank(2, 2, seed=46, n_fields=n_j)
     C0 = ad.parameter(rng.normal(size=(4, n_j, 6, 3)))
     enc_i = I.init_encoder(n_j * 3, (4,), rng, "enc_i")
     enc_f = I.init_encoder(3, (4,), rng, "enc_f")
@@ -595,12 +592,13 @@ def test_ssl_forward_builds_only_the_maps_a_feature_pair_can_use(monkeypatch, n_
     out = I.ssl_forward(C0, np.ones((4, 6)), bank, enc_i, enc_f, 2, 4, 2, 0.1,
                         rng=np.random.default_rng(47))
     (fine,) = fines
-    assert sorted(fine.maps) == fine.usable == built
+    assert list(fine.maps) == built
     assert out.loss_feature is not None
     # the batch-major 4-d nodes are the conv1d ones: one per branch and
     # one per built map
     assert sum(t.ndim == 4 and t.shape[0] == 4 for t in g.nodes) == 2 + len(built)
-    every = mimfe(I.mie_forward(C0, np.ones((4, 6)), bank), bank)
+    full = make_bank(2, 2, seed=46)
+    every = mimfe(I.mie_forward(C0, np.ones((4, 6)), full), full)
     assert sorted(every.maps) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -608,7 +606,7 @@ def test_ssl_tape_does_not_grow_with_pair_slots():
     # each loss tapes 1 view gather, 1 encoder pass, 1 reshape, 2 side
     # views and 1 InfoNCE, however many pair slots it scores
     rng = np.random.default_rng(31)
-    bank = make_bank(2, 2, seed=32)
+    bank = make_bank(2, 2, seed=32, n_fields=2)
     enc_i = I.init_encoder(6, (4, 4), np.random.default_rng(33), "enc_i")
     enc_f = I.init_encoder(3, (4, 4), np.random.default_rng(34), "enc_f")
     C0 = ad.parameter(rng.normal(size=(4, 2, 6, 3)))

@@ -494,15 +494,14 @@ def test_gradients_are_never_written_in_place(gate_splits, monkeypatch):
         assert p.data.tobytes() == checked[name].data.tobytes(), name
 
 
-def test_gate_step_leaves_the_one_row_slices_untrained(gate_splits):
-    # two fields: a width-2 vertical kernel leaves one field row, which no
-    # feature pair can sample, so no gradient reaches that kernel at all
+def test_gate_step_gives_every_parameter_a_gradient(gate_splits):
+    # two fields: a width-2 vertical kernel would leave one field row,
+    # which no feature pair can sample, so the model does not hold it, and
+    # a width-1 kernel is a constant sign: every parameter a step trains
+    # gets a gradient
     params = gate_step(gate_splits)
-    for name in ("ssl:conv_g1v2", "ssl:conv_g2v2"):
-        assert params[name].grad_rows() is None, name
-    # a width-1 kernel is a constant sign, not a parameter
-    assert [k for k in params if k.startswith("ssl:conv_")] == [
-        "ssl:conv_g2", "ssl:conv_g1v2", "ssl:conv_g2v2"]
+    assert [k for k, p in params.items() if p.grad_rows() is None] == []
+    assert [k for k in params if k.startswith("ssl:conv_")] == ["ssl:conv_g2"]
 
 
 def test_gate_step_peaks_below_20_mb(gate_splits):
@@ -612,8 +611,9 @@ def test_build_model_parameter_names():
     names = set(model.parameters())
     assert "emb:user" in names and "emb:item" in names
     assert "base:lau_w1" in names and "base:mlp0_w" in names
-    assert "ssl:conv_g2" in names and "ssl:conv_g2v2" in names
+    assert "ssl:conv_g2" in names
     assert "ssl:conv_g1" not in names and "ssl:conv_g2v1" not in names
+    assert "ssl:conv_g1v2" not in names and "ssl:conv_g2v2" not in names
     assert any(n.startswith("ssl:enc_int") for n in names)
     assert any(n.startswith("ssl:enc_feat") for n in names)
 
@@ -628,8 +628,7 @@ def test_every_parameter_is_named_by_its_key():
         "emb:user", "emb:item", "emb:attr_1",
         "base:lau_w1", "base:lau_b1", "base:lau_w2", "base:lau_b2",
         "base:mlp0_w", "base:mlp0_b", "base:mlp1_w", "base:mlp1_b",
-        "ssl:conv_g2", "ssl:conv_g1v2", "ssl:conv_g2v2",
-        "ssl:enc_int_w0", "ssl:enc_feat_w0",
+        "ssl:conv_g2", "ssl:enc_int_w0", "ssl:enc_feat_w0",
     ]
 
 
@@ -864,12 +863,14 @@ def test_contrastive_loss_ignores_the_scale_of_every_width_one_kernel(
        seed=st.integers(0, 2**32 - 1))
 def test_only_the_kernels_wider_than_one_are_parameters(n_branches, n_depths, n_j, seed):
     # replay init_conv_bank's draw order from a second generator: the
-    # horizontal kernels by width, then each branch's vertical ones
+    # horizontal kernels by width, then each branch's vertical ones; the
+    # model over n_j fields keeps the vertical ones of width <= n_j - 1
     bank = it.init_conv_bank(n_branches, n_depths, np.random.default_rng(seed))
     replay = np.random.default_rng(seed)
     branches = range(1, n_branches + 1)
-    widths = {f"ssl:conv_g{m}": m for m in branches}
-    widths |= {f"ssl:conv_g{m}v{n}": n for m in branches for n in range(1, n_depths + 1)}
+    horizontal = {f"ssl:conv_g{m}": m for m in branches}
+    vertical = {f"ssl:conv_g{m}v{n}": n for m in branches for n in range(1, n_depths + 1)}
+    widths = horizontal | vertical
     named = bank.named()
     assert list(named) == list(widths)
     for name, width in widths.items():
@@ -881,7 +882,8 @@ def test_only_the_kernels_wider_than_one_are_parameters(n_branches, n_depths, n_
             assert g.requires_grad and g.data.tobytes() == draw.tobytes(), name
     model, _ = contrastive_instance(n_j, n_branches, n_depths, 6, [6, 4], (0.3, 0.3), seed)
     params = model.parameters()
-    assert [k for k in params if k.startswith("ssl:conv_")] == [k for k, w in widths.items() if w > 1]
+    assert [k for k in params if k.startswith("ssl:conv_")] == (
+        [k for k, w in horizontal.items() if w > 1] + [k for k, w in vertical.items() if 1 < w < n_j])
     assert all(t.requires_grad for t in params.values())
     assert all(params[k] is t for k, t in model.conv.named().items() if k in params)
 
@@ -1008,8 +1010,9 @@ def test_non_finite_loss_aborts_with_diagnostic():
 
 
 def test_degenerate_extractor_is_reported_once(caplog):
-    # one field (no attribute column): the width-2 vertical kernels never
-    # fit, and the width-1 ones leave one field row, so no feature pair forms
+    # one field (no attribute column): every vertical kernel would leave
+    # at most one field row, so the model holds none and no feature pair
+    # forms
     from dataclasses import replace
 
     from missctr.data import build_splits, synth_generate
@@ -1022,10 +1025,10 @@ def test_degenerate_extractor_is_reported_once(caplog):
     assert len(result.telemetry) > 1
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert warnings == [
-        "vertical width 2 exceeds field count 1: the extractor skips the kernels wider than 1",
-        "field count 1 leaves no vertical kernel 2 field rows: "
-        "the feature loss never forms a pair, so its kernels never train",
+        "field count 1 keeps no vertical kernel: the feature loss never forms a pair, "
+        "so its encoder never trains",
     ]
+    assert result.model.conv.vertical == [[], []]
 
 
 def test_pad_row_stays_zero_through_training():
