@@ -86,7 +86,7 @@ def sweep_runs(axis: str, grid: list[float], cfg: ExperimentConfig,
         replace(cfg, seed=seed).validate()
     if axis in SWEEP_AXES and cfg.model == "din":
         raise ConfigError(f"a {axis} sweep of din is a no-op: only the contrastive tower reads it")
-    if axis != "loss_weight" and cfg.model == "din-miss" and not cfg.ssl_enabled:
+    if axis != "loss_weight" and cfg.model == "din-miss" and not (cfg.alpha_interest or cfg.alpha_feature):
         raise ConfigError(f"din-miss with both loss weights 0 is din: a {axis} study is a no-op")
     for r in grid if axis in ROBUSTNESS_KINDS else ():
         span = "(0, 1]" if axis == "sparsity" else "[0, 1)"

@@ -7,9 +7,10 @@ Reading one time column across all fields gives an interest vector of
 width J*K; a second bank of vertical kernels (width n along the field
 axis, separate per horizontal branch) refines each branch into
 fine-grained maps (B, J-n+1, L-m+1, K) whose rows are K-wide feature
-views.  A feature pair reads two distinct rows, so a model holds only
-the vertical kernels of width n <= J-1 (ConvBank.for_fields); the
-extractors convolve every kernel of the bank they are given.
+views.  An interest pair reads two time columns and a feature pair two
+distinct rows, so a model holds only the kernels a weighted loss can
+reach (trainer.build_model); the extractors convolve every kernel of
+the bank they are given.
 
 Two InfoNCE losses sit on top.  The interest loss draws, per pair slot,
 a branch, a time offset h, and an anchor column, and treats columns l
@@ -60,13 +61,6 @@ class ConvBank:
         """Each kernel under its own name: the horizontal ones, then the
         vertical ones branch by branch."""
         return {g.name: g for g in self.horizontal + [g for row in self.vertical for g in row]}
-
-    def for_fields(self, n_fields: int) -> ConvBank:
-        """The kernels a loss can reach over n_fields field rows.  A
-        feature pair reads two distinct rows of one refined map, so only
-        the vertical kernels of width <= n_fields - 1 are kept."""
-        return ConvBank(self.horizontal,
-                        [[g for g in row if g.shape[0] < n_fields] for row in self.vertical])
 
 
 def init_conv_bank(n_branches: int, n_depths: int, rng: np.random.Generator) -> ConvBank:
@@ -211,9 +205,9 @@ def sample_feature_plan(
     """Uniform over feasible (branch, depth) slices: the sample must
     keep >= 1 valid time column in that branch.  Both views share the
     slice and column; rows are drawn distinct, an ordered pair uniform
-    over the slice's distinct rows, so every slice needs >= 2 rows (see
-    ConvBank.for_fields).  The slices are keyed by branch first, so the
-    feasible ones are a prefix too.
+    over the slice's distinct rows, so every slice needs >= 2 rows (a
+    model holds no vertical kernel wider than J - 1).  The slices are
+    keyed by branch first, so the feasible ones are a prefix too.
 
     Draw order: the slices of all (P, n) slots, then all columns, then
     all first rows, then all second rows, each one `rng.integers` call
@@ -379,8 +373,10 @@ def ssl_forward(
     one batch.  The plans are a function of the padding mask, the map
     shapes and rng alone, never of parameter values, so a generator in
     the same state draws the same plans.  conv holds only the kernels
-    a loss can reach (ConvBank.for_fields), so every refined map it
-    builds has the >= 2 field rows a feature pair reads."""
+    a weighted loss can reach (trainer.build_model), so every refined
+    map it builds has the >= 2 field rows a feature pair reads.  A loss
+    is scored only when its encoder is held; the interest plan is drawn
+    either way, so the plan stream does not depend on that encoder."""
     bank = mie_forward(C, mask, conv)
     fine = mimfe_forward(bank, conv)
     iplan = sample_interest_plan(bank, n_pairs_interest, max_offset, rng)
@@ -388,7 +384,7 @@ def ssl_forward(
 
     cosines: list[np.ndarray] = []
     loss_i = loss_f = None
-    if iplan.rows.size >= 2:
+    if iplan.rows.size >= 2 and enc_interest.weights:
         loss_i = _contrast(gather_interest_views(bank, iplan), enc_interest, iplan.n_pairs, tau, cosines)
     if fplan.rows.size >= 2:
         loss_f = _contrast(gather_feature_views(fine, fplan), enc_feature, fplan.n_pairs, tau, cosines)

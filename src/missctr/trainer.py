@@ -2,12 +2,13 @@
 the joint and pretrain strategies over the base model plus contrastive
 auxiliaries.
 
-Total loss per step is  L = L_ll + a1 * L_int + a2 * L_feat.  The pair
-sampler draws from its own seeded plan stream, independent of batch
-shuffling, and a step runs the contrastive tower only when given that
-stream.  So turning the auxiliaries off (a1 = a2 = 0 or model "din")
-leaves the base trajectory bit-identical: no stream is made, no SSL
-graph built and no extra randomness consumed.
+Total loss per step is  L = L_ll + a1 * L_int + a2 * L_feat, and a model
+holds only the contrastive parts a loss with a positive weight trains
+(`build_model`).  The pair sampler draws from its own seeded plan
+stream, independent of batch shuffling, and a step runs the contrastive
+tower only when given that stream.  So turning the auxiliaries off
+(a1 = a2 = 0 or model "din") leaves the base trajectory bit-identical:
+no tower is held, so no plan stream is made and no SSL graph built.
 """
 
 from __future__ import annotations
@@ -105,10 +106,6 @@ class ExperimentConfig:
             return self.n_pairs_feature
         return self.n_branches * max(self.n_depths, 1)
 
-    @property
-    def ssl_enabled(self) -> bool:
-        return self.model == "din-miss" and (self.alpha_interest > 0 or self.alpha_feature > 0)
-
     def validate(self) -> "ExperimentConfig":
         for name, least in MINIMUMS.items():
             if getattr(self, name) < least:
@@ -186,12 +183,13 @@ class MissModel:
 
 def build_model(cfg: ExperimentConfig, splits: Splits) -> MissModel:
     """Deterministic construction: one init stream, fixed draw order
-    (tables, attention unit + MLP, kernels, encoders), so the base
-    model's parameters do not depend on whether cfg enables SSL, the
-    only case that draws the kernels and encoders.  Every kernel is
-    drawn, then the model keeps only those a loss can reach
-    (ConvBank.for_fields); a field count that leaves no vertical kernel
-    is warned about here, once: no feature pair forms."""
+    (tables, attention unit + MLP, kernels, encoders).  Then one rule
+    says what a din-miss loss with a positive weight can train: an
+    interest pair reads two time columns, so the horizontal kernels of
+    width <= L - 1; a feature pair two field rows, so the vertical ones
+    of width <= J - 1 and their branches.  The model holds the union, a
+    prefix of the branches, and the encoder of each loss that reaches a
+    kernel; a weighted loss that reaches none is warned about, once."""
     cfg.validate()
     rng = np.random.default_rng([cfg.seed, 0])
     ordered_sizes = {f: splits.vocab_sizes[f] for f in splits.cat_fields + splits.seq_fields}
@@ -201,23 +199,28 @@ def build_model(cfg: ExperimentConfig, splits: Splits) -> MissModel:
     step_dim = n_seq * cfg.emb_dim
     x_dim = n_cat * cfg.emb_dim + 2 * step_dim
     base = bm.init_base_params(x_dim, step_dim, tuple(cfg.mlp), rng)
-    conv, enc_i, enc_f = it.ConvBank([], []), it.EncoderParams([]), it.EncoderParams([])
-    if cfg.ssl_enabled:
-        conv = it.init_conv_bank(cfg.n_branches, cfg.n_depths, rng).for_fields(n_seq)
-        enc_i = it.init_encoder(step_dim, tuple(cfg.enc_interest), rng, "enc_int")
-        enc_f = it.init_encoder(cfg.emb_dim, tuple(cfg.enc_feature), rng, "enc_feat")
-        if cfg.n_depths and not any(conv.vertical):
-            log.warning("field count %d keeps no vertical kernel: the feature loss "
-                        "never forms a pair, so its encoder never trains", n_seq)
+    conv = it.init_conv_bank(cfg.n_branches, cfg.n_depths, rng)
+    enc_i = it.init_encoder(step_dim, tuple(cfg.enc_interest), rng, "enc_int")
+    enc_f = it.init_encoder(cfg.emb_dim, tuple(cfg.enc_feature), rng, "enc_feat")
+    weighted = [cfg.model == "din-miss" and a > 0 for a in (cfg.alpha_interest, cfg.alpha_feature)]
+    # kernel i of a row has width i + 1 (init_conv_bank)
+    n_int = min(cfg.n_branches, splits.max_len - 1) if weighted[0] else 0
+    n_vert = min(cfg.n_depths, n_seq - 1) if weighted[1] else 0
+    n_held = cfg.n_branches if n_vert else n_int
+    for live, n, why in zip(weighted, (n_int, n_vert), (
+            f"max_len {splits.max_len} gives no branch two windows: the interest",
+            f"field count {n_seq} and n_depths {cfg.n_depths} keep no vertical kernel: the feature")):
+        if live and not n:
+            log.warning("%s loss never forms a pair, so it trains nothing", why)
     return MissModel(
         cfg=cfg,
         cat_fields=list(splits.cat_fields),
         seq_fields=list(splits.seq_fields),
         tables=tables,
         base=base,
-        conv=conv,
-        enc_interest=enc_i,
-        enc_feature=enc_f,
+        conv=it.ConvBank(conv.horizontal[:n_held], [row[:n_vert] for row in conv.vertical[:n_held]]),
+        enc_interest=enc_i if n_int else it.EncoderParams([]),
+        enc_feature=enc_f if n_vert else it.EncoderParams([]),
     )
 
 
@@ -494,8 +497,9 @@ def step_loss(
     The click loss L_ll is built only when click is set.
 
     The plan stream is the switch: the contrastive tower is built, with
-    its plans drawn from ssl_rng, only when ssl_rng is given and cfg
-    enables SSL.  The sequence embeddings are looked up once, as the base
+    its plans drawn from ssl_rng, only when ssl_rng is given and the
+    model holds a tower (a conv bank), each loss only if its encoder is
+    held.  The sequence embeddings are looked up once, as the base
     tower's step vectors v, and the contrastive tower reads its channel
     stack from v; both towers read the batch's padding mask."""
     cfg = model.cfg
@@ -513,16 +517,16 @@ def step_loss(
         terms.append(ll)
 
     ssl = None
-    if ssl_rng is not None and cfg.ssl_enabled:
+    if ssl_rng is not None and model.conv.horizontal:
         ssl = it.ssl_forward(
             it.channel_stack(v, len(model.seq_fields)), mask,
             model.conv, model.enc_interest, model.enc_feature,
             cfg.pairs_interest, cfg.pairs_feature, cfg.max_offset, cfg.tau,
             ssl_rng,
         )
-        if ssl.loss_interest is not None and cfg.alpha_interest > 0:
+        if ssl.loss_interest is not None:
             terms.append(ad.scale(ssl.loss_interest, cfg.alpha_interest))
-        if ssl.loss_feature is not None and cfg.alpha_feature > 0:
+        if ssl.loss_feature is not None:
             terms.append(ad.scale(ssl.loss_feature, cfg.alpha_feature))
 
     return (reduce(ad.add, terms) if terms else None), ll, ssl
@@ -633,15 +637,15 @@ def _run_epochs(
 def train(cfg: ExperimentConfig, splits: Splits) -> TrainResult:
     """Build (so validate) and train the model.  Joint: one phase on the
     full loss over every parameter the model holds, with the plan stream
-    when SSL is enabled.  Pretrain with SSL (else joint): a
-    contrastive-only phase on the SSL parameters, then a click-loss phase
-    on the base ones, fresh optimizer, no plan stream."""
+    when the model holds a contrastive tower.  Pretrain with a tower
+    (else joint): a contrastive-only phase on the SSL parameters, then a
+    click-loss phase on the base ones, fresh optimizer, no plan stream."""
     model = build_model(cfg, splits)
     telemetry: list[StepRow] = []
     history: list[EpochRow] = []
-    ssl_rng = np.random.default_rng([cfg.seed, 1]) if cfg.ssl_enabled else None
+    ssl_rng = np.random.default_rng([cfg.seed, 1]) if model.conv.horizontal else None
     params = model.parameters()
-    if cfg.strategy == "pretrain" and cfg.ssl_enabled:
+    if cfg.strategy == "pretrain" and ssl_rng is not None:
         _run_epochs(model, splits, model.ssl_parameters(), ssl_rng, click=False,
                     telemetry=telemetry, history=history)
         params, ssl_rng = model.base_parameters(), None

@@ -69,6 +69,11 @@ RUNS = [
      ["robustness_noise_splits.tsv", "robustness_runs_noise_splits.tsv", "config.txt"]),
     ("gradcheck", ["gradcheck"], ["stdout"]),
     *GATE,
+    # one loss weight 0: the model holds neither that loss nor what only it reaches
+    ("interest-only", ["train", *SNAPSHOT, *TINY, "--alpha-feature", "0",
+                       "--out-dir", "interest-only"], TRAIN_FILES),
+    ("feature-only", ["train", *SNAPSHOT, *TINY, "--alpha-interest", "0",
+                      "--out-dir", "feature-only"], TRAIN_FILES),
 ]
 
 

@@ -460,6 +460,62 @@ def test_eval_din_on_checkpoint_with_ssl_records_exits_1(tmp_path, capsys):
     assert not (tmp_path / "e").exists()
 
 
+@pytest.mark.parametrize("flag, old", [
+    # what a run with one loss weight 0 checkpointed while the model still
+    # held that loss's encoder (one layer at TINY's widths)
+    ("--alpha-feature", {"ssl:enc_feat_w0": (4, 5)}),
+    ("--alpha-interest", {"ssl:enc_int_w0": (8, 6)}),
+])
+def test_eval_on_checkpoint_with_an_unweighted_loss_encoder_exits_1(tmp_path, capsys, flag, old):
+    corpus = synth_corpus(tmp_path)
+    out = str(tmp_path / "t")
+    assert run(["train", "--dataset", corpus, "--out-dir", out, *TINY, flag, "0"]) == 0
+    ckpt = os.path.join(out, "checkpoint.bin")
+    save_arrays(ckpt, load_arrays(ckpt) | {k: np.full(shape, 0.25) for k, shape in old.items()})
+    capsys.readouterr()
+    code = run(["eval", "--dataset", corpus, "--out-dir", str(tmp_path / "e"),
+                "--checkpoint", ckpt, *TINY, flag, "0"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1, err
+    assert f"checkpoint/model mismatch: missing [], unexpected {sorted(old)}" in err
+    assert not (tmp_path / "e").exists()
+
+
+def test_a_run_without_the_interest_loss_checkpoints_no_interest_encoder(tmp_path, capsys):
+    corpus = synth_corpus(tmp_path)
+    out = str(tmp_path / "t")
+    assert run(["train", "--dataset", corpus, "--out-dir", out, *TINY,
+                "--alpha-interest", "0"]) == 0
+    test_line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("test:")][0]
+    ckpt = os.path.join(out, "checkpoint.bin")
+    ssl = [k for k in load_arrays(ckpt) if k.startswith("ssl:")]
+    assert ssl and not [k for k in ssl if k.startswith("ssl:enc_int_")]
+    assert run(["eval", "--dataset", corpus, "--out-dir", str(tmp_path / "e"),
+                "--checkpoint", ckpt, *TINY, "--alpha-interest", "0"]) == 0
+    assert test_line.split()[1] in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, want", [
+    ([], ""),
+    (["--n-branches", "1", "--max-len", "1", "--alpha-feature", "0"],
+     "max_len 1 gives no branch two windows: the interest loss never forms a pair, "
+     "so it trains nothing\n"),
+])
+def test_train_speaks_on_stderr_only_of_a_weighted_loss_that_trains_nothing(tmp_path, flags,
+                                                                            want):
+    # in a child process, where a logged warning reaches stderr as it does
+    # for a user, rather than pytest's log capture
+    corpus = synth_corpus(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(missctr.__file__)),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "missctr.cli", "train", "--dataset", corpus,
+         "--out-dir", str(tmp_path / "t"), *TINY, *flags],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0 and proc.stderr == want, proc.stderr
+
+
 @pytest.mark.parametrize("record, index, value", [
     ("ssl:enc_int_w0", (0, 0), np.nan),  # feeds no score, so scoring cannot catch it
     ("emb:user", (1, 0), np.inf),  # a row no sample looks up

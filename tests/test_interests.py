@@ -24,10 +24,13 @@ from oracles import (
 
 
 def make_bank(n_branches, n_depths, seed=0, n_fields=None):
-    """A full bank, or with n_fields the kernels a model over that many
-    fields holds."""
+    """A full bank, or with n_fields only the vertical kernels that leave
+    a feature pair its two field rows (width <= n_fields - 1), as a model
+    over that many fields with a weighted feature loss holds them."""
     bank = I.init_conv_bank(n_branches, n_depths, np.random.default_rng(seed))
-    return bank if n_fields is None else bank.for_fields(n_fields)
+    if n_fields is None:
+        return bank
+    return I.ConvBank(bank.horizontal, [row[: n_fields - 1] for row in bank.vertical])
 
 
 def test_channel_stack_is_the_field_table_rows():

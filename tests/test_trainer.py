@@ -494,16 +494,6 @@ def test_gradients_are_never_written_in_place(gate_splits, monkeypatch):
         assert p.data.tobytes() == checked[name].data.tobytes(), name
 
 
-def test_gate_step_gives_every_parameter_a_gradient(gate_splits):
-    # two fields: a width-2 vertical kernel would leave one field row,
-    # which no feature pair can sample, so the model does not hold it, and
-    # a width-1 kernel is a constant sign: every parameter a step trains
-    # gets a gradient
-    params = gate_step(gate_splits)
-    assert [k for k, p in params.items() if p.grad_rows() is None] == []
-    assert [k for k in params if k.startswith("ssl:conv_")] == ["ssl:conv_g2"]
-
-
 def test_gate_step_peaks_below_20_mb(gate_splits):
     # the sweep frees each op gradient and closure once used; holding
     # them all (and a copy of every gradient) peaks at about 31 MB
@@ -810,7 +800,8 @@ def test_contrastive_gradient_is_orthogonal_to_every_ssl_parameter(
             assert abs(np.vdot(p.grad, p.data)) <= 1e-12, name
 
 
-def contrastive_instance(n_j, n_branches, n_depths, n_l, seq_len, alphas, seed):
+def contrastive_instance(n_j, n_branches, n_depths, n_l, seq_len, alphas, seed,
+                         model="din-miss"):
     """The model and splits of the orthogonality law test's instances:
     one user field, n_j sequence fields, and one row per seq_len."""
     rng = np.random.default_rng(seed)
@@ -825,8 +816,51 @@ def contrastive_instance(n_j, n_branches, n_depths, n_l, seq_len, alphas, seed):
     splits = pack_splits([part] * 3, cat_fields=["user"], seq_fields=fields,
                          vocab_sizes={"user": 10, **{f: 30 for f in fields}}, max_len=n_l)
     cfg = tiny_cfg(batch_size=n, n_branches=n_branches, n_depths=n_depths, max_len=n_l,
-                   alpha_interest=alphas[0], alpha_feature=alphas[1], seed=seed)
+                   alpha_interest=alphas[0], alpha_feature=alphas[1], seed=seed, model=model)
     return build_model(cfg, splits), splits
+
+
+def held_ssl_names(model, alphas, n_j, n_branches, n_depths, max_len):
+    """The ssl: parameters a model holds, from the pairs each weighted
+    loss can form: branch m (width m) leaves max_len - m + 1 time
+    columns, two for an interest pair; its vertical kernel n (width n)
+    leaves n_j - n + 1 field rows, two for a feature pair.  A branch is
+    held for either loss; a width-1 kernel is a constant, not a
+    parameter; tiny_cfg's encoders have one layer."""
+    miss = model == "din-miss"
+    interest = [m for m in range(1, n_branches + 1)
+                if miss and alphas[0] > 0 and max_len - m + 1 >= 2]
+    feature = [(m, n) for m in range(1, n_branches + 1) for n in range(1, n_depths + 1)
+               if miss and alphas[1] > 0 and n_j - n + 1 >= 2]
+    branches = sorted(set(interest) | {m for m, _ in feature})
+    return ([f"ssl:conv_g{m}" for m in branches if m > 1]
+            + [f"ssl:conv_g{m}v{n}" for m, n in feature if n > 1]
+            + ["ssl:enc_int_w0"] * bool(interest) + ["ssl:enc_feat_w0"] * bool(feature))
+
+
+@settings(max_examples=120, deadline=None)
+@given(model=st.sampled_from(["din", "din-miss"]),
+       alphas=st.tuples(st.sampled_from([0.0, 0.5]), st.sampled_from([0.0, 0.5])),
+       n_j=st.integers(1, 3), n_depths=st.integers(0, 2), n_branches=st.integers(1, 3),
+       extra_len=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+@example(model="din-miss", alphas=(0.0, 0.5), n_j=2, n_depths=2, n_branches=2, extra_len=1,
+         seed=0)
+@example(model="din-miss", alphas=(0.5, 0.5), n_j=1, n_depths=2, n_branches=2, extra_len=1,
+         seed=0)
+def test_a_step_gives_every_held_parameter_a_gradient(model, alphas, n_j, n_depths, n_branches,
+                                                      extra_len, seed):
+    # histories fill max_len, so every pair the rule expects can form: a
+    # model holds exactly the ssl: parameters some weighted loss reaches,
+    # and one step gives every parameter it holds a gradient
+    max_len = n_branches + extra_len
+    inst, splits = contrastive_instance(n_j, n_branches, n_depths, max_len, [max_len] * 4,
+                                        alphas, seed, model=model)
+    params = inst.parameters()
+    train_step(inst, splits.train, np.arange(4), np.random.default_rng(seed), AdamState(),
+               params, 0)
+    assert [k for k, p in params.items() if p.grad_rows() is None] == []
+    assert [k for k in params if k.startswith("ssl:")] == held_ssl_names(
+        model, alphas, n_j, n_branches, n_depths, max_len)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1009,26 +1043,34 @@ def test_non_finite_loss_aborts_with_diagnostic():
     assert "loss" in str(exc.value)
 
 
-def test_degenerate_extractor_is_reported_once(caplog):
+@pytest.mark.parametrize("fields, over, dead, want", [
     # one field (no attribute column): every vertical kernel would leave
-    # at most one field row, so the model holds none and no feature pair
-    # forms
+    # at most one field row, so the model holds none and no feature pair forms
+    (["item"], dict(), "ssl:enc_feat",
+     "field count 1 and n_depths 2 keep no vertical kernel: the feature loss never forms a pair, "
+     "so it trains nothing"),
+    # one time column: no branch leaves the two an interest pair reads
+    (["item", "attr_1"], dict(n_branches=1, max_len=1, alpha_feature=0.0), "ssl:enc_int",
+     "max_len 1 gives no branch two windows: the interest loss never forms a pair, "
+     "so it trains nothing"),
+], ids=["feature", "interest"])
+def test_a_weighted_loss_that_never_forms_a_pair_is_reported_once(caplog, fields, over, dead,
+                                                                  want):
     from dataclasses import replace
 
     from missctr.data import build_splits, synth_generate
 
     log = synth_generate(40, 20, 4, (6, 10), seed=0)
-    log = replace(log, seq_fields=["item"], tokens=log.tokens[:1], codes=log.codes[:1])
-    splits = build_splits(log, max_len=6, seed=0)
+    log = replace(log, seq_fields=fields, tokens=log.tokens[:len(fields)],
+                  codes=log.codes[:len(fields)])
+    cfg = tiny_cfg(epochs=1, **over)
+    splits = build_splits(log, max_len=cfg.max_len, seed=0)
     with caplog.at_level("WARNING", logger="missctr"):
-        result = train(tiny_cfg(epochs=1), splits)
+        result = train(cfg, splits)
     assert len(result.telemetry) > 1
-    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert warnings == [
-        "field count 1 keeps no vertical kernel: the feature loss never forms a pair, "
-        "so its encoder never trains",
-    ]
-    assert result.model.conv.vertical == [[], []]
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [want]
+    assert not [k for k in result.model.parameters() if k.startswith(dead)]
+    assert not any(result.model.conv.vertical)
 
 
 def test_pad_row_stays_zero_through_training():
